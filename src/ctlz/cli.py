@@ -5,7 +5,8 @@ environment variables), deterministic output: repeated runs on the same
 input produce byte-identical bytes.  Exit codes: 0 for a completed run
 with a positive or neutral outcome, 1 for a negative verdict (no
 homomorphism, empty satisfying set, no model within bounds, false
-sentence), 2 for input errors.
+sentence), 2 for input errors, 3 for an internal error (a defect in the
+program, reported as one line on stderr, never as a verdict).
 """
 
 from __future__ import annotations
@@ -368,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=handler)
         p.add_argument("--json", action="store_true", help="structured output instead of text")
-        p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="worker cap (reserved; the current implementation is sequential)")
         return p
 
     p = add("parse", _cmd_parse, "parse a formula and print its canonical form")
@@ -442,6 +441,9 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a defect, not a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -426,10 +426,6 @@ def domain_by_name(name: str) -> ConcreteDomain:
     raise DomainError(f"unknown domain {name!r}")
 
 
-def eval_relation(dom: ConcreteDomain, rel: RelationSymbol, values: tuple) -> bool:
-    return dom.eval_relation(rel, values)
-
-
 def negation_formula(dom: ConcreteDomain, rel: RelationSymbol) -> PositiveExistential:
     return dom.negation_formula(rel)
 

@@ -201,8 +201,6 @@ class Constraint(Formula):
         return max(off for off, _ in self.args)
 
 
-AtomicConstraint = Constraint
-
 _BINARY = (And, Or, Until, Release)
 _UNARY = (Not, Exists, All, Next)
 

@@ -2,14 +2,26 @@
 the integer domain (or N, negZ, Q), with an explicit witness or a
 machine-readable failure reason.
 
-Pipeline for target Z: quotient by the equivalence closure of I(=),
-reject constant clashes, pairwise-incompatible congruences, and cycles;
-split the quotient into the bounded part B (between two constants), the
-part G above B, the part S below B, and the rest R; solve B greedily
-inside the constant window; build order-preserving potentials for the
-free parts; glue with offsets that clear the window on both sides.  A
-final verification pass re-checks every tuple, so a returned witness is
-always sound.
+``decide_hom`` builds the quotient by the equivalence closure of I(=)
+once and runs every later step on its classes:
+
+1. reject a class with two constants, a class with pairwise-incompatible
+   congruences, and a strict-order cycle (found by an iterative
+   depth-first search);
+2. order the classes topologically (Kahn, smallest ready index first);
+3. build the values:
+   - Z: split the classes into the bounded part B (on a path between two
+     constants), the part G above B, the part S below B, and the rest R;
+     solve B greedily inside the constant window; give the free parts
+     order-preserving longest-path potentials scaled to respect the
+     congruences; glue with offsets that clear the window on both sides;
+   - N and negZ: longest-path potentials on the whole quotient;
+   - Q: pinned classes take their constant, the others a point between
+     their predecessors and the least constant strictly below them in
+     the order, found in one reverse-topological pass.
+
+A final verification pass re-checks every tuple, so a returned witness is
+always sound; a failure there raises ``InternalError``.
 
 On finite structures, acyclicity already bounds every strict-order path
 by the element count, which is why no separate path-length condition
@@ -18,16 +30,22 @@ appears here.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, prod
 
-from .domains import ConcreteDomain, DomainError, domain_by_name
-from .formulas import CONSTANT, EQUAL, LESS, MODULO, RelationSymbol
+from .domains import DomainError, domain_by_name
+from .formulas import CONSTANT, EQUAL, LESS, MODULO
 from .structures import SigmaStructure
 
 TARGET_DOMAINS = ("Z", "N", "negZ", "Q")
+
+
+class InternalError(Exception):
+    """A synthesized witness failed verification: a defect in this
+    module, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +91,6 @@ def _jsonable(value):
     return value
 
 
-def _yes(witness: dict) -> HomDecision:
-    return HomDecision(True, witness, None)
-
-
 def _no(kind: str, **details) -> HomDecision:
     return HomDecision(False, None, HomReason(kind, details))
 
@@ -92,6 +106,8 @@ class Quotient:
     edges: set  # lifted I(<) as (ci, cj)
     constants: list  # per class: sorted constant parameters
     modulos: list  # per class: sorted (a, b) pairs
+    succs: list  # per class: ascending successor classes along the edges
+    preds: list  # per class: ascending predecessor classes along the edges
 
 
 def sim_closure(structure: SigmaStructure) -> dict:
@@ -136,56 +152,97 @@ def build_quotient(structure: SigmaStructure) -> Quotient:
             class_of[e] = i
 
     edges = set()
-    constants = [set() for _ in classes]
-    modulos = [set() for _ in classes]
+    constants: dict = {}  # class -> set, only for classes that have some
+    modulos: dict = {}
     for rel, tuples in structure.interpretation.items():
         if rel.kind == LESS:
             for a, b in tuples:
                 edges.add((class_of[a], class_of[b]))
         elif rel.kind == CONSTANT:
             for (a,) in tuples:
-                constants[class_of[a]].add(rel.params[0])
+                constants.setdefault(class_of[a], set()).add(rel.params[0])
         elif rel.kind == MODULO:
             for (a,) in tuples:
-                modulos[class_of[a]].add(rel.params)
+                modulos.setdefault(class_of[a], set()).add(rel.params)
+    succs = [[] for _ in classes]
+    preds = [[] for _ in classes]
+    for a, b in sorted(edges):
+        succs[a].append(b)
+        preds[b].append(a)
     return Quotient(
         classes,
         class_of,
         edges,
-        [sorted(c, key=lambda v: (Fraction(v), str(v))) for c in constants],
-        [sorted(ms) for ms in modulos],
+        [sorted(constants[ci], key=lambda v: (Fraction(v), str(v))) if ci in constants else []
+         for ci in range(len(classes))],
+        [sorted(modulos[ci]) if ci in modulos else [] for ci in range(len(classes))],
+        succs,
+        preds,
     )
 
 
 def check_cycle(quotient: Quotient):
-    """A list of class indices forming a strict-order cycle, or None."""
-    succs = {i: [] for i in range(len(quotient.classes))}
-    for a, b in sorted(quotient.edges):
-        succs[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(quotient.classes)
-    stack_path: list = []
+    """A list of class indices forming a strict-order cycle, or None.
 
-    def dfs(v):
-        color[v] = GREY
-        stack_path.append(v)
-        for w in succs[v]:
-            if color[w] == GREY:
-                return stack_path[stack_path.index(w):]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in range(len(quotient.classes)):
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found is not None:
-                return list(found)
+    Depth-first search from every unvisited class in index order,
+    successors in ascending order; the cycle is the part of the search
+    path from the first class met again while still open."""
+    succs = quotient.succs
+    OPEN, DONE = 1, 2
+    state = [0] * len(succs)
+    for root in range(len(succs)):
+        if state[root]:
+            continue
+        state[root] = OPEN
+        path, pending = [root], [iter(succs[root])]
+        while pending:
+            for w in pending[-1]:
+                if state[w] == OPEN:
+                    return path[path.index(w):]
+                if not state[w]:
+                    state[w] = OPEN
+                    path.append(w)
+                    pending.append(iter(succs[w]))
+                    break
+            else:
+                pending.pop()
+                state[path.pop()] = DONE
     return None
+
+
+def _topological_order(quotient: Quotient, members) -> list:
+    """The classes in ``members`` (an acyclic part of the quotient) in
+    topological order of the edges between them, always taking the
+    smallest ready class index first."""
+    indeg = dict.fromkeys(members, 0)
+    for v in indeg:
+        for w in quotient.succs[v]:
+            if w in indeg:
+                indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in quotient.succs[v]:
+            if w in indeg:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+    return order
+
+
+def _reach(seed, step: list) -> set:
+    """Classes reachable from ``seed`` (included) along ``step``."""
+    seen = set(seed)
+    todo = list(seen)
+    while todo:
+        for w in step[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def crt_pair(a1: int, b1: int, a2: int, b2: int):
@@ -227,192 +284,142 @@ def class_residue(quotient: Quotient, ci: int):
 # The bounded / greater / smaller / rest partition
 
 
-def partition_bgsr(structure: SigmaStructure):
-    """Split elements by reachability between constants along <, =, =^-1.
+def partition_bgsr(quotient: Quotient):
+    """Split the classes by reachability between constants along <.
 
-    Returns (B, G, S, R) as frozensets.  With no constants in the
-    signature everything lands in R.
+    Returns (B, G, S, R) as sets of class indices: B holds the classes on
+    a path between two pinned classes, G those reachable from B, S those
+    reaching B, R the rest.  With no constants everything lands in R.
     """
-    quotient = build_quotient(structure)
-    n = len(quotient.classes)
-    succs = {i: set() for i in range(n)}
-    preds = {i: set() for i in range(n)}
-    for a, b in quotient.edges:
-        succs[a].add(b)
-        preds[b].add(a)
-
-    pinned = {i for i in range(n) if quotient.constants[i]}
-
-    def reach(seed: set, step) -> set:
-        seen = set(seed)
-        todo = list(seed)
-        while todo:
-            v = todo.pop()
-            for w in step[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    from_const = reach(pinned, succs)
-    to_const = reach(pinned, preds)
-    bounded = from_const & to_const
-    greater = reach(bounded, succs) - bounded
-    smaller = reach(bounded, preds) - bounded
-
-    def expand(class_set) -> frozenset:
-        out = []
-        for ci in class_set:
-            out.extend(quotient.classes[ci])
-        return frozenset(out)
-
-    rest = set(range(n)) - bounded - greater - smaller
-    return expand(bounded), expand(greater), expand(smaller), expand(rest)
-
-
-def restrict_structure(structure: SigmaStructure, keep) -> SigmaStructure:
-    keep = set(keep)
-    elements = [e for e in structure.elements if e in keep]
-    interp = {}
-    for rel, tuples in structure.interpretation.items():
-        interp[rel] = [t for t in tuples if all(e in keep for e in t)]
-    return SigmaStructure(elements, interp)
+    pinned = [ci for ci, cs in enumerate(quotient.constants) if cs]
+    bounded = _reach(pinned, quotient.succs) & _reach(pinned, quotient.preds)
+    greater = _reach(bounded, quotient.succs) - bounded
+    smaller = _reach(bounded, quotient.preds) - bounded
+    rest = set(range(len(quotient.classes))) - bounded - greater - smaller
+    return bounded, greater, smaller, rest
 
 
 # ---------------------------------------------------------------------------
-# Solving the bounded part inside the constant window
+# Value synthesis on an acyclic quotient with consistent unaries
 
 
-def _solve_bounded_quotient(quotient: Quotient, m: int, M: int):
-    """Greedy minimal assignment in topological order; complete because
-    every constraint (strict order below, congruence, pinned constant)
-    is monotone: raising predecessors never helps a stuck class."""
-    n = len(quotient.classes)
-    for ci in range(n):
-        if len(quotient.constants[ci]) > 1:
-            return ("constant_clash", ci)
-    indeg = {i: 0 for i in range(n)}
-    succs = {i: [] for i in range(n)}
-    for a, b in sorted(quotient.edges):
-        succs[a].append(b)
-        indeg[b] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while ready:
-        v = ready.pop(0)
-        topo.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-                ready.sort()
-    if len(topo) != n:
-        return ("cycle", None)
-
+def _solve_bounded(quotient: Quotient, bounded: set, residues: list, m: int, M: int):
+    """Greedy minimal values in [m, M] for the bounded classes, in
+    topological order; complete because every constraint (strict order
+    below, congruence, pinned constant) is monotone: raising predecessors
+    never helps a stuck class.  Returns (values, None), or (None, ci) for
+    the first class left without a value."""
     values: dict = {}
-    preds = {i: [] for i in range(n)}
-    for a, b in quotient.edges:
-        preds[b].append(a)
-    for ci in topo:
-        lower = m
-        for p in preds[ci]:
-            lower = max(lower, values[p] + 1)
-        residue = class_residue(quotient, ci)
-        if residue is None:
-            return ("modulo_contradiction", ci)
-
-        def fits(v: int) -> bool:
-            return v % residue[1] == residue[0] % residue[1]
-
+    for ci in _topological_order(quotient, bounded):
+        lower = max([m] + [values[p] + 1 for p in quotient.preds[ci] if p in bounded])
+        residue, modulus = residues[ci]
         if quotient.constants[ci]:
-            c = quotient.constants[ci][0]
-            if not isinstance(c, int) or c < lower or c > M or not fits(c):
-                return ("bounded_infeasible", ci)
-            values[ci] = c
+            v = quotient.constants[ci][0]
+            if v < lower or v % modulus != residue:
+                return None, ci
         else:
-            v = lower
-            while v <= M and not fits(v):
-                v += 1
+            v = lower + (residue - lower) % modulus
             if v > M:
-                return ("bounded_infeasible", ci)
-            values[ci] = v
-    return ("ok", values)
+                return None, ci
+        values[ci] = v
+    return values, None
 
 
-def solve_bounded(structure: SigmaStructure, window: tuple):
-    """Assign every element of the (assumed bounded) structure a value in
-    [window[0], window[1]]; returns a value map or a HomReason."""
-    m, M = window
-    quotient = build_quotient(structure)
-    status, payload = _solve_bounded_quotient(quotient, m, M)
-    if status != "ok":
-        rep = quotient.classes[payload][0] if payload is not None else None
-        if status == "cycle":
-            return HomReason("cycle", {"elements": []})
-        if status == "constant_clash":
-            return HomReason("constant_clash", {"element": rep, "constants": quotient.constants[payload][:2]})
-        if status == "modulo_contradiction":
-            return HomReason("modulo_contradiction", {"element": rep})
-        return HomReason("bounded_infeasible", {"element": rep})
-    return {e: payload[quotient.class_of[e]] for e in structure.elements}
-
-
-# ---------------------------------------------------------------------------
-# Free parts: order potentials scaled to respect congruences
-
-
-def _synthesize_free(structure: SigmaStructure, mode: str, delta: int) -> dict:
-    """Homomorphism for a constant-free structure known to be acyclic.
-
-    The potential g is the longest strict-order path ending at a class
-    (for Z and N) or the negated longest path starting from it (negZ, so
-    values stay below zero); h = delta * g + least CRT residue.
-    """
-    quotient = build_quotient(structure)
-    n = len(quotient.classes)
-    succs = {i: [] for i in range(n)}
-    preds = {i: [] for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for a, b in sorted(quotient.edges):
-        succs[a].append(b)
-        preds[b].append(a)
-        indeg[b] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while ready:
-        v = ready.pop(0)
-        topo.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-                ready.sort()
-    if len(topo) != n:
-        raise DomainError("synthesis requires an acyclic quotient")
-
-    g = {}
-    if mode in ("Z", "N"):
-        for v in topo:
-            g[v] = max((g[p] + 1 for p in preds[v]), default=0)
-    elif mode == "negZ":
-        # negated longest outgoing path keeps every value at or below -1
-        for v in reversed(topo):
-            g[v] = -(max((-g[s] for s in succs[v]), default=0) + 1)
+def _potentials(quotient: Quotient, order: list, members: set, upward: bool) -> dict:
+    """Order potentials of the classes in ``members``, using only the
+    edges between them: the longest strict-order path ending at a class
+    (upward, values from 0), or the negated longest path starting from
+    it (downward, values at or below -1)."""
+    g: dict = {}
+    if upward:
+        for v in order:
+            if v in members:
+                g[v] = max((g[p] + 1 for p in quotient.preds[v] if p in members), default=0)
     else:
-        raise DomainError(f"unknown synthesis mode {mode!r}")
+        for v in reversed(order):
+            if v in members:
+                g[v] = min((g[s] for s in quotient.succs[v] if s in members), default=0) - 1
+    return g
 
-    values = {}
-    for ci in range(n):
-        residue = class_residue(quotient, ci)
-        if residue is None:
-            raise DomainError("synthesis requires pairwise-compatible congruences")
-        m_c = residue[0] % residue[1]
-        values[ci] = delta * g[ci] + m_c
-    return {e: values[quotient.class_of[e]] for e in structure.elements}
+
+def _values_z(structure: SigmaStructure, quotient: Quotient, order: list):
+    """Class values for target Z, or a negative decision when the bounded
+    part does not fit the constant window."""
+    residues = [class_residue(quotient, ci) for ci in range(len(quotient.classes))]
+    delta = prod(structure.moduli())
+    m = min([0] + structure.constants())
+    M = max([0] + structure.constants())
+    bounded, greater, smaller, rest = partition_bgsr(quotient)
+
+    values, stuck = _solve_bounded(quotient, bounded, residues, m, M)
+    if stuck is not None:
+        return _no("bounded_infeasible", element=quotient.classes[stuck][0])
+    g_r = _potentials(quotient, order, greater | smaller | rest, upward=True)
+    g_g = _potentials(quotient, order, greater, upward=True)
+    g_s = _potentials(quotient, order, smaller, upward=False)
+    for ci in rest:
+        values[ci] = delta * g_r[ci] + residues[ci][0]
+    for ci in greater:
+        values[ci] = delta * max(g_r[ci], g_g[ci]) + residues[ci][0] + delta * (M + 1)
+    for ci in smaller:
+        values[ci] = delta * min(g_r[ci], g_s[ci]) + residues[ci][0] + delta * (m - 1)
+    return values
+
+
+def _values_free(structure: SigmaStructure, quotient: Quotient, order: list, target: str) -> dict:
+    """N keeps the upward potentials at or above 0, negZ the downward ones
+    at or below -1; h = delta * g + least CRT residue."""
+    delta = prod(structure.moduli())
+    g = _potentials(quotient, order, set(order), upward=target == "N")
+    return {ci: delta * g[ci] + class_residue(quotient, ci)[0] for ci in order}
+
+
+def _values_q(quotient: Quotient, order: list):
+    """Class values for target Q, or a negative decision when a pinned
+    class has a constant no larger than its own below it in the order."""
+    pinned = {ci: cs[0] for ci, cs in enumerate(quotient.constants) if cs}
+    pin = {ci: Fraction(c) for ci, c in pinned.items()}
+    # least pinned constant strictly below each class in the order
+    upper_pin: list = [None] * len(quotient.classes)
+    for ci in reversed(order):
+        bounds = [pin[s] for s in quotient.succs[ci] if s in pin]
+        bounds += [upper_pin[s] for s in quotient.succs[ci] if upper_pin[s] is not None]
+        upper_pin[ci] = min(bounds, default=None)
+
+    for a in sorted(pin):
+        if upper_pin[a] is not None and upper_pin[a] <= pin[a]:
+            below = _reach(quotient.succs[a], quotient.succs)
+            b = min(ci for ci in below if ci in pin and pin[ci] <= pin[a])
+            return _no(
+                "order_constant_conflict",
+                lower=quotient.classes[a][0],
+                upper=quotient.classes[b][0],
+                lower_constant=pinned[a],
+                upper_constant=pinned[b],
+            )
+
+    # pinned classes take their constant, others the midpoint of known
+    # neighbors (density of Q)
+    values: dict = {}
+    for ci in order:
+        if ci in pin:
+            values[ci] = pin[ci]
+            continue
+        lower = max((values[p] for p in quotient.preds[ci]), default=None)
+        upper = upper_pin[ci]
+        if lower is None and upper is None:
+            values[ci] = Fraction(0)
+        elif lower is None:
+            values[ci] = upper - 1
+        elif upper is None:
+            values[ci] = lower + 1
+        else:
+            values[ci] = (lower + upper) / 2
+    return values
 
 
 # ---------------------------------------------------------------------------
-# Verification and the main decisions
+# Verification and the main decision
 
 
 def _signature_check(structure: SigmaStructure, target: str) -> None:
@@ -463,167 +470,33 @@ def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
     if target not in TARGET_DOMAINS:
         raise DomainError(f"unknown target {target!r}")
     _signature_check(structure, target)
-    if target == "Q":
-        return _decide_hom_q(structure)
-    if target in ("N", "negZ"):
-        return _decide_hom_free(structure, target)
-    return _decide_hom_z(structure)
-
-
-def _reason_constant_clash(quotient: Quotient, ci: int) -> HomDecision:
-    return _no(
-        "constant_clash",
-        element=quotient.classes[ci][0],
-        constants=quotient.constants[ci][:2],
-    )
-
-
-def _reason_cycle(quotient: Quotient, cycle: list) -> HomDecision:
-    return _no("cycle", elements=[quotient.classes[ci][0] for ci in cycle])
-
-
-def _decide_hom_free(structure: SigmaStructure, target: str) -> HomDecision:
     quotient = build_quotient(structure)
+    # after the signature check only Z and Q have constants and only Z, N
+    # and negZ congruences, so one sequence of refutations serves them all
+    for ci, cs in enumerate(quotient.constants):
+        if len(cs) > 1:
+            return _no("constant_clash", element=quotient.classes[ci][0], constants=cs[:2])
     clash = check_modulo_contradiction(quotient)
     if clash is not None:
         ci, first, second = clash
         return _no("modulo_contradiction", element=quotient.classes[ci][0], first=first, second=second)
     cycle = check_cycle(quotient)
     if cycle is not None:
-        return _reason_cycle(quotient, cycle)
-    delta = prod(structure.moduli()) if structure.moduli() else 1
-    h = _synthesize_free(structure, target, delta)
-    assert verify_hom(structure, h, target), "internal: synthesized witness failed verification"
-    return _yes(h)
+        return _no("cycle", elements=[quotient.classes[ci][0] for ci in cycle])
 
-
-def _decide_hom_z(structure: SigmaStructure) -> HomDecision:
-    quotient = build_quotient(structure)
-    for ci in range(len(quotient.classes)):
-        if len(quotient.constants[ci]) > 1:
-            return _reason_constant_clash(quotient, ci)
-    clash = check_modulo_contradiction(quotient)
-    if clash is not None:
-        ci, first, second = clash
-        return _no("modulo_contradiction", element=quotient.classes[ci][0], first=first, second=second)
-    cycle = check_cycle(quotient)
-    if cycle is not None:
-        return _reason_cycle(quotient, cycle)
-
-    constants = structure.constants()
-    moduli = structure.moduli()
-    delta = prod(moduli) if moduli else 1
-    m = min([0] + [c for c in constants])
-    M = max([0] + [c for c in constants])
-
-    bounded, greater, smaller, rest = partition_bgsr(structure)
-
-    h: dict = {}
-    if bounded:
-        sub = restrict_structure(structure, bounded)
-        solved = solve_bounded(sub, (m, M))
-        if isinstance(solved, HomReason):
-            return HomDecision(False, None, solved)
-        h.update(solved)
-
-    free_part = greater | smaller | rest
-    if free_part:
-        sub = restrict_structure(structure, free_part)
-        h_r = _synthesize_free(sub, "Z", delta)
-        h_g = _synthesize_free(restrict_structure(structure, greater), "N", delta) if greater else {}
-        h_s = _synthesize_free(restrict_structure(structure, smaller), "negZ", delta) if smaller else {}
-        shift_up = delta * (M + 1)
-        shift_down = delta * (m - 1)
-        for e in rest:
-            h[e] = h_r[e]
-        for e in greater:
-            h[e] = max(h_r[e], h_g[e]) + shift_up
-        for e in smaller:
-            h[e] = min(h_r[e], h_s[e]) + shift_down
-
-    assert verify_hom(structure, h, "Z"), "internal: glued witness failed verification"
-    return _yes({e: h[e] for e in structure.elements})
-
-
-def _decide_hom_q(structure: SigmaStructure) -> HomDecision:
-    quotient = build_quotient(structure)
-    for ci in range(len(quotient.classes)):
-        if len(quotient.constants[ci]) > 1:
-            return _reason_constant_clash(quotient, ci)
-    cycle = check_cycle(quotient)
-    if cycle is not None:
-        return _reason_cycle(quotient, cycle)
-
-    n = len(quotient.classes)
-    succs = {i: set() for i in range(n)}
-    for a, b in quotient.edges:
-        succs[a].add(b)
-
-    def downstream(start: int) -> set:
-        seen = set()
-        todo = list(succs[start])
-        while todo:
-            v = todo.pop()
-            if v not in seen:
-                seen.add(v)
-                todo.extend(succs[v])
-        return seen
-
-    pinned = {i: quotient.constants[i][0] for i in range(n) if quotient.constants[i]}
-    down = {i: downstream(i) for i in range(n)}
-    for a in sorted(pinned):
-        for b in sorted(down[a] & pinned.keys()):
-            if Fraction(pinned[b]) <= Fraction(pinned[a]):
-                return _no(
-                    "order_constant_conflict",
-                    lower=quotient.classes[a][0],
-                    upper=quotient.classes[b][0],
-                    lower_constant=pinned[a],
-                    upper_constant=pinned[b],
-                )
-
-    # assign in topological order: pinned classes take their constant,
-    # others the midpoint of known neighbors (density of Q)
-    indeg = {i: 0 for i in range(n)}
-    for a, b in quotient.edges:
-        indeg[b] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    topo = []
-    while ready:
-        v = ready.pop(0)
-        topo.append(v)
-        for w in sorted(succs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-                ready.sort()
-
-    preds = {i: [] for i in range(n)}
-    for a, b in quotient.edges:
-        preds[b].append(a)
-    upper_pin = {}
-    for ci in range(n):
-        candidates = [Fraction(pinned[p]) for p in down[ci] if p in pinned]
-        upper_pin[ci] = min(candidates) if candidates else None
-
-    values: dict = {}
-    for ci in topo:
-        if ci in pinned:
-            values[ci] = Fraction(pinned[ci])
-            continue
-        lower = max((values[p] for p in preds[ci]), default=None)
-        upper = upper_pin[ci]
-        if lower is None and upper is None:
-            values[ci] = Fraction(0)
-        elif lower is None:
-            values[ci] = upper - 1
-        elif upper is None:
-            values[ci] = lower + 1
-        else:
-            values[ci] = (lower + upper) / 2
+    order = _topological_order(quotient, range(len(quotient.classes)))
+    if target == "Z":
+        values = _values_z(structure, quotient, order)
+    elif target == "Q":
+        values = _values_q(quotient, order)
+    else:
+        values = _values_free(structure, quotient, order, target)
+    if isinstance(values, HomDecision):
+        return values
     h = {e: values[quotient.class_of[e]] for e in structure.elements}
-    assert verify_hom(structure, h, "Q"), "internal: rational witness failed verification"
-    return _yes(h)
+    if not verify_hom(structure, h, target):
+        raise InternalError(f"synthesized {target} witness failed verification")
+    return HomDecision(True, h, None)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +570,30 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
         mods[cls[i]] |= ms
 
     if target == "Q":
-        return _brute_force_q(structure, bound, cls, k, edges, consts)
+        candidates = _rational_candidates(n, bound, k, edges, consts)
+    else:
+        candidates = _integer_candidates(target, bound, k, edges, consts, mods)
+    if candidates is None:
+        return None
 
+    # classes are assigned in index order, so each class only needs its
+    # order constraints against earlier classes
+    checks = [[] for _ in range(k)]
+    for a, b in edges:
+        if a < b:
+            checks[b].append((a, True))  # h[a] < h[current]
+        elif a > b:
+            checks[a].append((b, False))  # h[current] < h[b]
+    solution = _first_assignment(candidates, checks, k)
+    if solution is None:
+        return None
+    return {e: solution[cls[index[e]]] for e in elements}
+
+
+def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: list, mods: list):
+    """Per class, the ascending values in the target's part of
+    [-bound, bound] left by the unary filters and difference-bound
+    tightening; None when some class has none."""
     if target == "Z":
         lo, hi = -bound, bound
     elif target == "N":
@@ -746,48 +641,13 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
         if not vals:
             return None
         candidates.append(vals)
-
-    # classes are assigned in index order, so each class only needs its
-    # order constraints against earlier classes
-    checks = [[] for _ in range(k)]
-    for a, b in edges:
-        if a < b:
-            checks[b].append((a, True))  # h[a] < h[current]
-        elif a > b:
-            checks[a].append((b, False))  # h[current] < h[b]
-
-    assignment = [None] * k
-
-    def backtrack(ci: int):
-        if ci == k:
-            return list(assignment)
-        for v in candidates[ci]:
-            ok = True
-            for other, from_earlier in checks[ci]:
-                if from_earlier:
-                    if not assignment[other] < v:
-                        ok = False
-                        break
-                else:
-                    if not v < assignment[other]:
-                        ok = False
-                        break
-            if ok:
-                assignment[ci] = v
-                result = backtrack(ci + 1)
-                if result is not None:
-                    return result
-                assignment[ci] = None
-        return None
-
-    solution = backtrack(0)
-    if solution is None:
-        return None
-    return {e: solution[cls[index[e]]] for e in elements}
+    return candidates
 
 
-def _brute_force_q(structure: SigmaStructure, bound: int, cls, k, edges, consts):
-    n = len(structure.elements)
+def _rational_candidates(n: int, bound: int, k: int, edges: set, consts: list):
+    """Per class, its pinned constant or the ascending grid of fractions
+    with denominators up to n + 1 in [-bound, bound]; None on a
+    self-loop, a constant clash or a constant out of range."""
     grid = sorted(
         {Fraction(p, q) for q in range(1, n + 2) for p in range(-bound * q, bound * q + 1)}
     )
@@ -805,39 +665,32 @@ def _brute_force_q(structure: SigmaStructure, bound: int, cls, k, edges, consts)
             candidates.append([c])
         else:
             candidates.append(grid)
-    checks = [[] for _ in range(k)]
-    for a, b in edges:
-        if a < b:
-            checks[b].append((a, True))
-        else:
-            checks[a].append((b, False))
+    return candidates
 
+
+def _first_assignment(candidates: list, checks: list, k: int):
+    """First assignment of the k classes, lexicographic in class order
+    and candidate order, that passes every check, or None.  ``checks[ci]``
+    holds (other, True) for h[other] < h[ci] and (other, False) for
+    h[ci] < h[other], always with other < ci.  Backtracking runs on an
+    explicit cursor per class, so the class count is not bounded by the
+    recursion limit."""
     assignment = [None] * k
-
-    def backtrack(ci: int):
-        if ci == k:
-            return list(assignment)
-        for v in candidates[ci]:
-            ok = True
+    cursor = [0] * k  # per class: index of the next candidate to try
+    ci = 0
+    while 0 <= ci < k:
+        vals = candidates[ci]
+        for i in range(cursor[ci], len(vals)):
+            v = vals[i]
             for other, from_earlier in checks[ci]:
-                if from_earlier:
-                    if not assignment[other] < v:
-                        ok = False
-                        break
-                else:
-                    if not v < assignment[other]:
-                        ok = False
-                        break
-            if ok:
+                if not (assignment[other] < v if from_earlier else v < assignment[other]):
+                    break
+            else:
                 assignment[ci] = v
-                result = backtrack(ci + 1)
-                if result is not None:
-                    return result
-                assignment[ci] = None
-        return None
-
-    solution = backtrack(0)
-    if solution is None:
-        return None
-    index = {e: i for i, e in enumerate(structure.elements)}
-    return {e: solution[cls[index[e]]] for e in structure.elements}
+                cursor[ci] = i + 1
+                ci += 1
+                break
+        else:
+            cursor[ci] = 0
+            ci -= 1
+    return assignment if ci == k else None

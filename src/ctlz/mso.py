@@ -149,15 +149,6 @@ def disj_all(parts) -> MsoFormula:
     return out
 
 
-def top_conjuncts(formula: MsoFormula) -> list:
-    out = []
-    while isinstance(formula, Conj):
-        out.append(formula.left)
-        formula = formula.right
-    out.append(formula)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Variable bookkeeping
 

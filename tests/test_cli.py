@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ctlz.cli
 from ctlz import ConstraintKripke, model_to_text, structure_to_text, SigmaStructure, LT
 from ctlz.cli import run_command
 from ctlz.golden import demo_tree
@@ -115,6 +116,27 @@ def test_homcheck_positive(capsys, chain_structure):
     assert rc == 0
     assert "verdict: yes" in out
     assert "a = 0" in out and "b = 1" in out
+
+
+def test_homcheck_long_chain(capsys, tmp_path):
+    elements = [f"x{i}" for i in range(1200)]
+    s = SigmaStructure(elements, {LT: list(zip(elements, elements[1:]))})
+    p = tmp_path / "long.structure"
+    p.write_text(structure_to_text(s))
+    rc, out, err = run(capsys, "homcheck", "--json", "--structure", str(p))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["verdict"] == "yes"
+
+
+def test_internal_error_exits_three(capsys, chain_structure, monkeypatch):
+    def broken(structure, target):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ctlz.cli, "decide_hom", broken)
+    rc, out, err = run(capsys, "homcheck", "--structure", chain_structure)
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_brutehom_scans_from_the_bottom(capsys, chain_structure):

@@ -18,7 +18,8 @@ from ctlz import (
     verify_hom,
     witness_bound,
 )
-from ctlz.homcheck import build_quotient, crt_pair, partition_bgsr, sim_closure
+import ctlz.homcheck
+from ctlz.homcheck import InternalError, build_quotient, crt_pair, partition_bgsr, sim_closure
 from conftest import SIGMA0, random_sigma0_structure
 
 
@@ -35,6 +36,14 @@ def _s(elements, **rels):
             rel = mod_rel(int(a), int(b))
         interp[rel] = rows
     return SigmaStructure(list(elements), interp)
+
+
+def _lt_chain(n, cycle=False):
+    elements = [f"x{i}" for i in range(n)]
+    lt = [(elements[i], elements[i + 1]) for i in range(n - 1)]
+    if cycle:
+        lt.append((elements[-1], elements[0]))
+    return SigmaStructure(elements, {LT: lt})
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +86,57 @@ def test_cycle_reason():
     assert not d.verdict
     assert d.reason.kind == "cycle"
     assert set(d.reason.details["elements"]) <= {"a", "b", "c"}
+    # long cycles are reported whole, in chain order, without recursion
+    long_cycle = _lt_chain(10_000, cycle=True)
+    for target in ("Z", "Q"):
+        d = decide_hom(long_cycle, target)
+        assert d.reason.kind == "cycle"
+        assert d.reason.details["elements"] == long_cycle.elements
+    # two cycles: the search visits successors in class order, so from a
+    # it takes c (declared before b) and names the c-e cycle
+    two = _s(
+        "acbde",
+        lt=[("a", "c"), ("a", "b"), ("b", "d"), ("d", "a"), ("c", "e"), ("e", "c")],
+    )
+    for target in ("Z", "N", "Q"):
+        assert decide_hom(two, target).reason.details["elements"] == ["c", "e"]
+
+
+def test_long_chain_decides_for_every_target():
+    s = _lt_chain(10_000)
+    for target in ("Z", "N", "negZ", "Q"):
+        d = decide_hom(s, target)
+        assert d.verdict, target
+        assert verify_hom(s, d.witness, target)
+
+
+def test_failed_verification_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(ctlz.homcheck, "verify_hom", lambda *args, **kwargs: False)
+    for target in ("Z", "N", "negZ", "Q"):
+        with pytest.raises(InternalError):
+            decide_hom(_s("ab", lt=[("a", "b")]), target)
+
+
+def test_quotient_is_built_once_per_decision(monkeypatch):
+    s = _s(
+        ["s", "k0", "x", "k5", "g", "iso"],
+        lt=[("s", "k0"), ("k0", "x"), ("x", "k5"), ("k5", "g")],
+        eqc0=[("k0",)],
+        eqc5=[("k5",)],
+    )
+    bounded, greater, smaller, rest = partition_bgsr(build_quotient(s))
+    assert bounded and greater and smaller and rest
+    calls = []
+
+    def counting(structure):
+        calls.append(structure)
+        return build_quotient(structure)
+
+    monkeypatch.setattr(ctlz.homcheck, "build_quotient", counting)
+    for target in ("Z", "Q"):
+        calls.clear()
+        assert decide_hom(s, target).verdict
+        assert len(calls) == 1, target
 
 
 def test_equality_loops_do_not_make_cycles():
@@ -120,6 +180,16 @@ def test_parity_blocked_window():
     )
     d = decide_hom(s, "Z")
     assert not d.verdict and d.reason.kind == "bounded_infeasible"
+    # x and y are both stuck; the bounded part is ordered on its own, so s
+    # (below x, outside it) does not put y first
+    two = _s(
+        ["k0", "x", "y", "k3", "s"],
+        lt=[("k0", "x"), ("k0", "y"), ("x", "k3"), ("y", "k3"), ("s", "x")],
+        eqc0=[("k0",)],
+        eqc3=[("k3",)],
+        mod0_4=[("x",), ("y",)],
+    )
+    assert decide_hom(two, "Z").reason.details == {"element": "x"}
 
 
 def test_rational_order_constant_conflict():
@@ -127,6 +197,22 @@ def test_rational_order_constant_conflict():
     d = decide_hom(s, "Q")
     assert not d.verdict and d.reason.kind == "order_constant_conflict"
     assert not decide_hom(s, "Z").verdict
+    # the first pinned class with a conflict downstream, paired with the
+    # first conflicting pinned class below it
+    several = _s(
+        ["d", "u", "a", "c", "b"],
+        lt=[("d", "a"), ("a", "u"), ("u", "c"), ("a", "b")],
+        eqc1=[("d",)],
+        eqc5=[("a",)],
+        eqc2=[("c",)],
+        eqc4=[("b",)],
+    )
+    assert decide_hom(several, "Q").reason.details == {
+        "lower": "a",
+        "upper": "c",
+        "lower_constant": 5,
+        "upper_constant": 2,
+    }
 
 
 def test_restricted_target_signatures():
@@ -189,18 +275,20 @@ def test_partition_by_constant_reachability():
         lt=[("s", "c0"), ("c0", "g")],
         eqc0=[("c0",)],
     )
-    bounded, greater, smaller, rest = partition_bgsr(s)
-    assert bounded == frozenset({"c0"})
-    assert greater == frozenset({"g"})
-    assert smaller == frozenset({"s"})
-    assert rest == frozenset({"iso"})
+    q = build_quotient(s)
+    bounded, greater, smaller, rest = partition_bgsr(q)
+    assert bounded == {q.class_of["c0"]}
+    assert greater == {q.class_of["g"]}
+    assert smaller == {q.class_of["s"]}
+    assert rest == {q.class_of["iso"]}
 
 
 def test_partition_without_constants_is_all_rest():
     s = _s("ab", lt=[("a", "b")])
-    bounded, greater, smaller, rest = partition_bgsr(s)
+    q = build_quotient(s)
+    bounded, greater, smaller, rest = partition_bgsr(q)
     assert not bounded and not greater and not smaller
-    assert rest == frozenset({"a", "b"})
+    assert rest == {q.class_of["a"], q.class_of["b"]}
 
 
 def test_witness_bound_formula():
