@@ -27,26 +27,21 @@ from .formulas import (
     MODULO,
     All,
     And,
-    BoolConst,
     Constraint,
     EQ,
-    Exists,
     FALSE,
     Formula,
     FreshNames,
     LT,
-    Next,
-    Not,
     Or,
-    Prop,
     Release,
     RelationSymbol,
     TRUE,
-    Until,
     const_rel,
     interp_rel,
     is_state_formula,
     mod_rel,
+    rewrite,
 )
 
 
@@ -120,16 +115,7 @@ class PositiveExistential:
                 return (depth, fresh_vars[ref[1]])
             raise DomainError(f"unexpected reference {ref!r} in negation entry")
 
-        def go(node) -> Formula:
-            if isinstance(node, PosAtom):
-                return Constraint(node.relation, tuple(term(r) for r in node.refs))
-            if isinstance(node, PosAnd):
-                return And(go(node.left), go(node.right))
-            if isinstance(node, PosOr):
-                return Or(go(node.left), go(node.right))
-            raise TypeError(f"not a body node: {node!r}")
-
-        return go(self.body)
+        return _positive_formula(self.body, term)
 
     def eval(self, dom: "ConcreteDomain", params: tuple, witness_candidates) -> bool:
         """Truth under the domain, searching witnesses over the candidates."""
@@ -155,6 +141,26 @@ class PositiveExistential:
             if truth(self.body, env):
                 return True
         return False
+
+
+def _positive_formula(body, term) -> Formula:
+    """The formula of a positive body, each atom reference turned into an
+    (offset, variable) argument by ``term``; built on an explicit stack,
+    left operand first."""
+    done: list = []
+    stack: list = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PosAtom):
+            done.append(Constraint(node.relation, tuple(term(r) for r in node.refs)))
+        elif isinstance(node, (PosAnd, PosOr)):
+            stack += [And if isinstance(node, PosAnd) else Or, node.right, node.left]
+        elif node is And or node is Or:
+            right = done.pop()
+            done.append(node(done.pop(), right))
+        else:
+            raise TypeError(f"not a body node: {node!r}")
+    return done[0]
 
 
 def _atom(rel: RelationSymbol, *refs) -> PosAtom:
@@ -476,14 +482,8 @@ def apply_interpretation(interp: ExistentialInterpretation, f: Formula) -> Formu
     """Rewrite f over the source signature into a formula over (Z, <, =)."""
     if not is_state_formula(f):
         raise DomainError("apply_interpretation expects a state formula")
-    n = interp.tuple_width
     fresh = FreshNames("__z")
-    shared: dict[str, tuple[str, ...]] = {}
-
-    def witness_names(rel_name: str, count: int) -> tuple[str, ...]:
-        if rel_name not in shared:
-            shared[rel_name] = tuple(fresh.take() for _ in range(count))
-        return shared[rel_name]
+    shared: dict[str, tuple[str, ...]] = {}  # witness variables per relation symbol
 
     def build(body, args, depth, zvars) -> Formula:
         def term(ref):
@@ -496,40 +496,24 @@ def apply_interpretation(interp: ExistentialInterpretation, f: Formula) -> Formu
                 return (depth, zvars[ref[1]])
             raise DomainError(f"unexpected reference {ref!r} in interpretation body")
 
-        def go(node) -> Formula:
-            if isinstance(node, PosAtom):
-                return Constraint(node.relation, tuple(term(r) for r in node.refs))
-            if isinstance(node, PosAnd):
-                return And(go(node.left), go(node.right))
-            if isinstance(node, PosOr):
-                return Or(go(node.left), go(node.right))
-            raise TypeError(f"not a body node: {node!r}")
+        return _positive_formula(body, term)
 
-        return go(body)
+    source_vars: set[str] = set()
 
-    source_vars: list[str] = []
+    def visit(f: Formula):
+        if not isinstance(f, Constraint):
+            return None
+        rel = f.relation
+        declared = interp.source_arity(rel.name)
+        if rel.arity != declared:
+            raise DomainError(f"{rel.name} is {declared}-ary in interpretation {interp.name}")
+        source_vars.update(var for _, var in f.args)
+        fresh_count, body = interp.body_for(rel.name)
+        if rel.name not in shared:
+            shared[rel.name] = tuple(fresh.take() for _ in range(fresh_count))
+        return build(body, f.args, f.depth, shared[rel.name])
 
-    def rewrite(f: Formula) -> Formula:
-        if isinstance(f, Constraint):
-            rel = f.relation
-            declared = interp.source_arity(rel.name)
-            if rel.arity != declared:
-                raise DomainError(f"{rel.name} is {declared}-ary in interpretation {interp.name}")
-            for _, var in f.args:
-                if var not in source_vars:
-                    source_vars.append(var)
-            fresh_count, body = interp.body_for(rel.name)
-            zvars = witness_names(rel.name, fresh_count)
-            return build(body, f.args, f.depth, zvars)
-        if isinstance(f, (Prop, BoolConst)):
-            return f
-        if isinstance(f, (Not, Exists, All, Next)):
-            return type(f)(rewrite(f.sub))
-        if isinstance(f, (And, Or, Until, Release)):
-            return type(f)(rewrite(f.left), rewrite(f.right))
-        raise TypeError(f"not a formula: {f!r}")
-
-    rewritten = rewrite(f)
+    rewritten = rewrite(f, visit)
     if interp.total:
         return rewritten
 

@@ -7,14 +7,25 @@ release operator R are first-class nodes so that negation normal form is
 closed under the representation; F and G exist only in the concrete
 syntax and are desugared while parsing (F psi = true U psi,
 G psi = false R psi).
+
+Nodes are interned (hash-consed): building a node whose fields equal
+those of a live node returns that node, so structural equality is
+identity and hashing costs O(1) whatever the depth.  Every structural
+pass runs on one traversal core with explicit stacks: ``_children``,
+``subformulas`` (preorder), and ``rewrite`` (preorder visit, postorder
+rebuild); negation normal form is one pass that carries a polarity bit,
+and the parser is an operator-precedence loop.  No pass recurses, so
+formula nesting depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 LESS = "less"
 EQUAL = "equal"
@@ -110,91 +121,114 @@ def relation_from_name(name: str, arity: int | None = None) -> RelationSymbol:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: interned, immutable nodes
+
+# key -> live node; an entry goes away with its node, and a key holds the
+# node's children, so no child dies while a parent's entry is live
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _intern(cls, values: tuple, key: tuple) -> "Formula":
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        _NODES[key] = node
+    return node
 
 
 class Formula:
-    """Common base; concrete nodes are frozen dataclasses below."""
+    """Common base of the interned nodes below.
 
-    __slots__ = ()
+    A node class lists its fields in ``_fields``; nodes are built from
+    positional or keyword field values, equal field values give the very
+    same node, and fields cannot be reassigned.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in cls._fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._fields)})")
+        return _intern(cls, args, (cls, *args))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return _render(self, _repr_pieces)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class BoolConst(Formula):
-    value: bool
+    __slots__ = _fields = ("value",)
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class All(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Next(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Release(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Constraint(Formula):
     """Atomic constraint r(X^i1 x1, ..., X^ik xk); args are (offset, var)."""
 
-    relation: RelationSymbol
-    args: tuple  # tuple[tuple[int, str], ...]
+    __slots__ = _fields = ("relation", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.relation.arity:
-            raise FormulaError(
-                f"{self.relation.name} expects {self.relation.arity} arguments, got {len(self.args)}"
-            )
-        for off, var in self.args:
+    def __new__(cls, relation: RelationSymbol, args):
+        args = tuple((off, var) for off, var in args)
+        if len(args) != relation.arity:
+            raise FormulaError(f"{relation.name} expects {relation.arity} arguments, got {len(args)}")
+        for off, var in args:
             if not isinstance(off, int) or off < 0:
                 raise FormulaError(f"constraint offset must be a nonnegative integer, got {off!r}")
+        # eqc[1] and eqc[1/1] compare equal but are not interchangeable
+        # (the integer domains reject a Fraction), so the key keeps types
+        param_types = tuple(type(p) for p in relation.params)
+        return _intern(cls, (relation, args), (cls, relation, param_types, args))
 
     @property
     def depth(self) -> int:
@@ -206,66 +240,121 @@ _UNARY = (Not, Exists, All, Next)
 
 
 # ---------------------------------------------------------------------------
+# Traversal core
+
+
+def _children(f: Formula) -> tuple:
+    if isinstance(f, _UNARY):
+        return (f.sub,)
+    if isinstance(f, _BINARY):
+        return (f.left, f.right)
+    return ()
+
+
+def subformulas(f: Formula) -> Iterable[Formula]:
+    """Every subformula occurrence in preorder, left to right."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(_children(f)))
+
+
+def rewrite(f: Formula, visit: Callable[[Formula], Optional[Formula]]) -> Formula:
+    """Rebuild f bottom-up, calling ``visit`` on the nodes in preorder,
+    left to right.  A node for which ``visit`` returns a formula is
+    replaced by it and not entered; on None the node's children are
+    rewritten and the node is rebuilt with its own type."""
+    done: list = []
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,): its children are rewritten
+            (node,) = node
+            kids = _children(node)
+            new = done[-len(kids):]
+            del done[-len(kids):]
+            done.append(node if all(map(operator.is_, new, kids)) else type(node)(*new))
+        elif (replacement := visit(node)) is not None:
+            done.append(replacement)
+        elif kids := _children(node):
+            stack += [(node,), *reversed(kids)]
+        else:
+            done.append(node)
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
 # Printing
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UR = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
+_PREC_OR, _PREC_AND, _PREC_UR, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5
+
+_PREFIX_TEXT = {Not: "~", Exists: "E ", All: "A ", Next: "X "}
+# infix text, minimum precedence of the left and of the right operand:
+# & and | associate to the left, U and R to the right
+_INFIX = {
+    And: (" & ", _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR + 1),
+    Until: (" U ", _PREC_UR + 1, _PREC_UR),
+    Release: (" R ", _PREC_UR + 1, _PREC_UR),
+}
+_PREC = {Or: _PREC_OR, And: _PREC_AND, Until: _PREC_UR, Release: _PREC_UR,
+         **dict.fromkeys(_UNARY, _PREC_UNARY)}
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (Until, Release)):
-        return _PREC_UR
-    if isinstance(f, _UNARY):
-        return _PREC_UNARY
-    return _PREC_ATOM
+def _render(f: Formula, pieces) -> str:
+    """Text of f: ``pieces(node, minimum)`` lists strings and
+    (subformula, minimum precedence) items, expanded left to right on a
+    stack."""
+    out = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(reversed(pieces(*item)))
+    return "".join(out)
+
+
+def _repr_pieces(f: Formula, _minimum: int) -> list:
+    parts: list = [f"{type(f).__name__}("]
+    kids = _children(f)
+    for i, name in enumerate(f._fields):
+        parts.append(f"{', ' if i else ''}{name}=")
+        parts.append((kids[i], 0) if kids else repr(getattr(f, name)))
+    parts.append(")")
+    return parts
 
 
 def _term_text(off: int, var: str) -> str:
     return var if off == 0 else f"X^{off} {var}"
 
 
+def _syntax_pieces(f: Formula, minimum: int) -> list:
+    cls = type(f)
+    if cls in _PREFIX_TEXT:
+        parts = [_PREFIX_TEXT[cls], (f.sub, _PREC_UNARY)]
+    elif cls in _INFIX:
+        text, left, right = _INFIX[cls]
+        parts = [(f.left, left), text, (f.right, right)]
+    elif cls is Prop:
+        parts = [f.name]
+    elif cls is BoolConst:
+        parts = ["true" if f.value else "false"]
+    elif cls is Constraint:
+        args = ", ".join(_term_text(off, var) for off, var in f.args)
+        parts = [f"{f.relation.name}({args})"]
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if _PREC.get(cls, _PREC_ATOM) < minimum:
+        return ["(", *parts, ")"]
+    return parts
+
+
 def format_formula(f: Formula) -> str:
     """Canonical concrete syntax; parse_formula inverts it exactly."""
-
-    def wrap(sub: Formula, minimum: int) -> str:
-        text = go(sub)
-        return f"({text})" if _prec(sub) < minimum else text
-
-    def go(f: Formula) -> str:
-        if isinstance(f, Prop):
-            return f.name
-        if isinstance(f, BoolConst):
-            return "true" if f.value else "false"
-        if isinstance(f, Constraint):
-            args = ", ".join(_term_text(off, var) for off, var in f.args)
-            return f"{f.relation.name}({args})"
-        if isinstance(f, Not):
-            return "~" + wrap(f.sub, _PREC_UNARY)
-        if isinstance(f, Exists):
-            return "E " + wrap(f.sub, _PREC_UNARY)
-        if isinstance(f, All):
-            return "A " + wrap(f.sub, _PREC_UNARY)
-        if isinstance(f, Next):
-            return "X " + wrap(f.sub, _PREC_UNARY)
-        if isinstance(f, And):
-            # left associative: the right child needs parens at equal level
-            return wrap(f.left, _PREC_AND) + " & " + wrap(f.right, _PREC_AND + 1)
-        if isinstance(f, Or):
-            return wrap(f.left, _PREC_OR) + " | " + wrap(f.right, _PREC_OR + 1)
-        if isinstance(f, Until):
-            return wrap(f.left, _PREC_UR + 1) + " U " + wrap(f.right, _PREC_UR)
-        if isinstance(f, Release):
-            return wrap(f.left, _PREC_UR + 1) + " R " + wrap(f.right, _PREC_UR)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f)
+    return _render(f, _syntax_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +399,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# prefix operators bind tightest; among the binary ones U and R bind
+# tighter than &, which binds tighter than |
+_PREFIX_OPS = {"~": Not, "E": Exists, "A": All, "X": Next,
+               "F": lambda sub: Until(TRUE, sub), "G": lambda sub: Release(FALSE, sub)}
+_BINARY_OPS = {"|": Or, "&": And, "U": Until, "R": Release}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -334,61 +430,49 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.parse_or()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.fail(f"trailing input starting at {tok.text!r}")
-        return f
+        """Operator-precedence loop: operands and pending operators ("("
+        marks, prefix and binary operator texts) sit on explicit stacks."""
+        operands: list[Formula] = []
+        operators: list[str] = []
+        while True:
+            tok = self.peek()
+            if tok.text in _PREFIX_OPS or tok.text == "(":
+                operators.append(self.next().text)
+                continue
+            operands.append(self.parse_atom())
+            while True:
+                while operators and operators[-1] in _PREFIX_OPS:
+                    operands.append(_PREFIX_OPS[operators.pop()](operands.pop()))
+                tok = self.peek()
+                if tok.text in _BINARY_OPS:
+                    break
+                # the operand ends a group: close it at ")" or at the end
+                self._reduce(operands, operators, _PREC_OR)
+                if not operators:
+                    if tok.kind != "EOF":
+                        self.fail(f"trailing input starting at {tok.text!r}")
+                    return operands.pop()
+                self.expect(")")
+                operators.pop()
+            op = self.next().text
+            prec = _PREC[_BINARY_OPS[op]]
+            # left operands of & and | take equal precedence, those of the
+            # right-associative U and R only tighter
+            self._reduce(operands, operators, prec + 1 if prec == _PREC_UR else prec)
+            operators.append(op)
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_ur()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.parse_ur())
-        return f
-
-    def parse_ur(self) -> Formula:
-        f = self.parse_unary()
-        tok = self.peek()
-        if tok.text in ("U", "R") and tok.kind == "ID":
-            self.next()
-            right = self.parse_ur()  # right associative
-            return Until(f, right) if tok.text == "U" else Release(f, right)
-        return f
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
-            self.next()
-            return Not(self.parse_unary())
-        if tok.kind == "ID" and tok.text in ("E", "A", "X", "F", "G"):
-            self.next()
-            sub = self.parse_unary()
-            if tok.text == "E":
-                return Exists(sub)
-            if tok.text == "A":
-                return All(sub)
-            if tok.text == "X":
-                return Next(sub)
-            if tok.text == "F":
-                return Until(TRUE, sub)
-            return Release(FALSE, sub)
-        return self.parse_atom()
+    @staticmethod
+    def _reduce(operands: list, operators: list, minimum: int) -> None:
+        while operators and operators[-1] in _BINARY_OPS:
+            cls = _BINARY_OPS[operators[-1]]
+            if _PREC[cls] < minimum:
+                return
+            operators.pop()
+            right = operands.pop()
+            operands.append(cls(operands.pop(), right))
 
     def parse_atom(self) -> Formula:
         tok = self.peek()
-        if tok.text == "(":
-            self.next()
-            f = self.parse_or()
-            self.expect(")")
-            return f
         if tok.kind != "ID":
             self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
         if tok.text == "true":
@@ -507,52 +591,29 @@ def parse_path_formula(text: str) -> Formula:
 
 
 def is_state_formula(f: Formula) -> bool:
-    if isinstance(f, (Prop, BoolConst)):
-        return True
-    if isinstance(f, (Exists, All)):
-        return True
-    if isinstance(f, Not):
-        return is_state_formula(f.sub)
-    if isinstance(f, (And, Or)):
-        return is_state_formula(f.left) and is_state_formula(f.right)
-    return False
-
-
-def subformulas(f: Formula) -> Iterable[Formula]:
-    yield f
-    if isinstance(f, _UNARY):
-        yield from subformulas(f.sub)
-    elif isinstance(f, _BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """Boolean combination of propositions, constants and path quantifiers."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Not, And, Or)):
+            stack.extend(_children(f))
+        elif not isinstance(f, (Prop, BoolConst, Exists, All)):
+            return False
+    return True
 
 
 def constraints_of(f: Formula) -> list[Constraint]:
     """Distinct atomic constraints in first-occurrence order."""
-    seen = []
-    for sub in subformulas(f):
-        if isinstance(sub, Constraint) and sub not in seen:
-            seen.append(sub)
-    return seen
+    return list(dict.fromkeys(sub for sub in subformulas(f) if isinstance(sub, Constraint)))
 
 
 def variables_of(f: Formula) -> list[str]:
     """Distinct constraint variables in first-occurrence order."""
-    seen = []
-    for sub in subformulas(f):
-        if isinstance(sub, Constraint):
-            for _, var in sub.args:
-                if var not in seen:
-                    seen.append(var)
-    return seen
+    return list(dict.fromkeys(var for c in constraints_of(f) for _, var in c.args))
 
 
 def propositions_of(f: Formula) -> list[str]:
-    seen = []
-    for sub in subformulas(f):
-        if isinstance(sub, Prop) and sub.name not in seen:
-            seen.append(sub.name)
-    return seen
+    return list(dict.fromkeys(sub.name for sub in subformulas(f) if isinstance(sub, Prop)))
 
 
 def max_constraint_depth(f: Formula) -> int:
@@ -570,69 +631,65 @@ def moduli_of(f: Formula) -> set[int]:
 
 def is_nnf(f: Formula) -> bool:
     """Negation only in front of propositions and constraints."""
-    for sub in subformulas(f):
-        if isinstance(sub, Not) and not isinstance(sub.sub, (Prop, Constraint)):
-            return False
-    return True
+    return all(isinstance(sub.sub, (Prop, Constraint)) for sub in subformulas(f) if isinstance(sub, Not))
 
 
 def is_snnf(f: Formula) -> bool:
     """Negation only in front of propositions."""
-    for sub in subformulas(f):
-        if isinstance(sub, Not) and not isinstance(sub.sub, Prop):
-            return False
-    return True
+    return all(isinstance(sub.sub, Prop) for sub in subformulas(f) if isinstance(sub, Not))
 
 
 # ---------------------------------------------------------------------------
 # Negation normal form
 
+_DUAL = {And: Or, Or: And, Exists: All, All: Exists, Next: Next, Until: Release, Release: Until}
+
+
+def _nnf(f: Formula, negated: bool) -> Formula:
+    """f, or its negation when ``negated``, with negations pushed to the
+    leaves: one pass that carries the polarity down and builds bottom-up.
+    A stack item (node, polarity) is still to be expanded; (node, cls)
+    builds a cls node from the last results, reusing node when nothing
+    changed."""
+    done: list = []
+    stack: list = [(f, negated)]
+    while stack:
+        node, mark = stack.pop()
+        if mark is True or mark is False:
+            cls = type(node)
+            if cls is Not:
+                stack.append((node.sub, not mark))
+            elif cls in _DUAL:
+                stack.append((node, _DUAL[cls] if mark else cls))
+                if cls in _BINARY:
+                    stack.append((node.right, mark))
+                    stack.append((node.left, mark))
+                else:
+                    stack.append((node.sub, mark))
+            elif cls is BoolConst:
+                done.append((FALSE if node.value else TRUE) if mark else node)
+            elif cls is Prop or cls is Constraint:
+                done.append(Not(node) if mark else node)
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+        elif mark in _BINARY:
+            right = done.pop()
+            left = done.pop()
+            same = mark is type(node) and left is node.left and right is node.right
+            done.append(node if same else mark(left, right))
+        else:
+            sub = done.pop()
+            done.append(node if mark is type(node) and sub is node.sub else mark(sub))
+    return done[0]
+
 
 def negate(f: Formula) -> Formula:
     """Dual of f with negations pushed to the leaves."""
-    if isinstance(f, BoolConst):
-        return FALSE if f.value else TRUE
-    if isinstance(f, (Prop, Constraint)):
-        return Not(f)
-    if isinstance(f, Not):
-        return to_nnf(f.sub)
-    if isinstance(f, And):
-        return Or(negate(f.left), negate(f.right))
-    if isinstance(f, Or):
-        return And(negate(f.left), negate(f.right))
-    if isinstance(f, Exists):
-        return All(negate(f.sub))
-    if isinstance(f, All):
-        return Exists(negate(f.sub))
-    if isinstance(f, Next):
-        return Next(negate(f.sub))
-    if isinstance(f, Until):
-        return Release(negate(f.left), negate(f.right))
-    if isinstance(f, Release):
-        return Until(negate(f.left), negate(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    return _nnf(f, True)
 
 
 def to_nnf(f: Formula) -> Formula:
-    if isinstance(f, (Prop, BoolConst, Constraint)):
-        return f
-    if isinstance(f, Not):
-        return negate(f.sub)
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Exists):
-        return Exists(to_nnf(f.sub))
-    if isinstance(f, All):
-        return All(to_nnf(f.sub))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.sub))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    return _nnf(f, False)
 
 
 # ---------------------------------------------------------------------------
@@ -661,32 +718,19 @@ def to_snnf(f: Formula, dom) -> Formula:
     fresh variables are shared between occurrences of the same negated
     constraint.
     """
-    f = to_nnf(f)
     fresh = FreshNames("__y")
     assigned: dict[Constraint, tuple[str, ...]] = {}
 
-    def witness_vars(c: Constraint, count: int) -> tuple[str, ...]:
-        if c not in assigned:
-            assigned[c] = tuple(fresh.take() for _ in range(count))
-        return assigned[c]
+    def visit(f: Formula) -> Optional[Formula]:
+        if isinstance(f, Not) and isinstance(f.sub, Constraint):
+            c = f.sub
+            entry = dom.negation_formula(c.relation)
+            if c not in assigned:
+                assigned[c] = tuple(fresh.take() for _ in range(entry.fresh_count))
+            return entry.instantiate(c.args, c.depth, assigned[c])
+        return None
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            if isinstance(f.sub, Constraint):
-                c = f.sub
-                entry = dom.negation_formula(c.relation)
-                names = witness_vars(c, entry.fresh_count)
-                return entry.instantiate(c.args, c.depth, names)
-            return f  # negated proposition
-        if isinstance(f, (Prop, BoolConst, Constraint)):
-            return f
-        if isinstance(f, _UNARY):
-            return type(f)(go(f.sub))
-        if isinstance(f, _BINARY):
-            return type(f)(go(f.left), go(f.right))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f)
+    return rewrite(to_nnf(f), visit)
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +759,6 @@ class TableEntry:
 class AbstractionTable:
     entries: tuple[TableEntry, ...]
 
-    def prop_for(self, c: Constraint) -> str:
-        for entry in self.entries:
-            if entry.constraint == c:
-                return entry.prop
-        raise KeyError(str(c))
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -744,46 +782,21 @@ def abstract_constraints(f: Formula, prop_prefix: str = "__p") -> tuple[Formula,
         raise FormulaError("constraint abstraction expects strong negation normal form")
     existing = set(propositions_of(f))
     fresh = FreshNames(prop_prefix)
-    order: list[Constraint] = []
     names: dict[Constraint, str] = {}
-
     for c in constraints_of(f):
         name = fresh.take()
         while name in existing:
             name = fresh.take()
-        order.append(c)
         names[c] = name
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Constraint):
-            return _nested_next(Prop(names[f]), f.depth)
-        if isinstance(f, (Prop, BoolConst)):
-            return f
-        if isinstance(f, _UNARY):
-            return type(f)(go(f.sub))
-        if isinstance(f, _BINARY):
-            return type(f)(go(f.left), go(f.right))
-        raise TypeError(f"not a formula: {f!r}")
+    def visit(f: Formula) -> Optional[Formula]:
+        return _nested_next(Prop(names[f]), f.depth) if isinstance(f, Constraint) else None
 
-    table = AbstractionTable(tuple(TableEntry(c, names[c], c.depth) for c in order))
-    return go(f), table
+    table = AbstractionTable(tuple(TableEntry(c, name, c.depth) for c, name in names.items()))
+    return rewrite(f, visit), table
 
 
 def substitute_props(f: Formula, table: AbstractionTable) -> Formula:
     """Replace X^{d_i} p_i back by R_i; inverse of abstract_constraints."""
-    targets = {}
-    for entry in table:
-        targets[_nested_next(Prop(entry.prop), entry.depth)] = entry.constraint
-
-    def go(f: Formula) -> Formula:
-        if f in targets:
-            return targets[f]
-        if isinstance(f, (Prop, BoolConst, Constraint)):
-            return f
-        if isinstance(f, _UNARY):
-            return type(f)(go(f.sub))
-        if isinstance(f, _BINARY):
-            return type(f)(go(f.left), go(f.right))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f)
+    targets = {_nested_next(Prop(entry.prop), entry.depth): entry.constraint for entry in table}
+    return rewrite(f, targets.get)

@@ -34,7 +34,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, prod
+from math import ceil, floor, gcd, lcm, prod
 
 from .domains import DomainError, domain_by_name
 from .formulas import CONSTANT, EQUAL, LESS, MODULO
@@ -591,7 +591,7 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
 
 
 def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: list, mods: list):
-    """Per class, the ascending values in the target's part of
+    """Per class, the ascending values (a range) in the target's part of
     [-bound, bound] left by the unary filters and difference-bound
     tightening; None when some class has none."""
     if target == "Z":
@@ -635,12 +635,16 @@ def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: lis
         # still tightening after k full passes: strict-order cycle
         return None
 
+    # the values meeting a class's congruences repeat with the lcm of its
+    # moduli, so each class is one arithmetic range from its first value
     candidates = []
     for ci in range(k):
-        vals = [v for v in range(lower[ci], upper[ci] + 1) if all(v % b == a for a, b in mods[ci])]
-        if not vals:
+        step = lcm(*(b for _, b in mods[ci]))
+        window = range(lower[ci], min(upper[ci] + 1, lower[ci] + step))
+        first = next((v for v in window if all(v % b == a for a, b in mods[ci])), None)
+        if first is None:
             return None
-        candidates.append(vals)
+        candidates.append(range(first, upper[ci] + 1, step))
     return candidates
 
 

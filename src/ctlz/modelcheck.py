@@ -9,12 +9,21 @@ of a tableau product with the window graph.  Truth of a state formula
 depends only on a window's first component, which realizes the semantics
 where a nested path quantifier ranges over all paths from the current
 state rather than the committed future of the enclosing path.
+
+``check_ctlstar`` compiles a formula once (the compiled plans sit in one
+LRU cache): NNF, depth and constraints, the distinct state subformulas
+of the NNF in postorder, and for each E psi / A psi the path formula
+with its maximal state subformulas and constraints replaced by
+propositions (negated for A) together with its automaton.  On a model,
+one loop then labels the state subformulas bottom-up (Emerson and Lei's
+per-subformula reduction), without recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .domains import Z_DOMAIN
 from .formulas import (
@@ -30,11 +39,13 @@ from .formulas import (
     Prop,
     Release,
     Until,
+    _children,
     constraints_of,
     is_state_formula,
     max_constraint_depth,
     negate,
     propositions_of,
+    rewrite,
     subformulas,
     to_nnf,
 )
@@ -188,10 +199,7 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
     alphabet = []
     for mask in range(1 << len(props)):
         alphabet.append(frozenset(p for i, p in enumerate(props) if (mask >> i) & 1))
-    untils = []
-    for sub in subformulas(formula):
-        if isinstance(sub, Until) and sub not in untils:
-            untils.append(sub)
+    untils = list(dict.fromkeys(sub for sub in subformulas(formula) if isinstance(sub, Until)))
 
     initial = (frozenset([formula]), frozenset())
     states = [initial]
@@ -223,11 +231,6 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
         frozenset(s for s in states if u not in s[0] or u in s[1]) for u in untils
     )
     return BuchiAutomaton(props, tuple(alphabet), states, (initial,), transitions, acceptance, tuple(untils))
-
-
-@lru_cache(maxsize=512)
-def _buchi_cached(formula: Formula) -> BuchiAutomaton:
-    return ltl_to_buchi(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -347,97 +350,96 @@ def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> se
 # CTL* checking
 
 
-def _rewrite_path_formula(psi: Formula, wm: WindowModel, state_props: dict, sat_state):
-    """Replace maximal state subformulas and constraints by propositions.
+@lru_cache(maxsize=512)
+def _compile(formula: Formula) -> tuple:
+    """The model-independent part of check_ctlstar: the window depth, the
+    constraints, the distinct state subformulas of the NNF (children
+    before parents, left before right), a map from each E/A subformula to
+    its automaton and tracked propositions, and the message of a
+    ModelCheckError to raise once the windows are built, or None."""
+    if not is_state_formula(formula):
+        raise ModelCheckError("model checking expects a state formula")
+    nnf = to_nnf(formula)
+    depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
+    constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}  # as expand_windows names them
+    state: dict = {}  # distinct subformula -> is it a state formula, in postorder
+    stack = [(nnf, False)]
+    while stack:
+        g, built = stack.pop()
+        if built and isinstance(g, (Not, And, Or)):
+            state[g] = all(state[kid] for kid in _children(g))
+        elif built:
+            state[g] = isinstance(g, (Prop, BoolConst, Exists, All))
+        elif g not in state:  # an earlier occurrence is already finished
+            stack.append((g, True))
+            stack.extend((kid, False) for kid in reversed(_children(g)))
+    order = tuple(g for g, is_state in state.items() if is_state)
 
-    state_props maps fresh proposition names to node sets and is extended
-    in place; sat_state evaluates a state formula to its node set.
-    """
+    paths: dict = {}
+    automata: dict = {}
+    for f in order:
+        if not isinstance(f, (Exists, All)):
+            continue
+        # maximal state subformulas and constraints of the path formula
+        # become propositions; in NNF only constraints are negated there
+        names: dict = {}
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, BoolConst):
-            return f
-        if is_state_formula(f):
-            key = ("state", f)
-            name = state_props.get(key)
-            if name is None:
-                name = f"__s{len([k for k in state_props if k[0] == 'state'])}"
-                state_props[key] = name
-                state_props[("nodes", name)] = sat_state(f)
-            return Prop(name)
-        if isinstance(f, Constraint):
-            return Prop(wm.constraint_prop[f])
-        if isinstance(f, Not):
-            if isinstance(f.sub, Constraint):
-                return Not(Prop(wm.constraint_prop[f.sub]))
-            raise ModelCheckError(f"unexpected negation in path formula: {f}")
-        if isinstance(f, Next):
-            return Next(go(f.sub))
-        if isinstance(f, (And, Or, Until, Release)):
-            return type(f)(go(f.left), go(f.right))
-        raise ModelCheckError(f"unsupported formula node {f!r}")
+        def visit(g: Formula) -> Optional[Formula]:
+            if isinstance(g, BoolConst):
+                return g
+            if state[g]:
+                return Prop(names.setdefault(g, f"__s{len(names)}"))
+            if isinstance(g, Constraint):
+                return Prop(constraint_prop[g])
+            if isinstance(g, Not):
+                return Not(Prop(constraint_prop[g.sub]))
+            return None
 
-    return go(psi)
+        psi = rewrite(f.sub, visit)
+        if isinstance(f, All):
+            psi = negate(psi)  # A psi holds where E ~psi fails
+        if psi not in automata:
+            try:
+                automata[psi] = ltl_to_buchi(psi)
+            except ModelCheckError as exc:
+                return depth, constraints, (), {}, str(exc)
+        source = {name: g for g, name in names.items()}
+        paths[f] = (automata[psi], tuple((p, source.get(p)) for p in automata[psi].propositions))
+    return depth, constraints, order, paths, None
 
 
 def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> frozenset:
     """Nodes satisfying the state formula; the formula is normalized to
-    NNF first, so negated constraints are fine and never need witnesses."""
-    if not is_state_formula(formula):
-        raise ModelCheckError("model checking expects a state formula")
-    formula = to_nnf(formula)
-    depth = max_constraint_depth(formula)
-    constraints = constraints_of(formula)
+    NNF first, so negated constraints are fine and never need witnesses.
+
+    The formula is compiled once (and cached); on a model, one loop fills
+    the node set of every state subformula, dependencies first."""
+    depth, constraints, order, paths, error = _compile(formula)
     wm = expand_windows(model, depth, constraints, dom)
+    if error is not None:
+        raise ModelCheckError(error)
     all_nodes = frozenset(model.nodes)
-    memo: dict = {}
-
-    def sat_state(f: Formula) -> frozenset:
-        if f in memo:
-            return memo[f]
+    sat: dict = {}
+    for f in order:
         if isinstance(f, Prop):
-            res = frozenset(v for v in model.nodes if f.name in model.label(v))
+            sat[f] = frozenset(v for v in model.nodes if f.name in model.label(v))
         elif isinstance(f, BoolConst):
-            res = all_nodes if f.value else frozenset()
+            sat[f] = all_nodes if f.value else frozenset()
         elif isinstance(f, Not):
-            res = all_nodes - sat_state(f.sub)
+            sat[f] = all_nodes - sat[f.sub]
         elif isinstance(f, And):
-            res = sat_state(f.left) & sat_state(f.right)
+            sat[f] = sat[f.left] & sat[f.right]
         elif isinstance(f, Or):
-            res = sat_state(f.left) | sat_state(f.right)
-        elif isinstance(f, Exists):
-            res = _exists_nodes(f.sub)
-        elif isinstance(f, All):
-            res = all_nodes - _exists_nodes(negate(f.sub))
+            sat[f] = sat[f.left] | sat[f.right]
         else:
-            raise ModelCheckError(f"not a state formula: {f}")
-        memo[f] = res
-        return res
-
-    def _exists_nodes(psi: Formula) -> frozenset:
-        state_props: dict = {}
-        rewritten = _rewrite_path_formula(psi, wm, state_props, sat_state)
-        tracked = tuple(propositions_of(rewritten))
-        node_props = {
-            name: state_props[("nodes", name)]
-            for key, name in state_props.items()
-            if key[0] == "state"
-        }
-        letters = []
-        for wi, w in enumerate(wm.windows):
-            letter = set()
-            for p in tracked:
-                if p in node_props:
-                    if w[0] in node_props[p]:
-                        letter.add(p)
-                elif p in wm.labels[wi]:
-                    letter.add(p)
-            letters.append(frozenset(letter))
-        aut = _buchi_cached(rewritten)
-        accepted = _accepted_start_windows(wm, aut, letters)
-        return frozenset(wm.windows[wi][0] for wi in accepted)
-
-    return sat_state(formula)
+            aut, tracked = paths[f]
+            letters = [
+                frozenset(p for p, g in tracked if (w[0] in sat[g] if g is not None else p in labels))
+                for w, labels in zip(wm.windows, wm.labels)
+            ]
+            found = frozenset(wm.windows[wi][0] for wi in _accepted_start_windows(wm, aut, letters))
+            sat[f] = found if isinstance(f, Exists) else all_nodes - found
+    return sat[order[-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,7 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
                     model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
                     sat = check_ctlstar(model, formula, dom)
                     if sat:
-                        for v in nodes:
-                            if v in sat:
-                                assert v in check_ctlstar(model, formula, dom)
-                                return model, v
+                        return model, next(v for v in nodes if v in sat)
     return None
 
 

@@ -49,6 +49,26 @@ from ctlz.formulas import constraints_of
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
+# 10^4 nested quantified steps and a 10^4-long conjunction, both in the
+# canonical text the printer produces
+_DEEP_NEXT = "E X " * 10_000 + "~eqc[5](X^1 x)"
+_LONG_AND = "E (" + " & ".join(["~lt(x, X^1 y)", "p"] * 5_000) + ")"
+
+
+@pytest.mark.parametrize("text", [_DEEP_NEXT, _LONG_AND], ids=["deep-next", "long-and"])
+def test_deep_and_long_formulas_need_no_recursion(text):
+    f = parse_formula(text)
+    assert format_formula(f) == text
+    if text is _DEEP_NEXT:
+        assert parse_formula("E X (" * 10_000 + "~eqc[5](X^1 x)" + ")" * 10_000) is f
+    nnf = to_nnf(f)
+    assert is_nnf(nnf) and to_nnf(Not(Not(f))) is nnf and negate(negate(nnf)) is nnf
+    sn = to_snnf(f, Z_DOMAIN)
+    assert is_snnf(sn)
+    abstracted, table = abstract_constraints(sn)
+    assert substitute_props(abstracted, table) is sn
+    assert max_constraint_depth(abstracted) == 0
+
 
 def test_precedence_or_under_and():
     f = parse_path_formula("a | b & c")
@@ -137,6 +157,26 @@ def test_is_state_formula():
     assert is_state_formula(parse_formula("a & E (b U c)"))
     assert not is_state_formula(parse_path_formula("X a"))
     assert not is_state_formula(parse_path_formula("lt(x, y)"))
+    assert is_state_formula(parse_formula(_DEEP_NEXT))
+    assert not is_state_formula(parse_path_formula(_LONG_AND[3:-1] + " & X p"))
+
+
+def test_equal_formulas_are_one_node():
+    text = "E (~lt(x, X^1 y) U (p & A X eqc[1/2](z)))"
+    assert parse_formula(text) is parse_formula(text)
+    assert And(Prop("a"), Prop("b")) is And(left=Prop("a"), right=Prop("b"))
+    assert Constraint(LT, [(0, "x"), (1, "y")]) is parse_path_formula("lt(x, X^1 y)")
+    # eqc[2] and eqc[2/1] print alike but only the first is an integer constant
+    assert parse_path_formula("eqc[2](x)") is not parse_path_formula("eqc[2/1](x)")
+    with pytest.raises(AttributeError):
+        Prop("a").name = "b"
+    deep = parse_formula(_DEEP_NEXT)
+    assert hash(deep) == hash(parse_formula(_DEEP_NEXT))
+    assert repr(deep).startswith("Exists(sub=Next(sub=Exists(") and repr(deep).endswith(")" * 20_003)
+    assert repr(Constraint(EQ, ((0, "x"), (0, "y")))) == (
+        "Constraint(relation=RelationSymbol(name='eq', arity=2, kind='equal', params=()), "
+        "args=((0, 'x'), (0, 'y')))"
+    )
 
 
 _REL = st.sampled_from([LT, EQ, const_rel(0), const_rel(5), mod_rel(1, 3)])

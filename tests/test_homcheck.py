@@ -310,6 +310,69 @@ def test_witness_bound_formula():
 # Brute-force agreement (small smoke; the acceptance suite sweeps widely)
 
 
+def _filtered_candidate_lists(target, bound, k, edges, consts, mods):
+    """Reference for the brute-force candidates: every value of each
+    tightened range, filtered by the class's congruences."""
+    lo, hi = {"Z": (-bound, bound), "N": (0, bound), "negZ": (-bound, -1)}[target]
+    if lo > hi:
+        return None
+    lower, upper = [lo] * k, [hi] * k
+    for ci in range(k):
+        if len(consts[ci]) > 1:
+            return None
+        if consts[ci]:
+            c = next(iter(consts[ci]))
+            if not isinstance(c, int):
+                return None
+            lower[ci], upper[ci] = max(lower[ci], c), min(upper[ci], c)
+    for _ in range(k + 1):
+        changed = False
+        for a, b in edges:
+            if a == b:
+                return None
+            if lower[a] + 1 > lower[b]:
+                lower[b], changed = lower[a] + 1, True
+            if upper[b] - 1 < upper[a]:
+                upper[a], changed = upper[b] - 1, True
+        if any(lower[ci] > upper[ci] for ci in range(k)):
+            return None
+        if not changed:
+            break
+    else:
+        return None
+    lists = []
+    for ci in range(k):
+        vals = [v for v in range(lower[ci], upper[ci] + 1) if all(v % b == a for a, b in mods[ci])]
+        if not vals:
+            return None
+        lists.append(vals)
+    return lists
+
+
+def test_integer_candidates_are_the_filtered_ranges():
+    rng = random.Random(34)
+    residues = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (1, 4), (3, 4), (0, 5), (4, 6)]
+    seen_some = seen_none = 0
+    for _ in range(3000):
+        k = rng.randint(1, 5)
+        edges = {(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, k))}
+        if rng.random() < 0.7:
+            edges = {(a, b) for a, b in edges if a < b}
+        consts = [set(rng.sample([-3, -1, 0, 2, 4, Fraction(1, 2)], rng.choice([0, 0, 0, 1, 1, 2])))
+                  for _ in range(k)]
+        mods = [set(rng.sample(residues, rng.choice([0, 0, 1, 1, 2]))) for _ in range(k)]
+        args = (rng.choice(["Z", "N", "negZ"]), rng.randint(0, 12), k, edges, consts, mods)
+        got = ctlz.homcheck._integer_candidates(*args)
+        want = _filtered_candidate_lists(*args)
+        assert (got is None) == (want is None), args
+        if got is not None:
+            assert [list(r) for r in got] == want, args
+            seen_some += 1
+        else:
+            seen_none += 1
+    assert seen_some > 300 and seen_none > 300
+
+
 def test_decide_matches_brute_force_on_random_structures():
     rng = random.Random(31)
     for _ in range(150):

@@ -1,5 +1,6 @@
 """Window expansion, the LTL tableau, and the branching-time checkers."""
 
+import json
 import random
 
 import pytest
@@ -199,13 +200,27 @@ def test_existential_verdicts_match_exhaustive_lassos():
     assert agreements >= 120
 
 
+# path formulas with nested quantifiers and negated constraints: A psi is
+# labelled through the negation of psi's rewritten form, E ~psi through
+# the negation of psi itself
+_NESTED_PATHS = (
+    "X (E G ~lt(x, X^1 x)) U (p & A X ~eqc[1](x))",
+    "~(E F ~mod[0,2](x)) R (q | X ~A (p U ~eq(x, X^1 x)))",
+    "G (~lt(X^1 x, x) | E X A F ~p) & F ~E (q R ~eqc[0](x))",
+    "~(X (A G p) & ~eq(x, X^1 x)) U E (~q U A X ~lt(x, X^1 x))",
+)
+
+
 def test_universal_is_the_dual_of_existential():
     rng = random.Random(29)
     from ctlz.formulas import negate
 
-    for _ in range(40):
+    for i in range(40 + len(_NESTED_PATHS)):
         m = random_graph_model(rng, rng.randint(2, 4), props=("p", "q"), p_prop=0.5)
-        psi = _random_path_formula(rng, m.variables, ["p", "q"], rng.randint(1, 2))
+        if i < 40:
+            psi = _random_path_formula(rng, m.variables, ["p", "q"], rng.randint(1, 2))
+        else:
+            psi = parse_path_formula(_NESTED_PATHS[i - 40].replace("x", m.variables[0]))
         left = check_ctlstar(m, All(psi))
         right = frozenset(m.nodes) - check_ctlstar(m, Exists(negate(psi)))
         assert left == right, str(psi)
@@ -224,6 +239,33 @@ def test_nested_quantifiers():
     assert check_ctlstar(m, parse_formula("E F (p & E X G ~p)")) == frozenset(
         {"s0", "s1"}
     )
+
+
+def _three_cycle(p_holds: bool):
+    nodes = ("c0", "c1", "c2")
+    return ConstraintKripke(
+        nodes=nodes,
+        edges=(("c0", "c1"), ("c1", "c2"), ("c2", "c0")),
+        labels={v: frozenset({"p"} if p_holds else ()) for v in nodes},
+        registers={},
+        variables=(),
+    )
+
+
+_NESTED_2000 = "E X " * 2_000 + "p"
+
+
+def test_deeply_nested_quantifiers(tmp_path, capsys):
+    from ctlz import model_to_text
+    from ctlz.cli import run_command
+
+    f = parse_formula(_NESTED_2000)
+    assert check_ctlstar(_three_cycle(True), f) == frozenset({"c0", "c1", "c2"})
+    assert check_ctlstar(_three_cycle(False), f) == frozenset()
+    model = tmp_path / "cycle.model"
+    model.write_text(model_to_text(_three_cycle(True)))
+    assert run_command(["mc", "--model", str(model), "--formula", _NESTED_2000, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"nodes": ["c0", "c1", "c2"], "verdict": "sat"}
 
 
 def test_constraints_across_steps():
