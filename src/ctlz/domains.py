@@ -18,6 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .formulas import (
     CONSTANT,
@@ -185,6 +186,21 @@ class ConcreteDomain:
         raise NotImplementedError
 
     def eval_relation(self, rel: RelationSymbol, values: tuple) -> bool:
+        self._require(rel)
+        return self._holds(rel, values)
+
+    def relation_test(self, rel: RelationSymbol):
+        """The truth of ``rel`` as a function of its value tuple, for a
+        caller that evaluates many tuples: whether the domain interprets
+        ``rel`` is checked once, here."""
+        self._require(rel)
+        return partial(self._holds, rel)
+
+    def _require(self, rel: RelationSymbol) -> None:
+        if not self.supports(rel):
+            raise DomainError(f"{self.name} does not interpret {rel.name}")
+
+    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         raise NotImplementedError
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
@@ -211,9 +227,7 @@ class _NumericDomain(ConcreteDomain):
     def _constant_ok(self, c) -> bool:
         return isinstance(c, int)
 
-    def eval_relation(self, rel: RelationSymbol, values: tuple) -> bool:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         if len(values) != rel.arity:
             raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")
         if rel.kind == LESS:
@@ -226,8 +240,7 @@ class _NumericDomain(ConcreteDomain):
         return values[0] % b == a
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+        self._require(rel)
         if rel.kind == LESS:
             # not x < y  iff  y < x or x = y
             return PositiveExistential(2, 0, PosOr(_atom(LT, ("y", 1), ("y", 0)), _atom(EQ, ("y", 0), ("y", 1))))
@@ -355,15 +368,12 @@ class AllenDomain(ConcreteDomain):
             and value[0] < value[1]
         )
 
-    def eval_relation(self, rel: RelationSymbol, values: tuple) -> bool:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         name = "eq" if rel.kind == EQUAL else rel.name
         return _allen_truth(name, values[0], values[1])
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+        self._require(rel)
         name = "eq" if rel.kind == EQUAL else rel.name
         others = [_atom(interp_rel(n, 2), ("y", 0), ("y", 1)) for n in ALLEN_RELATIONS if n != name]
         return PositiveExistential(2, 0, pos_or_all(others))
@@ -389,16 +399,13 @@ class LexDomain(ConcreteDomain):
             and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
         )
 
-    def eval_relation(self, rel: RelationSymbol, values: tuple) -> bool:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         if rel.name == "ltlex":
             return values[0] < values[1]
         return values[0] == values[1]
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
-        if not self.supports(rel):
-            raise DomainError(f"{self.name} does not interpret {rel.name}")
+        self._require(rel)
         ltlex = interp_rel("ltlex", 2)
         eqlex = interp_rel("eqlex", 2)
         if rel.name == "ltlex":

@@ -447,8 +447,11 @@ def verify_hom(structure: SigmaStructure, h: dict, target: str, explain: bool = 
         if not dom.check_value(h[e]):
             return (False, ("value", e)) if explain else False
     for rel, tuples in structure.interpretation.items():
+        if not tuples:
+            continue
+        holds = dom.relation_test(rel)
         for t in tuples:
-            if not dom.eval_relation(rel, tuple(h[e] for e in t)):
+            if not holds(tuple(map(h.__getitem__, t))):
                 return (False, (rel.name, t)) if explain else False
     return (True, None) if explain else True
 

@@ -1,13 +1,27 @@
 """Brute-force semantics for the MSO layer on small finite structures.
 
-Subformulas evaluate to boolean arrays whose axes are their unassigned
-free variables (size n for a first-order axis, 2^n for a set axis), so
-connectives are elementwise operations and quantifiers are any/all
-reductions.  A quantifier whose body would exceed the cell budget falls
-back to looping over the quantified variable's values.  The bounding
-quantifier is constantly true here: a finite structure has only finitely
-many subsets, so a bound always exists; the evaluator still reports the
-largest satisfying set when asked.
+Each sentence is compiled once into a plan.  One iterative postorder pass
+hash-conses the tree: structurally equal subtrees (the emitted sentences
+repeat their reachability and cycle blocks many times) become one plan
+node, which records its kind, child indices, bound variable and its free
+first-order and set names as sorted tuples.  The peak cell count of a
+node, per structure size and set of assigned names, is worked out on
+first use and kept in the plan.  A few recent plans are cached by
+sentence identity, so every structure evaluated against a sentence
+reuses its plan.
+
+Per structure, subformulas evaluate to boolean arrays whose axes are
+their unassigned free variables (size n for a first-order axis, 2^n for
+a set axis), so connectives are elementwise operations and quantifiers
+are any/all reductions.  Results are memoised per (plan node, values of
+its free names), so equal subtrees share them.  A quantifier whose body
+would exceed the cell budget falls back to looping over the quantified
+variable's values.  A quantifier hides any outer value of the name it
+binds.  The bounding quantifier is constantly true here: a finite
+structure has only finitely many subsets, so a bound always exists; the
+evaluator still reports the largest satisfying set when asked, and then
+the plan keeps one node per object instead of one per distinct subtree,
+so that equal B subformulas still report separately.
 """
 
 from __future__ import annotations
@@ -46,39 +60,6 @@ def _relation_map(structure: SigmaStructure, index: dict) -> dict:
     return out
 
 
-def _free_vars(formula: MsoFormula, cache: dict):
-    """(first-order names, set names) free in the subformula, cached by identity."""
-    key = id(formula)
-    if key in cache:
-        return cache[key]
-    if isinstance(formula, MsoBool):
-        res = (frozenset(), frozenset())
-    elif isinstance(formula, Atom):
-        res = (frozenset(formula.args), frozenset())
-    elif isinstance(formula, VarEq):
-        res = (frozenset((formula.left, formula.right)), frozenset())
-    elif isinstance(formula, In):
-        res = (frozenset((formula.element,)), frozenset((formula.container,)))
-    elif isinstance(formula, Subset):
-        res = (frozenset(), frozenset((formula.left, formula.right)))
-    elif isinstance(formula, Neg):
-        res = _free_vars(formula.sub, cache)
-    elif isinstance(formula, (Conj, Disj, Implies)):
-        lf, ls = _free_vars(formula.left, cache)
-        rf, rs = _free_vars(formula.right, cache)
-        res = (lf | rf, ls | rs)
-    elif isinstance(formula, (ExistsFO, ForallFO)):
-        bf, bs = _free_vars(formula.body, cache)
-        res = (bf - {formula.var}, bs)
-    elif isinstance(formula, (ExistsSet, ForallSet, BoundSet)):
-        bf, bs = _free_vars(formula.body, cache)
-        res = (bf, bs - {formula.var})
-    else:
-        raise MsoError(f"unknown node {formula!r}")
-    cache[key] = res
-    return res
-
-
 def _children(formula: MsoFormula):
     if isinstance(formula, Neg):
         return (formula.sub,)
@@ -87,6 +68,112 @@ def _children(formula: MsoFormula):
     if isinstance(formula, (ExistsFO, ForallFO, ExistsSet, ForallSet, BoundSet)):
         return (formula.body,)
     return ()
+
+
+def _describe(formula: MsoFormula, kids: tuple, fo: list, so: list):
+    """(structural key, free first-order names, free set names) of a node
+    whose children are the plan nodes ``kids``; ``fo`` and ``so`` hold the
+    plan nodes' free names."""
+    if isinstance(formula, MsoBool):
+        return (MsoBool, formula.value), (), ()
+    if isinstance(formula, Atom):
+        return (Atom, formula.relation, formula.args), formula.args, ()
+    if isinstance(formula, VarEq):
+        return (VarEq, formula.left, formula.right), (formula.left, formula.right), ()
+    if isinstance(formula, In):
+        return (In, formula.element, formula.container), (formula.element,), (formula.container,)
+    if isinstance(formula, Subset):
+        return (Subset, formula.left, formula.right), (), (formula.left, formula.right)
+    if isinstance(formula, Neg):
+        (sub,) = kids
+        return (Neg, kids), fo[sub], so[sub]
+    if isinstance(formula, (Conj, Disj, Implies)):
+        left, right = kids
+        return (type(formula), kids), fo[left] + fo[right], so[left] + so[right]
+    if isinstance(formula, (ExistsFO, ForallFO)):
+        (body,) = kids
+        return (type(formula), formula.var, kids), [v for v in fo[body] if v != formula.var], so[body]
+    if isinstance(formula, (ExistsSet, ForallSet, BoundSet)):
+        (body,) = kids
+        return (type(formula), formula.var, kids), fo[body], [v for v in so[body] if v != formula.var]
+    raise MsoError(f"unknown node {formula!r}")
+
+
+class _Plan:
+    """A sentence compiled for evaluation: one node per distinct subtree
+    (per object when ``per_object``), children before parents.  Node i is
+    described by ``nodes[i]``, a representative formula object read for
+    its scalar fields, ``kids[i]``, and its sorted free first-order names
+    ``fo[i]``, set names ``so[i]`` and both together ``names[i]``."""
+
+    def __init__(self, sentence: MsoFormula, per_object: bool):
+        self.sentence = sentence  # pinned, so that no other object takes its id while cached
+        self.nodes: list = []
+        self.kids: list = []
+        self.fo: list = []
+        self.so: list = []
+        self.names: list = []
+        self.peaks: dict = {}  # (node, n, assigned names) -> peak cells
+        index: dict = {}  # id(object) -> node, for this pass only
+        table: dict = {}  # structural key (or id) -> node
+        todo = [(sentence, False)]
+        while todo:
+            f, ready = todo.pop()
+            if id(f) in index:
+                continue
+            children = _children(f)
+            if not ready:
+                todo.append((f, True))
+                todo.extend((c, False) for c in reversed(children))
+                continue
+            kids = tuple(index[id(c)] for c in children)
+            key, fo, so = _describe(f, kids, self.fo, self.so)
+            if per_object:
+                key = id(f)
+            i = table.get(key)
+            if i is None:
+                i = table[key] = len(self.nodes)
+                self.nodes.append(f)
+                self.kids.append(kids)
+                self.fo.append(tuple(sorted(set(fo))))
+                self.so.append(tuple(sorted(set(so))))
+                self.names.append(tuple(sorted(set(fo) | set(so))))
+            index[id(f)] = i
+        self.root = index[id(sentence)]
+
+    def peak(self, i: int, n: int, assigned: frozenset) -> int:
+        """Largest array, in cells, that evaluating node i on an n-element
+        structure can materialize when the names in ``assigned`` (free in
+        the node) have values.  Inner quantified variables become axes
+        before they are reduced away, so the peak is taken over every
+        descendant; each (node, n, assigned names) is worked out once."""
+        peaks = self.peaks
+        todo = [(i, assigned, False)]
+        while todo:
+            j, a, ready = todo.pop()
+            if (j, n, a) in peaks:
+                continue
+            var = getattr(self.nodes[j], "var", None)
+            below = [(c, frozenset(v for v in self.names[c] if v in a and v != var)) for c in self.kids[j]]
+            if not ready:
+                todo.append((j, a, True))
+                todo.extend((c, ca, False) for c, ca in below)
+                continue
+            cells = n ** sum(v not in a for v in self.fo[j]) * (1 << n) ** sum(v not in a for v in self.so[j])
+            peaks[(j, n, a)] = max([cells] + [peaks[(c, n, ca)] for c, ca in below])
+        return peaks[(i, n, assigned)]
+
+
+_RECENT_PLANS: dict = {}  # (id(sentence), per_object) -> plan, least recently used first
+
+
+def _plan(sentence: MsoFormula, per_object: bool) -> _Plan:
+    key = (id(sentence), per_object)
+    plan = _RECENT_PLANS.pop(key, None) or _Plan(sentence, per_object)
+    _RECENT_PLANS[key] = plan
+    if len(_RECENT_PLANS) > 4:  # callers alternate between a few sentences at most
+        del _RECENT_PLANS[next(iter(_RECENT_PLANS))]
+    return plan
 
 
 class _Evaluator:
@@ -100,9 +187,7 @@ class _Evaluator:
         self.index = {e: i for i, e in enumerate(structure.elements)}
         self.relations = _relation_map(structure, self.index)
         self.diagnostics = diagnostics
-        self.var_cache: dict = {}
         self.memo: dict = {}
-        self.keep = []  # pins subformula ids used as memo keys
         masks = np.zeros((self.n, self.nsets), dtype=bool)
         for i in range(self.n):
             masks[i] = (np.arange(self.nsets) >> i) & 1
@@ -113,35 +198,17 @@ class _Evaluator:
     def axis_size(self, axis) -> int:
         return self.n if axis[0] == "fo" else self.nsets
 
-    def cells(self, formula: MsoFormula, env: dict) -> int:
-        fo, so = _free_vars(formula, self.var_cache)
-        total = 1
-        for v in fo:
-            if v not in env:
-                total *= self.n
-        for v in so:
-            if v not in env:
-                total *= self.nsets
-        return total
+    def fits(self, i: int, env: dict) -> bool:
+        """Whether evaluating node i under env stays within the cell budget."""
+        assigned = frozenset(v for v in self.plan.names[i] if v in env)
+        return self.plan.peak(i, self.n, assigned) <= CELL_LIMIT
 
-    def max_cells(self, formula: MsoFormula, env: dict) -> int:
-        """Largest array, in cells, that evaluating the subformula under this
-        environment can materialize.  Inner quantified variables become axes
-        before they are reduced away, so the peak is taken over every
-        descendant, not just the node itself."""
-        best = self.cells(formula, env)
-        for child in _children(formula):
-            if best > CELL_LIMIT:
-                break
-            best = max(best, self.max_cells(child, env))
-        return best
-
-    def run(self, formula: MsoFormula, env: dict) -> bool:
-        fo, so = _free_vars(formula, self.var_cache)
-        missing = sorted((fo | so) - env.keys())
+    def run(self, plan: _Plan, env: dict) -> bool:
+        self.plan = plan
+        missing = sorted(set(plan.names[plan.root]) - env.keys())
         if missing:
             raise MsoError(f"free variables without assignment: {missing}")
-        arr, axes = self.eval(formula, env)
+        arr, axes = self.eval(plan.root, env)
         assert axes == ()
         return bool(arr.item() if isinstance(arr, np.ndarray) else arr)
 
@@ -165,29 +232,28 @@ class _Evaluator:
 
     # -- evaluation
 
-    def eval(self, formula: MsoFormula, env: dict):
-        self.keep.append(formula)
-        fo, so = _free_vars(formula, self.var_cache)
-        relevant = tuple(sorted((v, env[v]) for v in (fo | so) if v in env))
-        key = (id(formula), relevant)
+    def eval(self, i: int, env: dict):
+        key = (i, tuple(map(env.get, self.plan.names[i])))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        res = self._eval(formula, env)
+        res = self._eval(i, env)
         arr = res[0]
         if not isinstance(arr, np.ndarray) or arr.size <= MEMO_CELL_LIMIT:
             self.memo[key] = res  # caching big arrays per env value would hoard memory
         return res
 
-    def _eval(self, formula: MsoFormula, env: dict):
+    def _eval(self, i: int, env: dict):
         n = self.n
+        formula = self.plan.nodes[i]
+        kids = self.plan.kids[i]
         if isinstance(formula, MsoBool):
             return np.bool_(formula.value), ()
         if isinstance(formula, Atom):
             tuples = self.relations.get(formula.relation, [])
             return self._table(tuples, formula.args, env)
         if isinstance(formula, VarEq):
-            return self._table([(i, i) for i in range(n)], (formula.left, formula.right), env)
+            return self._table([(k, k) for k in range(n)], (formula.left, formula.right), env)
         if isinstance(formula, In):
             x, X = formula.element, formula.container
             if x in env and X in env:
@@ -210,30 +276,30 @@ class _Evaluator:
                 return np.ones(self.nsets, dtype=bool), (("set", X),)
             return self.subset, (("set", X), ("set", Y))
         if isinstance(formula, Neg):
-            arr, axes = self.eval(formula.sub, env)
+            arr, axes = self.eval(kids[0], env)
             return ~arr, axes
         # A constant function may be represented with fewer axes than its
         # free variables, so a decisive left operand can stand for the whole
         # connective without touching the right subtree.
         if isinstance(formula, Conj):
-            la, laxes = self.eval(formula.left, env)
+            la, laxes = self.eval(kids[0], env)
             if not np.any(la):
                 return la, laxes
-            return self.combine((la, laxes), self.eval(formula.right, env), np.logical_and)
+            return self.combine((la, laxes), self.eval(kids[1], env), np.logical_and)
         if isinstance(formula, Disj):
-            la, laxes = self.eval(formula.left, env)
+            la, laxes = self.eval(kids[0], env)
             if np.all(la):
                 return la, laxes
-            return self.combine((la, laxes), self.eval(formula.right, env), np.logical_or)
+            return self.combine((la, laxes), self.eval(kids[1], env), np.logical_or)
         if isinstance(formula, Implies):
-            la, laxes = self.eval(formula.left, env)
+            la, laxes = self.eval(kids[0], env)
             if not np.any(la):
                 return ~la, laxes
-            return self.combine((~la, laxes), self.eval(formula.right, env), np.logical_or)
+            return self.combine((~la, laxes), self.eval(kids[1], env), np.logical_or)
         if isinstance(formula, (ExistsFO, ForallFO, ExistsSet, ForallSet)):
-            return self._quantifier(formula, env)
+            return self._quantifier(formula, kids[0], env)
         if isinstance(formula, BoundSet):
-            return self._bound(formula, env)
+            return self._bound(i, formula, kids[0], env)
         raise MsoError(f"unknown node {formula!r}")
 
     def _table(self, tuples, args, env):
@@ -262,14 +328,16 @@ class _Evaluator:
                 arr[tuple(coord[ax] for ax in axis_vars)] = True
         return arr, tuple(axis_vars)
 
-    def _quantifier(self, formula, env):
+    def _quantifier(self, formula, body: int, env: dict):
         over_sets = isinstance(formula, (ExistsSet, ForallSet))
         existential = isinstance(formula, (ExistsFO, ExistsSet))
         var = formula.var
         axis = ("set", var) if over_sets else ("fo", var)
         size = self.nsets if over_sets else self.n
-        if self.max_cells(formula.body, env) <= CELL_LIMIT:
-            arr, axes = self.eval(formula.body, env)
+        if var in env:  # the body sees the bound variable, not an outer value of its name
+            env = {k: v for k, v in env.items() if k != var}
+        if self.fits(body, env):
+            arr, axes = self.eval(body, env)
             if axis not in axes:
                 return arr, axes
             k = axes.index(axis)
@@ -281,7 +349,7 @@ class _Evaluator:
         inner = dict(env)
         for value in range(size):
             inner[var] = value
-            arr, axes = self.eval(formula.body, inner)
+            arr, axes = self.eval(body, inner)
             if acc is None:
                 acc, acc_axes = arr.copy() if isinstance(arr, np.ndarray) else arr, axes
             else:
@@ -293,23 +361,24 @@ class _Evaluator:
                 break  # every cell decided, further values cannot change it
         return acc, acc_axes
 
-    def _bound(self, formula, env):
+    def _bound(self, i: int, formula, body: int, env: dict):
         var = formula.var
         axis = ("set", var)
         if self.diagnostics is None:
             # Truth does not depend on the body here, so only a diagnostics
             # request justifies sweeping the subsets for the largest witness.
-            fo, so = _free_vars(formula, self.var_cache)
-            remaining = tuple(("fo", v) for v in sorted(fo) if v not in env)
-            remaining += tuple(("set", v) for v in sorted(so) if v not in env)
+            remaining = tuple(("fo", v) for v in self.plan.fo[i] if v not in env)
+            remaining += tuple(("set", v) for v in self.plan.so[i] if v not in env)
             shape = tuple(self.axis_size(ax) for ax in remaining)
             return np.ones(shape, dtype=bool) if shape else np.bool_(True), remaining
         max_size = None
-        if self.max_cells(formula.body, env) <= CELL_LIMIT:
-            arr, axes = self.eval(formula.body, env)
+        if var in env:  # the body sees the bound variable, not an outer value of its name
+            env = {k: v for k, v in env.items() if k != var}
+        if self.fits(body, env):
+            arr, axes = self.eval(body, env)
             if axis in axes:
                 k = axes.index(axis)
-                other = tuple(i for i in range(arr.ndim) if i != k)
+                other = tuple(d for d in range(arr.ndim) if d != k)
                 witness = arr.any(axis=other) if other else arr
                 sizes = [bin(s).count("1") for s in np.nonzero(witness)[0]]
                 max_size = max(sizes) if sizes else None
@@ -319,7 +388,7 @@ class _Evaluator:
             remaining = None
             for value in range(self.nsets):
                 inner[var] = value
-                arr, axes = self.eval(formula.body, inner)
+                arr, axes = self.eval(body, inner)
                 if remaining is None:
                     remaining = axes
                 if bool(np.any(arr)):
@@ -328,8 +397,7 @@ class _Evaluator:
                         max_size = size
             if remaining is None:
                 remaining = ()
-        if self.diagnostics is not None:
-            self.diagnostics.setdefault("bounded_sets", []).append({"var": var, "max_size": max_size})
+        self.diagnostics.setdefault("bounded_sets", []).append({"var": var, "max_size": max_size})
         shape = tuple(self.axis_size(ax) for ax in remaining)
         return np.ones(shape, dtype=bool) if shape else np.bool_(True), remaining
 
@@ -363,7 +431,7 @@ def eval_finite(
     element ids, set values are iterables of element ids."""
     ev = _Evaluator(structure, diagnostics)
     env = _convert_assignment(assignment, ev.index, ev.nsets)
-    return ev.run(formula, env)
+    return ev.run(_plan(formula, diagnostics is not None), env)
 
 
 def eval_finite_slow(

@@ -91,7 +91,8 @@ def validate_model(model: ConstraintKripke, allow_reserved: bool = False) -> Non
         for a, b in model.edges:
             if a not in node_set or b not in node_set:
                 raise StructureError(f"edge ({a}, {b}) mentions an unknown node")
-        without = [n for n in model.nodes if not any(a == n for a, _ in model.edges)]
+        sources = {a for a, _ in model.edges}
+        without = [n for n in model.nodes if n not in sources]
         if without:
             raise StructureError(f"graph is not total: node {without[0]!r} has no successor")
     elif model.shape[0] == "tree":

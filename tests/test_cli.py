@@ -166,6 +166,24 @@ def test_emit_and_eval_round_trip(capsys, chain_structure, cyc_structure, tmp_pa
     assert rc == 1 and out.strip() == "false"
 
 
+def test_eval_mso_reports_each_bound_subformula(capsys, cyc_structure):
+    # equal B subformulas are separate objects in the parsed tree, and
+    # each reports its largest witness
+    b1 = "(B X (exists x (and (in x X) (lt x x))))"
+    b2 = "(forall y (B X (exists x (and (in x X) (lt x y)))))"
+    formula = f"(and {b1} (and {b2} (and {b1} {b2})))"
+    rc, out, _ = run(capsys, "eval-mso", "--json", "--structure", cyc_structure, "--formula", formula)
+    assert rc == 0
+    entry = '      {\n        "max_size": %s,\n        "var": "X"\n      }'
+    entries = [entry % "null", entry % "3"] * 2
+    expected = (
+        '{\n  "diagnostics": {\n    "bounded_sets": [\n'
+        + ",\n".join(entries)
+        + '\n    ]\n  },\n  "value": true\n}\n'
+    )
+    assert out == expected
+
+
 # ---------------------------------------------------------------------------
 # Model checking and search
 

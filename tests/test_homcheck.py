@@ -71,6 +71,20 @@ def test_verify_checks_value_membership():
     assert not verify_hom(s, {"a": Fraction(1, 2)}, "Z")
 
 
+def test_verify_errors_on_relations_the_target_does_not_interpret():
+    h = {"a": 0, "b": 1}
+    unsupported = _s("ab", lt=[("a", "b")], mod1_2=[("a",)])
+    with pytest.raises(DomainError, match=r"^Q does not interpret mod\[1,2\]$"):
+        verify_hom(unsupported, h, "Q")
+    # relations are checked in order, so an earlier violation comes first,
+    # and an empty relation is never checked
+    assert not verify_hom(_s("ab", lt=[("b", "a")], mod1_2=[("a",)]), h, "Q")
+    assert verify_hom(_s("ab", lt=[("a", "b")], mod1_2=[]), h, "Q")
+    bad_arity = SigmaStructure(["a", "b"], {LT: [("a", "b"), ("a", "b", "a")]})
+    with pytest.raises(DomainError, match=r"^lt is 2-ary, got 3 values$"):
+        verify_hom(bad_arity, h, "Z")
+
+
 def test_verify_requires_total_map():
     s = _s("ab", lt=[("a", "b")])
     assert not verify_hom(s, {"a": 0}, "Z")

@@ -42,6 +42,7 @@ from ctlz.mso import (
     fo_free,
     set_free,
 )
+from ctlz import msoeval
 from ctlz.msoeval import MAX_ELEMENTS
 from conftest import SIGMA0, random_sigma0_structure
 
@@ -295,6 +296,83 @@ def test_fast_and_slow_evaluators_agree():
         s = random_sigma0_structure(rng, rng.randint(1, 3), 0.3, 0.4)
         f = _random_mso(rng, rng.randint(1, 3), [], [], [0])
         assert eval_finite(f, s) == eval_finite_slow(f, s), to_sexpr(f)
+
+
+def _random_reusing_mso(rng, depth, built):
+    """A formula over the names x, y (first order) and X, Y (sets): its
+    quantifiers rebind those names, and its subformulas reuse earlier ones,
+    as the same object or as an equal copy."""
+    if built and rng.random() < 0.25:
+        f = rng.choice(built)
+        return f if rng.random() < 0.5 else parse_sexpr(to_sexpr(f))
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        f = rng.choice([
+            lambda: Atom("lt", (rng.choice("xy"), rng.choice("xy"))),
+            lambda: Atom("eqc[0]", (rng.choice("xy"),)),
+            lambda: VarEq(rng.choice("xy"), rng.choice("xy")),
+            lambda: In(rng.choice("xy"), rng.choice("XY")),
+            lambda: Subset(rng.choice("XY"), rng.choice("XY")),
+        ])()
+    elif roll < 0.3:
+        f = Neg(_random_reusing_mso(rng, depth - 1, built))
+    elif roll < 0.55:
+        op = rng.choice([Conj, Disj, Implies])
+        f = op(_random_reusing_mso(rng, depth - 1, built), _random_reusing_mso(rng, depth - 1, built))
+    elif roll < 0.8:
+        op = rng.choice([ExistsFO, ForallFO])
+        f = op(rng.choice("xy"), _random_reusing_mso(rng, depth - 1, built))
+    else:
+        op = rng.choice([ExistsSet, ForallSet, BoundSet])
+        f = op(rng.choice("XY"), _random_reusing_mso(rng, depth - 1, built))
+    built.append(f)
+    return f
+
+
+def test_rebound_names_and_shared_subtrees_match_slow_evaluator(monkeypatch):
+    # a quantifier hides the outer value of the name it binds, whether the
+    # value comes from the assignment or from an outer quantifier that
+    # loops over its values
+    two = SigmaStructure(["a", "b"], {})
+    cases = [
+        (parse_sexpr("(and (in x X) (exists x (not (in x X))))"), two, {"x": "a", "X": ["a"]}),
+        (parse_sexpr("(exists x (and (in x X) (exists x (not (in x X)))))"), two, {"X": ["a"]}),
+    ]
+    rng = random.Random(23)
+    for _ in range(200):
+        s = random_sigma0_structure(rng, rng.randint(1, 3), 0.3, 0.4)
+        env = {v: rng.choice(s.elements) for v in "xy"}
+        env.update({v: [e for e in s.elements if rng.random() < 0.5] for v in "XY"})
+        cases.append((_random_reusing_mso(rng, 4, []), s, env))
+    for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s, env in cases:
+            assert eval_finite(f, s, env) == eval_finite_slow(f, s, env), (limit, to_sexpr(f), env)
+
+
+def test_plans_are_never_mixed_between_sentences():
+    s = SigmaStructure(["a", "b"], {LT: [("a", "b")]})
+    yes = parse_sexpr("(exists x (exists y (lt x y)))")
+    no = parse_sexpr("(exists x (exists y (lt y y)))")
+    for _ in range(3):
+        assert eval_finite(yes, s)
+        assert not eval_finite(no, s)
+    # a sentence freed before the next one is built may hand on its id:
+    # only the root is new here, so it tends to take the freed root's place
+    for k in range(40):
+        f = ExistsFO("x", yes.body if k % 2 else no.body)
+        assert eval_finite(f, s) == bool(k % 2)
+        del f
+
+
+def test_plan_has_one_node_per_distinct_subtree():
+    sentence = emit_hom_sentence(list(SIGMA0), "Z")
+    assert len(msoeval._plan(sentence, per_object=False).nodes) <= 678
+    body = ExistsFO("x", In("x", "X"))
+    f = Conj(BoundSet("X", body), BoundSet("X", parse_sexpr(to_sexpr(body))))
+    assert len(msoeval._plan(f, per_object=False).nodes) == 4
+    # a diagnostics sink keeps one node per object
+    assert len(msoeval._plan(f, per_object=True).nodes) == 7
 
 
 def test_assignment_forms():

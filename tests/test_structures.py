@@ -58,6 +58,15 @@ def test_graph_must_be_total():
     m.edges.discard(("s1", "s1"))
     with pytest.raises(StructureError, match="not total"):
         validate_model(m)
+    # the message names the first node, in node order, without a successor
+    nodes = ["n3", "n0", "n2", "n1"]
+    edges = {("n0", "n3"), ("n1", "n0")}
+    m = ConstraintKripke(nodes, edges, {}, {(n, "x"): 0 for n in nodes}, ["x"])
+    with pytest.raises(StructureError, match=r"^graph is not total: node 'n3' has no successor$"):
+        validate_model(m)
+    m.edges.add(("n3", "n2"))
+    with pytest.raises(StructureError, match=r"^graph is not total: node 'n2' has no successor$"):
+        validate_model(m)
 
 
 def test_edge_endpoints_must_exist():
