@@ -207,7 +207,7 @@ def _cmd_emit_mso(args) -> int:
 def _cmd_eval_mso(args) -> int:
     structure = _load_structure(args.structure)
     sentence = parse_sexpr(_read_arg(args.formula))
-    diagnostics: dict = {}
+    diagnostics: dict | None = {} if args.json else None  # a sink unfolds the plan, see msoeval
     value = eval_finite(sentence, structure, diagnostics=diagnostics)
     if args.json:
         _print_json({"diagnostics": diagnostics, "value": bool(value)})

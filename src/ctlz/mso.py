@@ -6,16 +6,29 @@ bound on the size of all satisfying sets).  Builders produce the
 reachability toolkit (reach, restricted reach, cycle existence, path
 sets, bounded paths) and the per-signature sentences characterizing
 homomorphism existence into the integer domains; everything prints to a
-stable parenthesized prefix text that reparses to an identical tree.
+stable parenthesized prefix text that reparses to the same sentence.
+
+Nodes are interned through the table the CTL* formula layer uses:
+building a node whose fields equal those of a live node returns that
+node, so equality is identity, hashing is O(1), and an emitted or parsed
+sentence is a DAG from birth (the sigma0 Z sentence has 26,439 tree nodes
+but 678 distinct ones).  Every pass runs on one traversal core with
+explicit stacks: ``_children``, ``_postorder`` over distinct nodes, the
+free names kept on each node once worked out, and ``rewrite``, which runs
+generator frames and rewrites each distinct (node, context) pair once.
+The printer works out each distinct node's flat width bottom-up and then
+writes the text in one pass; the parser is a stack loop.  No pass
+recurses, so nesting depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from math import gcd
 
-from .formulas import CONSTANT, EQUAL, LESS, MODULO, RelationSymbol
+from .formulas import CONSTANT, EQUAL, LESS, MODULO, RelationSymbol, _intern, _render
 
 
 class MsoError(ValueError):
@@ -23,17 +36,41 @@ class MsoError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: interned, immutable nodes
 
 
 class MsoFormula:
+    """Common base of the interned nodes below.
+
+    A node class is a frozen dataclass built from positional field
+    values; equal field values give the very same node.
+    """
+
     __slots__ = ()
+    _fields: tuple = ()
+    _free = None  # (free first-order names, free set names), see _free_names
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._fields)})")
+        return _intern(cls, args, (cls, *args))
+
+    def __repr__(self) -> str:
+        return _render(self, _repr_pieces)
 
     def __str__(self) -> str:
         return to_sexpr(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A node class: a frozen dataclass whose equality stays identity and
+    whose repr and construction come from MsoFormula."""
+    cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    return cls
+
+
+@_node
 class MsoBool(MsoFormula):
     value: bool
 
@@ -42,83 +79,84 @@ MSO_TRUE = MsoBool(True)
 MSO_FALSE = MsoBool(False)
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(MsoFormula):
     relation: str
     args: tuple
 
-    def __post_init__(self):
-        if not self.relation:
+    def __new__(cls, relation: str, args):
+        if not relation:
             raise MsoError("empty relation name")
-        object.__setattr__(self, "args", tuple(self.args))
+        args = tuple(args)
+        return _intern(cls, (relation, args), (cls, relation, args))
 
 
-@dataclass(frozen=True)
+@_node
 class VarEq(MsoFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class In(MsoFormula):
     element: str
     container: str
 
 
-@dataclass(frozen=True)
+@_node
 class Subset(MsoFormula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(MsoFormula):
     sub: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Conj(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Disj(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(MsoFormula):
     left: MsoFormula
     right: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsFO(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ForallFO(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ExistsSet(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class ForallSet(MsoFormula):
     var: str
     body: MsoFormula
 
 
-@dataclass(frozen=True)
+@_node
 class BoundSet(MsoFormula):
     var: str
     body: MsoFormula
@@ -126,6 +164,7 @@ class BoundSet(MsoFormula):
 
 _FO_QUANT = (ExistsFO, ForallFO)
 _SET_QUANT = (ExistsSet, ForallSet, BoundSet)
+_QUANT = _FO_QUANT + _SET_QUANT
 _BINARY = (Conj, Disj, Implies)
 
 
@@ -150,70 +189,126 @@ def disj_all(parts) -> MsoFormula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal core
+
+
+def _children(f: MsoFormula) -> tuple:
+    if isinstance(f, _QUANT):
+        return (f.body,)
+    if isinstance(f, _BINARY):
+        return (f.left, f.right)
+    if isinstance(f, Neg):
+        return (f.sub,)
+    return ()
+
+
+def _names_in(f: MsoFormula) -> tuple:
+    """The variable names a node mentions itself, binders included."""
+    if isinstance(f, Atom):
+        return f.args
+    return tuple(v for v in map(f.__getattribute__, f._fields) if type(v) is str)
+
+
+def _postorder(f: MsoFormula, skip=None) -> list:
+    """The distinct nodes of f, children before parents, left to right;
+    a node for which ``skip`` is true is left out with all below it."""
+    order: list = []
+    seen: set = set()
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # (node,): its children are listed
+            order.append(g[0])
+        elif g not in seen and not (skip and skip(g)):
+            seen.add(g)
+            stack += [(g,), *reversed(_children(g))]
+    return order
+
+
+def rewrite(f: MsoFormula, step, ctx=None) -> MsoFormula:
+    """Rewrite f on an explicit stack of generator frames.
+
+    ``step(node, ctx)`` is a generator: it yields (subformula, context)
+    pairs, is sent back the rewrite of each, and returns the rewrite of
+    the node.  Each distinct (node, context) pair is rewritten once, so a
+    DAG costs its distinct nodes, not its tree size."""
+    done: dict = {}
+    frames = [((f, ctx), step(f, ctx))]
+    value = None
+    while frames:
+        key, frame = frames[-1]
+        try:
+            request = frame.send(value)
+        except StopIteration as stop:
+            frames.pop()
+            value = done[key] = stop.value
+            continue
+        value = done.get(request)
+        if value is None:
+            frames.append((request, step(*request)))
+    return value
+
+
+def _rebuilt(f: MsoFormula, ctx):
+    """The step that rewrites f's children under ctx and rebuilds f."""
+    kids = []
+    for c in _children(f):
+        kids.append((yield c, ctx))
+    if not kids:
+        return f
+    return type(f)(f.var, *kids) if isinstance(f, _QUANT) else type(f)(*kids)
+
+
+# ---------------------------------------------------------------------------
 # Variable bookkeeping
+
+_NONE = frozenset()
+
+
+def _own_free(f: MsoFormula) -> tuple:
+    """Free names of f from those of its children."""
+    if isinstance(f, Atom):
+        return frozenset(f.args), _NONE
+    if isinstance(f, VarEq):
+        return frozenset((f.left, f.right)), _NONE
+    if isinstance(f, In):
+        return frozenset((f.element,)), frozenset((f.container,))
+    if isinstance(f, Subset):
+        return _NONE, frozenset((f.left, f.right))
+    if isinstance(f, Neg):
+        return f.sub._free
+    if isinstance(f, _BINARY):
+        (lf, ls), (rf, rs) = f.left._free, f.right._free
+        return lf | rf, ls | rs
+    if isinstance(f, _FO_QUANT):
+        fo, so = f.body._free
+        return fo - {f.var}, so
+    if isinstance(f, _SET_QUANT):
+        fo, so = f.body._free
+        return fo, so - {f.var}
+    return _NONE, _NONE
+
+
+def _free_names(f: MsoFormula) -> tuple:
+    """(free first-order names, free set names) of f; worked out once per
+    node and kept on it."""
+    if f._free is None:
+        for g in _postorder(f, lambda g: g._free is not None):
+            object.__setattr__(g, "_free", _own_free(g))
+    return f._free
 
 
 def fo_free(formula: MsoFormula) -> frozenset:
-    if isinstance(formula, Atom):
-        return frozenset(formula.args)
-    if isinstance(formula, VarEq):
-        return frozenset((formula.left, formula.right))
-    if isinstance(formula, In):
-        return frozenset((formula.element,))
-    if isinstance(formula, (MsoBool, Subset)):
-        return frozenset()
-    if isinstance(formula, Neg):
-        return fo_free(formula.sub)
-    if isinstance(formula, _BINARY):
-        return fo_free(formula.left) | fo_free(formula.right)
-    if isinstance(formula, _FO_QUANT):
-        return fo_free(formula.body) - {formula.var}
-    if isinstance(formula, _SET_QUANT):
-        return fo_free(formula.body)
-    raise MsoError(f"unknown node {formula!r}")
+    return _free_names(formula)[0]
 
 
 def set_free(formula: MsoFormula) -> frozenset:
-    if isinstance(formula, In):
-        return frozenset((formula.container,))
-    if isinstance(formula, Subset):
-        return frozenset((formula.left, formula.right))
-    if isinstance(formula, (MsoBool, Atom, VarEq)):
-        return frozenset()
-    if isinstance(formula, Neg):
-        return set_free(formula.sub)
-    if isinstance(formula, _BINARY):
-        return set_free(formula.left) | set_free(formula.right)
-    if isinstance(formula, _FO_QUANT):
-        return set_free(formula.body)
-    if isinstance(formula, _SET_QUANT):
-        return set_free(formula.body) - {formula.var}
-    raise MsoError(f"unknown node {formula!r}")
+    return _free_names(formula)[1]
 
 
 def all_names(formula: MsoFormula) -> set:
-    """Every variable name occurring in the tree, free or bound."""
-    out: set = set()
-    todo = [formula]
-    while todo:
-        f = todo.pop()
-        if isinstance(f, Atom):
-            out.update(f.args)
-        elif isinstance(f, VarEq):
-            out.update((f.left, f.right))
-        elif isinstance(f, In):
-            out.update((f.element, f.container))
-        elif isinstance(f, Subset):
-            out.update((f.left, f.right))
-        elif isinstance(f, Neg):
-            todo.append(f.sub)
-        elif isinstance(f, _BINARY):
-            todo.append(f.left)
-            todo.append(f.right)
-        elif isinstance(f, _FO_QUANT + _SET_QUANT):
-            out.add(f.var)
-            todo.append(f.body)
-    return out
+    """Every variable name occurring in the formula, free or bound."""
+    return {v for g in _postorder(formula) for v in _names_in(g)}
 
 
 def _fresh(preferred: str, avoid) -> str:
@@ -227,37 +322,30 @@ def _fresh(preferred: str, avoid) -> str:
 
 def subst_fo(formula: MsoFormula, mapping: dict) -> MsoFormula:
     """Rename free first-order occurrences, renaming binders on capture."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return formula
-    if isinstance(formula, MsoBool):
-        return formula
-    if isinstance(formula, Atom):
-        return Atom(formula.relation, tuple(mapping.get(a, a) for a in formula.args))
-    if isinstance(formula, VarEq):
-        return VarEq(mapping.get(formula.left, formula.left), mapping.get(formula.right, formula.right))
-    if isinstance(formula, In):
-        return In(mapping.get(formula.element, formula.element), formula.container)
-    if isinstance(formula, Subset):
-        return formula
-    if isinstance(formula, Neg):
-        return Neg(subst_fo(formula.sub, mapping))
-    if isinstance(formula, _BINARY):
-        return type(formula)(subst_fo(formula.left, mapping), subst_fo(formula.right, mapping))
-    if isinstance(formula, _SET_QUANT):
-        return type(formula)(formula.var, subst_fo(formula.body, mapping))
-    if isinstance(formula, _FO_QUANT):
-        inner = {k: v for k, v in mapping.items() if k != formula.var}
-        if not inner:
-            return formula
-        var = formula.var
-        body = formula.body
-        if var in inner.values() and fo_free(body) & inner.keys():
-            renamed = _fresh(var, all_names(body) | set(inner.values()) | set(inner))
-            body = subst_fo(body, {var: renamed})
-            var = renamed
-        return type(formula)(var, subst_fo(body, inner))
-    raise MsoError(f"unknown node {formula!r}")
+    mapping = tuple((k, v) for k, v in mapping.items() if k != v)
+    return rewrite(formula, _subst_step, mapping) if mapping else formula
+
+
+def _subst_step(f: MsoFormula, mapping: tuple):
+    get = dict(mapping).get
+    if isinstance(f, Atom):
+        return Atom(f.relation, tuple(get(a, a) for a in f.args))
+    if isinstance(f, VarEq):
+        return VarEq(get(f.left, f.left), get(f.right, f.right))
+    if isinstance(f, In):
+        return In(get(f.element, f.element), f.container)
+    if not isinstance(f, _FO_QUANT):
+        return (yield from _rebuilt(f, mapping))
+    inner = tuple((k, v) for k, v in mapping if k != f.var)
+    if not inner:
+        return f
+    var, body = f.var, f.body
+    keys, values = {k for k, _ in inner}, {v for _, v in inner}
+    if var in values and fo_free(body) & keys:
+        renamed = _fresh(var, all_names(body) | values | keys)
+        body = yield body, ((var, renamed),)
+        var = renamed
+    return type(f)(var, (yield body, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -266,153 +354,117 @@ def subst_fo(formula: MsoFormula, mapping: dict) -> MsoFormula:
 
 _INLINE_WIDTH = 72
 
-
-def _parts(formula: MsoFormula) -> list:
-    if isinstance(formula, MsoBool):
-        return ["true" if formula.value else "false"]
-    if isinstance(formula, Atom):
-        return [formula.relation, *formula.args]
-    if isinstance(formula, VarEq):
-        return ["=", formula.left, formula.right]
-    if isinstance(formula, In):
-        return ["in", formula.element, formula.container]
-    if isinstance(formula, Subset):
-        return ["subset", formula.left, formula.right]
-    if isinstance(formula, Neg):
-        return ["not", formula.sub]
-    if isinstance(formula, Conj):
-        return ["and", formula.left, formula.right]
-    if isinstance(formula, Disj):
-        return ["or", formula.left, formula.right]
-    if isinstance(formula, Implies):
-        return ["->", formula.left, formula.right]
-    if isinstance(formula, ExistsFO):
-        return ["exists", formula.var, formula.body]
-    if isinstance(formula, ForallFO):
-        return ["forall", formula.var, formula.body]
-    if isinstance(formula, ExistsSet):
-        return ["existsset", formula.var, formula.body]
-    if isinstance(formula, ForallSet):
-        return ["forallset", formula.var, formula.body]
-    if isinstance(formula, BoundSet):
-        return ["B", formula.var, formula.body]
-    raise MsoError(f"unknown node {formula!r}")
+# head token -> (what follows it: n a variable name, f a formula; builder)
+_FORMS = {
+    "true": ("", lambda: MSO_TRUE),
+    "false": ("", lambda: MSO_FALSE),
+    "not": ("f", Neg),
+    "and": ("ff", Conj),
+    "or": ("ff", Disj),
+    "->": ("ff", Implies),
+    "=": ("nn", VarEq),
+    "in": ("nn", In),
+    "subset": ("nn", Subset),
+    "exists": ("nf", ExistsFO),
+    "forall": ("nf", ForallFO),
+    "existsset": ("nf", ExistsSet),
+    "forallset": ("nf", ForallSet),
+    "B": ("nf", BoundSet),
+}
+_TOKEN = {build: head for head, (_, build) in _FORMS.items() if isinstance(build, type)}
 
 
-def _flat(formula: MsoFormula) -> str:
-    items = [_flat(p) if isinstance(p, MsoFormula) else p for p in _parts(formula)]
-    return "(" + " ".join(items) + ")"
+def _head(f: MsoFormula) -> str:
+    """The node's text up to its subformulas, without the parenthesis."""
+    if isinstance(f, MsoBool):
+        return "true" if f.value else "false"
+    if isinstance(f, Atom):
+        return " ".join((f.relation, *f.args))
+    return " ".join((_TOKEN[type(f)], *_names_in(f)))
+
+
+def _repr_pieces(f: MsoFormula, _minimum: int) -> list:
+    parts: list = [f"{type(f).__name__}("]
+    for i, name in enumerate(f._fields):
+        value = getattr(f, name)
+        parts.append(f"{', ' if i else ''}{name}=")
+        parts.append((value, 0) if isinstance(value, MsoFormula) else repr(value))
+    parts.append(")")
+    return parts
 
 
 def to_sexpr(formula: MsoFormula, indent: int = 0) -> str:
-    flat = _flat(formula)
-    if len(flat) + indent <= _INLINE_WIDTH:
-        return flat
-    parts = _parts(formula)
-    head = [p for p in parts if not isinstance(p, MsoFormula)]
-    tail = [p for p in parts if isinstance(p, MsoFormula)]
-    pad = " " * (indent + 2)
-    lines = ["(" + " ".join(head)]
-    for sub in tail:
-        lines.append(pad + to_sexpr(sub, indent + 2))
-    return "\n".join(lines) + ")"
-
-
-_QUANT_TOKENS = {
-    "exists": ExistsFO,
-    "forall": ForallFO,
-    "existsset": ExistsSet,
-    "forallset": ForallSet,
-    "B": BoundSet,
-}
-
-
-def _tokenize_sexpr(text: str):
-    tokens = []
-    cur = []
-    for ch in text:
-        if ch == "(" or ch == ")":
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
+    """The formula on one line when it fits in the inline width, else its
+    head on the first line and each subformula indented below it."""
+    heads: dict = {}
+    width: dict = {}  # node -> length of its one-line text
+    for g in _postorder(formula):
+        heads[g] = _head(g)
+        width[g] = 2 + len(heads[g]) + sum(1 + width[c] for c in _children(g))
+    out: list = []
+    stack: list = [(formula, indent)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, at = item
+        out.append("(" + heads[f])
+        stack.append(")")
+        # a subformula of a node that fits fits too, whatever its indent
+        sep = " " if width[f] + at <= _INLINE_WIDTH else "\n" + " " * (at + 2)
+        for c in reversed(_children(f)):
+            stack += [(c, at + 2), sep]
+    return "".join(out)
 
 
 def parse_sexpr(text: str) -> MsoFormula:
-    tokens = _tokenize_sexpr(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
     def fail(msg):
         raise MsoError(f"{msg} at token {pos}")
 
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        if tokens[pos] != "(":
-            fail(f"expected '(' but saw {tokens[pos]!r}")
-        pos += 1
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        head = tokens[pos]
-        pos += 1
-        if head == "(" or head == ")":
-            fail("expected an operator or relation name")
-        node = build(head)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            fail("expected ')'")
-        pos += 1
-        return node
-
-    def name():
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] in "()":
-            fail("expected a variable name")
-        out = tokens[pos]
-        pos += 1
-        return out
-
-    def build(head):
-        nonlocal pos
-        if head == "true":
-            return MSO_TRUE
-        if head == "false":
-            return MSO_FALSE
-        if head == "not":
-            return Neg(parse())
-        if head == "and":
-            return Conj(parse(), parse())
-        if head == "or":
-            return Disj(parse(), parse())
-        if head == "->":
-            return Implies(parse(), parse())
-        if head == "=":
-            return VarEq(name(), name())
-        if head == "in":
-            return In(name(), name())
-        if head == "subset":
-            return Subset(name(), name())
-        if head in _QUANT_TOKENS:
-            return _QUANT_TOKENS[head](name(), parse())
-        args = []
-        while pos < len(tokens) and tokens[pos] not in "()":
-            args.append(tokens[pos])
+    # open nodes as [what follows the head, builder, parts read]; the
+    # bottom entry reads the whole formula
+    stack: list = [["f", None, []]]
+    while True:
+        steps, build, parts = stack[-1]
+        if len(parts) == len(steps):
+            if build is None:
+                break
+            if pos >= len(tokens) or tokens[pos] != ")":
+                fail("expected ')'")
             pos += 1
-        return Atom(head, tuple(args))
-
-    out = parse()
+            stack.pop()
+            stack[-1][2].append(build(*parts))
+        elif steps[len(parts)] == "n":
+            if pos >= len(tokens) or tokens[pos] in "()":
+                fail("expected a variable name")
+            parts.append(tokens[pos])
+            pos += 1
+        else:
+            if pos >= len(tokens):
+                fail("unexpected end of input")
+            if tokens[pos] != "(":
+                fail(f"expected '(' but saw {tokens[pos]!r}")
+            pos += 1
+            if pos >= len(tokens):
+                fail("unexpected end of input")
+            head = tokens[pos]
+            pos += 1
+            if head == "(" or head == ")":
+                fail("expected an operator or relation name")
+            if head in _FORMS:
+                stack.append([*_FORMS[head], []])
+                continue
+            start = pos  # a relation atom: its arguments run up to a parenthesis
+            while pos < len(tokens) and tokens[pos] not in "()":
+                pos += 1
+            stack.append(["", partial(Atom, head, tokens[start:pos]), []])
     if pos != len(tokens):
         fail("trailing input")
-    return out
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +473,7 @@ def parse_sexpr(text: str) -> MsoFormula:
 
 def formula_class(formula: MsoFormula) -> str:
     """One of "MSO", "WMSO+B", "boolean_combination"."""
-
-    def has_bound(f) -> bool:
-        if isinstance(f, BoundSet):
-            return True
-        if isinstance(f, Neg):
-            return has_bound(f.sub)
-        if isinstance(f, _BINARY):
-            return has_bound(f.left) or has_bound(f.right)
-        if isinstance(f, _FO_QUANT + _SET_QUANT):
-            return has_bound(f.body)
-        return False
-
-    if not has_bound(formula):
+    if not any(isinstance(g, BoundSet) for g in _postorder(formula)):
         return "MSO"
     if isinstance(formula, (Neg,) + _BINARY):
         return "boolean_combination"
@@ -542,26 +582,15 @@ def relativize(formula: MsoFormula, guard: MsoFormula, guard_var: str | None = N
         w = _fresh("w", all_names(guard) | {V})
         return ForallFO(w, Implies(In(w, V), guard_at(w)))
 
-    def walk(f: MsoFormula) -> MsoFormula:
-        if isinstance(f, (MsoBool, Atom, VarEq, In, Subset)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left), walk(f.right))
-        if isinstance(f, ExistsFO):
-            return ExistsFO(f.var, Conj(guard_at(f.var), walk(f.body)))
-        if isinstance(f, ForallFO):
-            return ForallFO(f.var, Implies(guard_at(f.var), walk(f.body)))
-        if isinstance(f, ExistsSet):
-            return ExistsSet(f.var, Conj(set_guard(f.var), walk(f.body)))
-        if isinstance(f, ForallSet):
-            return ForallSet(f.var, Implies(set_guard(f.var), walk(f.body)))
-        if isinstance(f, BoundSet):
-            return BoundSet(f.var, Conj(set_guard(f.var), walk(f.body)))
-        raise MsoError(f"unknown node {f!r}")
+    def step(f: MsoFormula, ctx):
+        if not isinstance(f, _QUANT):
+            return (yield from _rebuilt(f, ctx))
+        body = yield f.body, ctx
+        guarded = guard_at(f.var) if isinstance(f, _FO_QUANT) else set_guard(f.var)
+        link = Implies if isinstance(f, (ForallFO, ForallSet)) else Conj
+        return type(f)(f.var, link(guarded, body))
 
-    return walk(formula)
+    return rewrite(formula, step)
 
 
 # ---------------------------------------------------------------------------
@@ -913,17 +942,9 @@ def emit_tree_encoding(alpha: MsoFormula, variables, d: int, table, props=None):
                 disjuncts.append(body)
         return disj_all(disjuncts)
 
-    def walk(f: MsoFormula) -> MsoFormula:
+    def step(f: MsoFormula, ctx):
         if isinstance(f, Atom):
             return rewrite_atom(f)
-        if isinstance(f, (MsoBool, VarEq, In, Subset)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left), walk(f.right))
-        if isinstance(f, _FO_QUANT + _SET_QUANT):
-            return type(f)(f.var, walk(f.body))
-        raise MsoError(f"unknown node {f!r}")
+        return (yield from _rebuilt(f, ctx))
 
-    return beta, walk(relativized)
+    return beta, rewrite(relativized, step)

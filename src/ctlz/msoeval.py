@@ -1,27 +1,28 @@
 """Brute-force semantics for the MSO layer on small finite structures.
 
-Each sentence is compiled once into a plan.  One iterative postorder pass
-hash-conses the tree: structurally equal subtrees (the emitted sentences
-repeat their reachability and cycle blocks many times) become one plan
-node, which records its kind, child indices, bound variable and its free
-first-order and set names as sorted tuples.  The peak cell count of a
+Each sentence is compiled once into a plan: its distinct nodes (MSO nodes
+are interned, so equal subformulas are one object) in postorder, each with
+its child indices and its free first-order and set names as sorted tuples,
+taken from the free names the node core keeps.  The peak cell count of a
 node, per structure size and set of assigned names, is worked out on
 first use and kept in the plan.  A few recent plans are cached by
-sentence identity, so every structure evaluated against a sentence
-reuses its plan.
+sentence, so every structure evaluated against a sentence reuses its
+plan.
 
 Per structure, subformulas evaluate to boolean arrays whose axes are
 their unassigned free variables (size n for a first-order axis, 2^n for
 a set axis), so connectives are elementwise operations and quantifiers
 are any/all reductions.  Results are memoised per (plan node, values of
-its free names), so equal subtrees share them.  A quantifier whose body
-would exceed the cell budget falls back to looping over the quantified
-variable's values.  A quantifier hides any outer value of the name it
-binds.  The bounding quantifier is constantly true here: a finite
+its free names), so equal subformulas share them.  Evaluation runs as
+generator frames on an explicit stack, one per node being evaluated, so
+nesting depth is not bounded by Python's recursion limit.  A quantifier
+whose body would exceed the cell budget falls back to looping over the
+quantified variable's values.  A quantifier hides any outer value of the
+name it binds.  The bounding quantifier is constantly true here: a finite
 structure has only finitely many subsets, so a bound always exists; the
 evaluator still reports the largest satisfying set when asked, and then
-the plan keeps one node per object instead of one per distinct subtree,
-so that equal B subformulas still report separately.
+the plan unfolds into one node per tree position, so that every B
+occurrence reports separately.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .mso import (
     Neg,
     Subset,
     VarEq,
+    _children,
+    _free_names,
 )
 from .structures import SigmaStructure
 
@@ -60,86 +63,46 @@ def _relation_map(structure: SigmaStructure, index: dict) -> dict:
     return out
 
 
-def _children(formula: MsoFormula):
-    if isinstance(formula, Neg):
-        return (formula.sub,)
-    if isinstance(formula, (Conj, Disj, Implies)):
-        return (formula.left, formula.right)
-    if isinstance(formula, (ExistsFO, ForallFO, ExistsSet, ForallSet, BoundSet)):
-        return (formula.body,)
-    return ()
-
-
-def _describe(formula: MsoFormula, kids: tuple, fo: list, so: list):
-    """(structural key, free first-order names, free set names) of a node
-    whose children are the plan nodes ``kids``; ``fo`` and ``so`` hold the
-    plan nodes' free names."""
-    if isinstance(formula, MsoBool):
-        return (MsoBool, formula.value), (), ()
-    if isinstance(formula, Atom):
-        return (Atom, formula.relation, formula.args), formula.args, ()
-    if isinstance(formula, VarEq):
-        return (VarEq, formula.left, formula.right), (formula.left, formula.right), ()
-    if isinstance(formula, In):
-        return (In, formula.element, formula.container), (formula.element,), (formula.container,)
-    if isinstance(formula, Subset):
-        return (Subset, formula.left, formula.right), (), (formula.left, formula.right)
-    if isinstance(formula, Neg):
-        (sub,) = kids
-        return (Neg, kids), fo[sub], so[sub]
-    if isinstance(formula, (Conj, Disj, Implies)):
-        left, right = kids
-        return (type(formula), kids), fo[left] + fo[right], so[left] + so[right]
-    if isinstance(formula, (ExistsFO, ForallFO)):
-        (body,) = kids
-        return (type(formula), formula.var, kids), [v for v in fo[body] if v != formula.var], so[body]
-    if isinstance(formula, (ExistsSet, ForallSet, BoundSet)):
-        (body,) = kids
-        return (type(formula), formula.var, kids), fo[body], [v for v in so[body] if v != formula.var]
-    raise MsoError(f"unknown node {formula!r}")
-
-
 class _Plan:
-    """A sentence compiled for evaluation: one node per distinct subtree
-    (per object when ``per_object``), children before parents.  Node i is
-    described by ``nodes[i]``, a representative formula object read for
-    its scalar fields, ``kids[i]``, and its sorted free first-order names
-    ``fo[i]``, set names ``so[i]`` and both together ``names[i]``."""
+    """A sentence compiled for evaluation: one node per distinct subformula
+    (per tree position when ``unfold``), children before parents.  Node i
+    is described by ``nodes[i]``, the formula read for its kind and scalar
+    fields, ``kids[i]``, and its sorted free first-order names ``fo[i]``,
+    set names ``so[i]`` and both together ``names[i]``."""
 
-    def __init__(self, sentence: MsoFormula, per_object: bool):
-        self.sentence = sentence  # pinned, so that no other object takes its id while cached
+    def __init__(self, sentence: MsoFormula, unfold: bool):
         self.nodes: list = []
         self.kids: list = []
         self.fo: list = []
         self.so: list = []
         self.names: list = []
         self.peaks: dict = {}  # (node, n, assigned names) -> peak cells
-        index: dict = {}  # id(object) -> node, for this pass only
-        table: dict = {}  # structural key (or id) -> node
-        todo = [(sentence, False)]
-        while todo:
-            f, ready = todo.pop()
-            if id(f) in index:
-                continue
-            children = _children(f)
-            if not ready:
-                todo.append((f, True))
-                todo.extend((c, False) for c in reversed(children))
-                continue
-            kids = tuple(index[id(c)] for c in children)
-            key, fo, so = _describe(f, kids, self.fo, self.so)
-            if per_object:
-                key = id(f)
-            i = table.get(key)
-            if i is None:
-                i = table[key] = len(self.nodes)
+        _free_names(sentence)
+        index: dict = {}  # formula -> node, unless unfolding
+        done: list = []  # nodes of the finished subformulas, in order
+        stack: list = [sentence]
+        while stack:
+            f = stack.pop()
+            if type(f) is tuple:  # (formula,): its children are finished
+                (f,) = f
+                k = len(_children(f))
+                kids = tuple(done[len(done) - k:])
+                del done[len(done) - k:]
+                fo, so = f._free
+                i = len(self.nodes)
                 self.nodes.append(f)
                 self.kids.append(kids)
-                self.fo.append(tuple(sorted(set(fo))))
-                self.so.append(tuple(sorted(set(so))))
-                self.names.append(tuple(sorted(set(fo) | set(so))))
-            index[id(f)] = i
-        self.root = index[id(sentence)]
+                self.fo.append(tuple(sorted(fo)))
+                self.so.append(tuple(sorted(so)))
+                self.names.append(tuple(sorted(fo | so)))
+                if not unfold:
+                    index[f] = i
+                done.append(i)
+            elif f in index:
+                done.append(index[f])
+            else:
+                stack += [(f,), *reversed(_children(f))]
+        self.root = done[0]
 
     def peak(self, i: int, n: int, assigned: frozenset) -> int:
         """Largest array, in cells, that evaluating node i on an n-element
@@ -164,12 +127,12 @@ class _Plan:
         return peaks[(i, n, assigned)]
 
 
-_RECENT_PLANS: dict = {}  # (id(sentence), per_object) -> plan, least recently used first
+_RECENT_PLANS: dict = {}  # (sentence, unfold) -> plan, least recently used first
 
 
-def _plan(sentence: MsoFormula, per_object: bool) -> _Plan:
-    key = (id(sentence), per_object)
-    plan = _RECENT_PLANS.pop(key, None) or _Plan(sentence, per_object)
+def _plan(sentence: MsoFormula, unfold: bool) -> _Plan:
+    key = (sentence, unfold)
+    plan = _RECENT_PLANS.pop(key, None) or _Plan(sentence, unfold)
     _RECENT_PLANS[key] = plan
     if len(_RECENT_PLANS) > 4:  # callers alternate between a few sentences at most
         del _RECENT_PLANS[next(iter(_RECENT_PLANS))]
@@ -233,15 +196,36 @@ class _Evaluator:
     # -- evaluation
 
     def eval(self, i: int, env: dict):
-        key = (i, tuple(map(env.get, self.plan.names[i])))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        res = self._eval(i, env)
-        arr = res[0]
-        if not isinstance(arr, np.ndarray) or arr.size <= MEMO_CELL_LIMIT:
-            self.memo[key] = res  # caching big arrays per env value would hoard memory
-        return res
+        """(array, axes) of node i under env.  Each node evaluates in a
+        generator frame that yields (node, env) for a subformula's value and
+        is sent it back; the frames live on an explicit stack, so nesting
+        depth is not bounded by Python's recursion limit."""
+        names = self.plan.names
+        frames: list = []
+        value = None
+        request = (i, env)
+        while True:
+            if request is not None:
+                j, env = request
+                key = (j, tuple(map(env.get, names[j])))
+                value = self.memo.get(key)
+                if value is None:
+                    frames.append((key, self._eval(j, env)))
+                elif not frames:
+                    return value
+            key, frame = frames[-1]
+            try:
+                request = frame.send(value)
+                continue
+            except StopIteration as stop:
+                value = stop.value
+            frames.pop()
+            arr = value[0]
+            if not isinstance(arr, np.ndarray) or arr.size <= MEMO_CELL_LIMIT:
+                self.memo[key] = value  # caching big arrays per env value would hoard memory
+            if not frames:
+                return value
+            request = None
 
     def _eval(self, i: int, env: dict):
         n = self.n
@@ -276,31 +260,29 @@ class _Evaluator:
                 return np.ones(self.nsets, dtype=bool), (("set", X),)
             return self.subset, (("set", X), ("set", Y))
         if isinstance(formula, Neg):
-            arr, axes = self.eval(kids[0], env)
+            arr, axes = yield kids[0], env
             return ~arr, axes
         # A constant function may be represented with fewer axes than its
         # free variables, so a decisive left operand can stand for the whole
         # connective without touching the right subtree.
         if isinstance(formula, Conj):
-            la, laxes = self.eval(kids[0], env)
+            la, laxes = yield kids[0], env
             if not np.any(la):
                 return la, laxes
-            return self.combine((la, laxes), self.eval(kids[1], env), np.logical_and)
+            return self.combine((la, laxes), (yield kids[1], env), np.logical_and)
         if isinstance(formula, Disj):
-            la, laxes = self.eval(kids[0], env)
+            la, laxes = yield kids[0], env
             if np.all(la):
                 return la, laxes
-            return self.combine((la, laxes), self.eval(kids[1], env), np.logical_or)
+            return self.combine((la, laxes), (yield kids[1], env), np.logical_or)
         if isinstance(formula, Implies):
-            la, laxes = self.eval(kids[0], env)
+            la, laxes = yield kids[0], env
             if not np.any(la):
                 return ~la, laxes
-            return self.combine((~la, laxes), self.eval(kids[1], env), np.logical_or)
-        if isinstance(formula, (ExistsFO, ForallFO, ExistsSet, ForallSet)):
-            return self._quantifier(formula, kids[0], env)
+            return self.combine((~la, laxes), (yield kids[1], env), np.logical_or)
         if isinstance(formula, BoundSet):
-            return self._bound(i, formula, kids[0], env)
-        raise MsoError(f"unknown node {formula!r}")
+            return (yield from self._bound(i, formula, kids[0], env))
+        return (yield from self._quantifier(formula, kids[0], env))
 
     def _table(self, tuples, args, env):
         axis_vars = []
@@ -337,7 +319,7 @@ class _Evaluator:
         if var in env:  # the body sees the bound variable, not an outer value of its name
             env = {k: v for k, v in env.items() if k != var}
         if self.fits(body, env):
-            arr, axes = self.eval(body, env)
+            arr, axes = yield body, env
             if axis not in axes:
                 return arr, axes
             k = axes.index(axis)
@@ -349,7 +331,7 @@ class _Evaluator:
         inner = dict(env)
         for value in range(size):
             inner[var] = value
-            arr, axes = self.eval(body, inner)
+            arr, axes = yield body, inner
             if acc is None:
                 acc, acc_axes = arr.copy() if isinstance(arr, np.ndarray) else arr, axes
             else:
@@ -375,7 +357,7 @@ class _Evaluator:
         if var in env:  # the body sees the bound variable, not an outer value of its name
             env = {k: v for k, v in env.items() if k != var}
         if self.fits(body, env):
-            arr, axes = self.eval(body, env)
+            arr, axes = yield body, env
             if axis in axes:
                 k = axes.index(axis)
                 other = tuple(d for d in range(arr.ndim) if d != k)
@@ -388,7 +370,7 @@ class _Evaluator:
             remaining = None
             for value in range(self.nsets):
                 inner[var] = value
-                arr, axes = self.eval(body, inner)
+                arr, axes = yield body, inner
                 if remaining is None:
                     remaining = axes
                 if bool(np.any(arr)):
@@ -402,7 +384,7 @@ class _Evaluator:
         return np.ones(shape, dtype=bool) if shape else np.bool_(True), remaining
 
 
-def _convert_assignment(assignment, index, nsets) -> dict:
+def _convert_assignment(assignment, index) -> dict:
     env: dict = {}
     if not assignment:
         return env
@@ -430,7 +412,7 @@ def eval_finite(
     """Evaluate on a finite structure; first-order assignment values are
     element ids, set values are iterables of element ids."""
     ev = _Evaluator(structure, diagnostics)
-    env = _convert_assignment(assignment, ev.index, ev.nsets)
+    env = _convert_assignment(assignment, ev.index)
     return ev.run(_plan(formula, diagnostics is not None), env)
 
 
@@ -443,7 +425,7 @@ def eval_finite_slow(
     n = len(structure.elements)
     index = {e: i for i, e in enumerate(structure.elements)}
     relations = _relation_map(structure, index)
-    env = _convert_assignment(assignment, index, 1 << n)
+    env = _convert_assignment(assignment, index)
 
     def member(i, mask):
         return bool((mask >> i) & 1)
@@ -479,8 +461,6 @@ def eval_finite_slow(
             return any(rec(f.body, {**env, f.var: s}) for s in range(1 << n))
         if isinstance(f, ForallSet):
             return all(rec(f.body, {**env, f.var: s}) for s in range(1 << n))
-        if isinstance(f, BoundSet):
-            return True
-        raise MsoError(f"unknown node {f!r}")
+        return True  # B: a finite structure bounds every set
 
     return rec(formula, env)

@@ -167,8 +167,8 @@ def test_emit_and_eval_round_trip(capsys, chain_structure, cyc_structure, tmp_pa
 
 
 def test_eval_mso_reports_each_bound_subformula(capsys, cyc_structure):
-    # equal B subformulas are separate objects in the parsed tree, and
-    # each reports its largest witness
+    # equal B subformulas are one object, and each occurrence reports its
+    # largest witness
     b1 = "(B X (exists x (and (in x X) (lt x x))))"
     b2 = "(forall y (B X (exists x (and (in x X) (lt x y)))))"
     formula = f"(and {b1} (and {b2} (and {b1} {b2})))"
@@ -182,6 +182,16 @@ def test_eval_mso_reports_each_bound_subformula(capsys, cyc_structure):
         + '\n    ]\n  },\n  "value": true\n}\n'
     )
     assert out == expected
+
+
+def test_eval_mso_handles_deeply_nested_sentences(capsys, cyc_structure):
+    depth = 3_000
+    formula = "(not " * depth + "(B X (exists x (in x X)))" + ")" * depth
+    rc, out, _ = run(capsys, "eval-mso", "--json", "--structure", cyc_structure, "--formula", formula)
+    assert rc == 0
+    assert json.loads(out) == {"diagnostics": {"bounded_sets": [{"max_size": 3, "var": "X"}]}, "value": True}
+    rc, out, _ = run(capsys, "eval-mso", "--structure", cyc_structure, "--formula", "(not " + formula + ")")
+    assert rc == 1 and out == "false\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """MSO layer: s-expressions, emitters, relativization, finite evaluation."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -39,6 +41,7 @@ from ctlz.mso import (
     Neg,
     Subset,
     VarEq,
+    conj_all,
     fo_free,
     set_free,
 )
@@ -118,6 +121,64 @@ def test_sexpr_round_trip_random():
     for _ in range(60):
         f = _random_mso(rng, 3, [], [], [0])
         assert parse_sexpr(to_sexpr(f)) == f
+        # nodes are interned: equal sentences are one object
+        text = to_sexpr(f)
+        assert parse_sexpr(text) is parse_sexpr(text) is f
+
+
+def test_nodes_are_interned_dataclasses():
+    assert Atom("lt", ["x", "y"]) is Atom("lt", ("x", "y"))
+    assert Atom("lt", ["x", "y"]).args == ("x", "y")
+    with pytest.raises(MsoError, match="empty relation name"):
+        Atom("", ("x",))
+    # nodes stay dataclasses: field lists are read from outside the package
+    assert [f.name for f in dataclasses.fields(ExistsFO("x", MSO_TRUE))] == ["var", "body"]
+
+
+def test_deep_sentences_parse_print_and_evaluate():
+    depth = 10_000
+    s = SigmaStructure(["a", "b"], {LT: [("a", "a"), ("a", "b")]})
+    guard = Atom("lt", ("w", "w"))  # holds at a only
+    atoms = [Atom(f"r{i % 7}", ("x",)) if i % 3 else Atom("lt", ("x", "x")) for i in range(depth)]
+    sentences = {
+        "not": parse_sexpr("(not " * depth + "(lt x x)" + ")" * depth),
+        "exists": parse_sexpr("(exists x " * depth + "(lt x x)" + ")" * depth),
+        "conj": conj_all(atoms),
+    }
+    for name, f in sentences.items():
+        assert parse_sexpr(to_sexpr(f)) is f, name
+        assert repr(f).endswith(")" * depth)
+        assert formula_class(f) == "MSO"
+        closed = f if name == "exists" else ExistsFO("x", f)
+        assert fo_free(f) == (frozenset() if name == "exists" else {"x"})
+        assert not fo_free(closed)
+        assert formula_class(BoundSet("X", closed)) == "WMSO+B"
+        # an even number of negations; no element is in the r relations
+        expected = name != "conj"
+        assert eval_finite(closed, s) == expected, name
+        assert eval_finite(relativize(closed, guard, "w"), s) == expected, name
+
+
+# sha256 of the emitted text for each target, over the part of sigma0 it
+# supports; a change here changes every emitted sentence file
+_EMITTED_SHA256 = {
+    "Z": "1011d772bd9471c4478b08eacccfe116816ace66cf90d38bcef24d684f8e0b35",
+    "N": "749a44790309609477616997811ce188eeea66c644a8af5acaaf3dfe766173e5",
+    "negZ": "6de9ec2a2d999983d91c70d8e9e00958d2b8f13966d032cad45633147b0e9b3c",
+    "Z_order_only": "afa460999ccd954dafcff68451c7f4c85c8408d4443b14c0a640787ccbf6925f",
+}
+
+
+def test_emitted_sentence_text_is_stable():
+    supported = {
+        "Z": SIGMA0,
+        "N": [r for r in SIGMA0 if r.kind != "constant"],
+        "negZ": [r for r in SIGMA0 if r.kind != "constant"],
+        "Z_order_only": [LT],
+    }
+    for target, digest in _EMITTED_SHA256.items():
+        text = to_sexpr(emit_hom_sentence(list(supported[target]), target))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, target
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +428,12 @@ def test_plans_are_never_mixed_between_sentences():
 
 def test_plan_has_one_node_per_distinct_subtree():
     sentence = emit_hom_sentence(list(SIGMA0), "Z")
-    assert len(msoeval._plan(sentence, per_object=False).nodes) <= 678
+    assert len(msoeval._plan(sentence, unfold=False).nodes) <= 678
     body = ExistsFO("x", In("x", "X"))
     f = Conj(BoundSet("X", body), BoundSet("X", parse_sexpr(to_sexpr(body))))
-    assert len(msoeval._plan(f, per_object=False).nodes) == 4
-    # a diagnostics sink keeps one node per object
-    assert len(msoeval._plan(f, per_object=True).nodes) == 7
+    assert len(msoeval._plan(f, unfold=False).nodes) == 4
+    # a diagnostics sink unfolds the plan into one node per tree position
+    assert len(msoeval._plan(f, unfold=True).nodes) == 7
 
 
 def test_assignment_forms():
