@@ -40,11 +40,13 @@ def main():
     for w, lab in zip(windows.windows, windows.labels):
         print("  ", w, sorted(lab))
 
-    # path formulas over propositions compile to small tableau automata
+    # path formulas over propositions compile to small tableau automata:
+    # obligation sets as states, one guarded edge per tableau branch
     for text in ("G p", "p U q", "(p U q) & G (p | q)"):
         b = ltl_to_buchi(parse_path_formula(text))
+        edges = sum(len(t) for t in b.transitions.values())
         print(f"automaton for {text:20s}: {len(b.states)} states, "
-              f"{len(b.acceptance)} acceptance sets")
+              f"{edges} edges, {len(b.untils)} acceptance marks")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,14 @@ depends only on a window's first component, which realizes the semantics
 where a nested path quantifier ranges over all paths from the current
 state rather than the committed future of the enclosing path.
 
+The tableau automaton is transition-based (Giannakopoulou and Lerda;
+Couvreur): a state is a set of obligations, an edge is one tableau
+branch with a guard of positive and negative literals, and the edge
+carries one acceptance mark per Until it does not postpone.  No alphabet
+is built.  The product reads each window's letter as a bitmask over the
+tracked propositions, follows the edges whose guards it meets, and calls
+an SCC accepting when its internal edges carry every mark.
+
 ``check_ctlstar`` compiles a formula once (the compiled plans sit in one
 LRU cache): NNF, depth and constraints, the distinct state subformulas
 of the NNF in postorder, and for each E psi / A psi the path formula
@@ -52,7 +60,6 @@ from .formulas import (
 from .structures import ConstraintKripke
 
 WINDOW_LIMIT = 50_000
-MAX_TRACKED_PROPS = 14
 
 
 class ModelCheckError(ValueError):
@@ -68,7 +75,6 @@ class WindowModel:
     base: ConstraintKripke
     depth: int
     windows: list  # tuples of d+1 nodes
-    index: dict  # window -> position
     succ: list  # adjacency by position
     labels: list  # frozenset of propositions per window
     constraint_prop: dict  # Constraint -> derived proposition name
@@ -110,127 +116,96 @@ def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DO
             if dom.eval_relation(c.relation, values):
                 props.add(prop)
         labels.append(frozenset(props))
-    return WindowModel(model, depth, windows, index, succ, labels, constraint_prop)
+    return WindowModel(model, depth, windows, succ, labels, constraint_prop)
 
 
 # ---------------------------------------------------------------------------
-# LTL tableau to generalized Buechi
+# LTL tableau to transition-based generalized Buechi
 
 
 @dataclass
 class BuchiAutomaton:
-    propositions: tuple  # tracked propositions
-    alphabet: tuple  # all valuations as frozensets
-    states: list  # (obligations, marks) pairs
-    initial: tuple  # one-element tuple with the initial state
-    transitions: dict  # (state, letter) -> tuple of successor states
-    acceptance: tuple  # one frozenset of states per Until subformula
-    untils: tuple
+    """A state is an obligation set: the path formulas a run still has to
+    meet from here on.  An edge is one tableau branch of its source state,
+    stored once as (pos mask, neg mask, target, marks); it reads every
+    letter (a bitmask over ``propositions``) that contains pos and misses
+    neg.  Mark bit j is set when the branch does not postpone
+    ``untils[j]``: the Until is not among the target's obligations, or the
+    branch fulfils it.  A run is accepting when every mark recurs."""
 
-    def step(self, state, letter):
-        return self.transitions.get((state, letter), ())
+    propositions: tuple  # bit i of a letter stands for propositions[i]
+    states: list  # obligation sets, the initial one first
+    transitions: dict  # state -> tuple of edges (pos, neg, target, marks)
+    untils: tuple  # one acceptance mark per Until subformula
 
 
-def _expand_obligations(obligations):
-    """Branches of one tableau expansion step: each branch is a tuple
-    (positive literals, negative literals, next obligations, fulfilled
-    Until subformulas)."""
-    branches = []
-    seen = set()
-
-    def go(todo, pos, neg, nexts, fulfilled):
+def _expand_obligations(obligations, bit):
+    """Branches of one tableau expansion step, each a tuple (positive
+    literal mask, negative literal mask, next obligations, fulfilled
+    Until subformulas), where ``bit`` maps a proposition to its mask.
+    Pending branches wait on an explicit stack, the left one explored
+    first; contradictory branches are dropped."""
+    branches: dict = {}  # ordered set
+    stack = [(list(obligations), 0, 0, frozenset(), frozenset())]
+    while stack:
+        todo, pos, neg, nexts, fulfilled = stack.pop()
         while todo:
             f = todo.pop()
             if isinstance(f, BoolConst):
                 if not f.value:
-                    return
-                continue
-            if isinstance(f, Prop):
-                if f.name in neg:
-                    return
-                pos = pos | {f.name}
-                continue
-            if isinstance(f, Not):
-                if not isinstance(f.sub, Prop):
-                    raise ModelCheckError(f"tableau input not in negation normal form: {f}")
-                if f.sub.name in pos:
-                    return
-                neg = neg | {f.sub.name}
-                continue
-            if isinstance(f, Next):
-                nexts = nexts | {f.sub}
-                continue
-            if isinstance(f, And):
-                todo = todo + [f.left, f.right]
-                continue
-            if isinstance(f, Or):
-                go(todo + [f.left], pos, neg, nexts, fulfilled)
-                go(todo + [f.right], pos, neg, nexts, fulfilled)
-                return
-            if isinstance(f, Until):
-                go(todo + [f.right], pos, neg, nexts, fulfilled | {f})
-                go(todo + [f.left], pos, neg, nexts | {f}, fulfilled)
-                return
-            if isinstance(f, Release):
-                go(todo + [f.left, f.right], pos, neg, nexts, fulfilled)
-                go(todo + [f.right], pos, neg, nexts | {f}, fulfilled)
-                return
-            raise ModelCheckError(f"unsupported node in tableau input: {f!r}")
-        branch = (frozenset(pos), frozenset(neg), frozenset(nexts), frozenset(fulfilled))
-        if branch not in seen:
-            seen.add(branch)
-            branches.append(branch)
-
-    go(list(obligations), frozenset(), frozenset(), frozenset(), frozenset())
-    return branches
+                    break
+            elif isinstance(f, Prop):
+                pos |= bit[f.name]
+            elif isinstance(f, Not):
+                neg |= bit[f.sub.name]
+            elif isinstance(f, Next):
+                nexts |= {f.sub}
+            elif isinstance(f, And):
+                todo += (f.left, f.right)
+            elif isinstance(f, Or):
+                stack.append((todo + [f.right], pos, neg, nexts, fulfilled))
+                todo.append(f.left)
+            elif isinstance(f, Until):  # fulfil now, or postpone
+                stack.append((todo + [f.left], pos, neg, nexts | {f}, fulfilled))
+                todo.append(f.right)
+                fulfilled |= {f}
+            else:  # Release: both hold now, or the right one and again next
+                stack.append((todo + [f.right], pos, neg, nexts | {f}, fulfilled))
+                todo += (f.left, f.right)
+            if pos & neg:
+                break
+        else:
+            branches[(pos, neg, nexts, fulfilled)] = None
+    return list(branches)
 
 
 def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
-    """Tableau construction for proposition-only path formulas in NNF;
-    one generalized acceptance set per Until subformula."""
+    """Tableau construction for proposition-only path formulas in NNF:
+    the states are the obligation sets reachable from {formula}, each
+    tableau branch is one edge, and each Until gets one acceptance mark."""
     for sub in subformulas(formula):
         if isinstance(sub, (Constraint, Exists, All)):
             raise ModelCheckError("tableau input must be over propositions only")
         if isinstance(sub, Not) and not isinstance(sub.sub, Prop):
             raise ModelCheckError("tableau input must be in negation normal form")
     props = tuple(propositions_of(formula))
-    if len(props) > MAX_TRACKED_PROPS:
-        raise ModelCheckError(f"too many propositions for an explicit alphabet: {len(props)}")
-    alphabet = []
-    for mask in range(1 << len(props)):
-        alphabet.append(frozenset(p for i, p in enumerate(props) if (mask >> i) & 1))
-    untils = list(dict.fromkeys(sub for sub in subformulas(formula) if isinstance(sub, Until)))
+    bit = {p: 1 << i for i, p in enumerate(props)}
+    untils = tuple(dict.fromkeys(sub for sub in subformulas(formula) if isinstance(sub, Until)))
 
-    initial = (frozenset([formula]), frozenset())
-    states = [initial]
-    known = {initial}
-    transitions = {}
-    expand_cache = {}
+    initial = frozenset([formula])
+    transitions: dict = {initial: None}  # states in discovery order
     todo = [initial]
     while todo:
         state = todo.pop()
-        obligations = state[0]
-        branches = expand_cache.get(obligations)
-        if branches is None:
-            branches = _expand_obligations(obligations)
-            expand_cache[obligations] = branches
-        for letter in alphabet:
-            targets = []
-            for pos, neg, nexts, fulfilled in branches:
-                if pos <= letter and not (neg & letter):
-                    target = (nexts, fulfilled)
-                    if target not in targets:
-                        targets.append(target)
-            transitions[(state, letter)] = tuple(targets)
-            for target in targets:
-                if target not in known:
-                    known.add(target)
-                    states.append(target)
-                    todo.append(target)
-    acceptance = tuple(
-        frozenset(s for s in states if u not in s[0] or u in s[1]) for u in untils
-    )
-    return BuchiAutomaton(props, tuple(alphabet), states, (initial,), transitions, acceptance, tuple(untils))
+        edges = []
+        for pos, neg, nexts, fulfilled in _expand_obligations(state, bit):
+            marks = sum(1 << j for j, u in enumerate(untils) if u not in nexts or u in fulfilled)
+            edges.append((pos, neg, nexts, marks))
+            if nexts not in transitions:
+                transitions[nexts] = None
+                todo.append(nexts)
+        transitions[state] = tuple(edges)
+    return BuchiAutomaton(props, list(transitions), transitions, untils)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +214,12 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
 
 def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> set:
     """Positions i such that some accepting run reads a window path
-    starting at window i."""
-    start = aut.initial[0]
+    starting at window i.  Product nodes are (state, window) pairs, and a
+    product edge carries the marks of the automaton edge it follows."""
     node_id = {}
     nodes = []
-    adj = []
+    adj = []  # successor node ids
+    adj_marks = []  # the marks of those edges, in the same order
 
     def intern(q, wi):
         key = (q, wi)
@@ -253,23 +229,30 @@ def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> se
             node_id[key] = nid
             nodes.append(key)
             adj.append(None)
+            adj_marks.append(None)
         return nid
 
-    roots = [intern(start, wi) for wi in range(len(wm.windows))]
+    roots = [intern(aut.states[0], wi) for wi in range(len(wm.windows))]
     frontier = list(range(len(nodes)))
     while frontier:
         nid = frontier.pop()
         if adj[nid] is not None:
             continue
         q, wi = nodes[nid]
+        letter = letters[wi]
         out = []
-        for target in aut.step(q, letters[wi]):
+        out_marks = []
+        for pos, neg, target, marks in aut.transitions[q]:
+            if letter & pos != pos or letter & neg:
+                continue
             for wj in wm.succ[wi]:
                 tid = intern(target, wj)
                 out.append(tid)
+                out_marks.append(marks)
                 if adj[tid] is None:
                     frontier.append(tid)
         adj[nid] = out
+        adj_marks[nid] = out_marks
 
     # Tarjan, iterative; SCCs come out with successors first
     n = len(nodes)
@@ -324,24 +307,20 @@ def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> se
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    acc_sets = aut.acceptance
+    every_mark = (1 << len(aut.untils)) - 1
     good = [False] * comp_count
     for ci, members in enumerate(comp_order):
         internal = False
+        seen = 0  # marks on edges inside the SCC
         reaches_good = False
         for v in members:
-            for w in adj[v]:
+            for w, marks in zip(adj[v], adj_marks[v]):
                 if comp[w] == ci:
                     internal = True
+                    seen |= marks
                 elif good[comp[w]]:
                     reaches_good = True
-        accepting = internal
-        if accepting:
-            for acc in acc_sets:
-                if not any(nodes[v][0] in acc for v in members):
-                    accepting = False
-                    break
-        good[ci] = accepting or reaches_good
+        good[ci] = (internal and seen == every_mark) or reaches_good
 
     return {wi for wi, nid in enumerate(roots) if good[comp[nid]]}
 
@@ -355,8 +334,7 @@ def _compile(formula: Formula) -> tuple:
     """The model-independent part of check_ctlstar: the window depth, the
     constraints, the distinct state subformulas of the NNF (children
     before parents, left before right), a map from each E/A subformula to
-    its automaton and tracked propositions, and the message of a
-    ModelCheckError to raise once the windows are built, or None."""
+    its automaton and tracked propositions."""
     if not is_state_formula(formula):
         raise ModelCheckError("model checking expects a state formula")
     nnf = to_nnf(formula)
@@ -399,13 +377,10 @@ def _compile(formula: Formula) -> tuple:
         if isinstance(f, All):
             psi = negate(psi)  # A psi holds where E ~psi fails
         if psi not in automata:
-            try:
-                automata[psi] = ltl_to_buchi(psi)
-            except ModelCheckError as exc:
-                return depth, constraints, (), {}, str(exc)
+            automata[psi] = ltl_to_buchi(psi)
         source = {name: g for g, name in names.items()}
         paths[f] = (automata[psi], tuple((p, source.get(p)) for p in automata[psi].propositions))
-    return depth, constraints, order, paths, None
+    return depth, constraints, order, paths
 
 
 def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> frozenset:
@@ -414,10 +389,8 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
 
     The formula is compiled once (and cached); on a model, one loop fills
     the node set of every state subformula, dependencies first."""
-    depth, constraints, order, paths, error = _compile(formula)
+    depth, constraints, order, paths = _compile(formula)
     wm = expand_windows(model, depth, constraints, dom)
-    if error is not None:
-        raise ModelCheckError(error)
     all_nodes = frozenset(model.nodes)
     sat: dict = {}
     for f in order:
@@ -434,7 +407,7 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
         else:
             aut, tracked = paths[f]
             letters = [
-                frozenset(p for p, g in tracked if (w[0] in sat[g] if g is not None else p in labels))
+                sum(1 << i for i, (p, g) in enumerate(tracked) if (w[0] in sat[g] if g is not None else p in labels))
                 for w, labels in zip(wm.windows, wm.labels)
             ]
             found = frozenset(wm.windows[wi][0] for wi in _accepted_start_windows(wm, aut, letters))

@@ -27,7 +27,6 @@ from ctlz import (
     parse_path_formula,
 )
 from ctlz.modelcheck import (
-    MAX_TRACKED_PROPS,
     ModelCheckError,
     WINDOW_LIMIT,
     check_ctl_oracle,
@@ -122,14 +121,25 @@ def test_window_limit():
 def test_invariant_needs_one_state_and_no_acceptance():
     b = ltl_to_buchi(parse_path_formula("G p"))
     assert len(b.states) == 1
-    assert b.acceptance == ()
+    assert b.untils == ()
 
 
 def test_until_needs_an_acceptance_set():
     b = ltl_to_buchi(parse_path_formula("p U q"))
-    assert len(b.states) == 3
-    assert len(b.acceptance) == 1
+    assert len(b.states) == 2
     assert b.untils == (Until(Prop("p"), Prop("q")),)
+    # fulfilling q marks the edge, postponing on p does not
+    assert sorted((pos, marks) for pos, _, _, marks in b.transitions[b.states[0]]) == [(1, 0), (2, 1)]
+
+
+def test_one_edge_per_tableau_branch():
+    # seven Untils over ten propositions: 2,188 states and over two
+    # million (state, letter) targets with an explicit alphabet
+    conj = " & ".join(f"(p{i} U q{i % 3})" for i in range(7))
+    b = ltl_to_buchi(parse_path_formula(conj))
+    assert len(b.propositions) == 10
+    assert len(b.states) == 129
+    assert sum(len(edges) for edges in b.transitions.values()) == 2_315
 
 
 def test_tableau_rejects_constraints_and_quantifiers():
@@ -145,12 +155,24 @@ def test_tableau_requires_negation_normal_form():
         ltl_to_buchi(Not(Next(Prop("p"))))
 
 
-def test_tableau_alphabet_cap():
-    conj = Prop("p0")
-    for i in range(1, MAX_TRACKED_PROPS + 1):
-        conj = And(conj, Prop(f"p{i}"))
-    with pytest.raises(ModelCheckError, match="too many propositions"):
-        ltl_to_buchi(conj)
+def test_no_cap_on_tracked_propositions():
+    # sixteen propositions: more than an explicit alphabet could hold
+    props = [f"p{i}" for i in range(16)]
+    psi = parse_path_formula(" & ".join(f"({a} U {b})" for a, b in zip(props[::2], props[1::2])))
+    assert ltl_to_buchi(psi).propositions == tuple(props)
+    rng = random.Random(37)
+    hits = 0
+    for _ in range(6):
+        m = random_graph_model(rng, rng.randint(2, 3), props=props, p_prop=0.7)
+        sat = check_ctlstar(m, Exists(psi))
+        for start in m.nodes:
+            found = any(
+                lasso_eval(m, list(states), loop, psi, Z_DOMAIN)
+                for states, loop in all_lassos(m, start, 8)
+            )
+            assert found == (start in sat), start
+        hits += len(sat)
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +288,39 @@ def test_deeply_nested_quantifiers(tmp_path, capsys):
     model.write_text(model_to_text(_three_cycle(True)))
     assert run_command(["mc", "--model", str(model), "--formula", _NESTED_2000, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"nodes": ["c0", "c1", "c2"], "verdict": "sat"}
+
+
+_DISJUNCTS = ("X (q & X q)", "X (p & X q)", "X X p")
+
+
+def _or_chain(depth: int) -> str:
+    """E (d0 | (d1 | ... d_depth)): a right-nested chain of depth Ors,
+    the disjuncts cycling through _DISJUNCTS."""
+    return "E (" + " | (".join(_DISJUNCTS[i % 3] for i in range(depth + 1)) + ")" * (depth + 1)
+
+
+def test_deeply_nested_disjunctions(tmp_path, capsys):
+    from ctlz import model_to_text
+    from ctlz.cli import run_command
+
+    short = parse_path_formula(" | ".join(_DISJUNCTS))
+    rng = random.Random(41)
+    models = [random_graph_model(rng, 3, props=("p", "q"), p_prop=0.5) for _ in range(4)]
+    for depth in (2_000, 10_000):
+        f = parse_formula(_or_chain(depth))
+        for m in models[: 4 if depth == 2_000 else 1]:
+            expected = frozenset(
+                start for start in m.nodes
+                if any(lasso_eval(m, list(states), loop, short, Z_DOMAIN) for states, loop in all_lassos(m, start, 5))
+            )
+            assert check_ctlstar(m, f) == expected == check_ctlstar(m, Exists(short))
+    model = tmp_path / "m.model"
+    model.write_text(model_to_text(models[0]))
+    sat = check_ctlstar(models[0], Exists(short))
+    assert sat
+    assert run_command(["mc", "--model", str(model), "--formula", _or_chain(2_000), "--json"]) == 0
+    nodes = [v for v in models[0].nodes if v in sat]
+    assert json.loads(capsys.readouterr().out) == {"nodes": nodes, "verdict": "sat"}
 
 
 def test_constraints_across_steps():
