@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from .formulas import (
     CONSTANT,
@@ -32,17 +32,16 @@ from .formulas import (
     EQ,
     FALSE,
     Formula,
-    FreshNames,
     LT,
     Or,
     Release,
     RelationSymbol,
     TRUE,
-    const_rel,
-    interp_rel,
     is_state_formula,
     mod_rel,
+    parse_path_formula,
     rewrite,
+    subformulas,
 )
 
 
@@ -51,121 +50,60 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Positive boolean bodies shared by negation tables and interpretations.
-# Atom references are tagged tuples:
-#   ("y", i)      parameter i of a negation entry
-#   ("z", q)      existential witness q
-#   ("arg", i, j) component j of argument i of an interpreted atom
+# Bodies of negation-table entries and interpretations are ordinary
+# formulas over offset-0 placeholder variables: y0, y1, ... for the
+# parameters, z0, ... for the existential witnesses, and a{i}_{j} for
+# component j of argument i of an interpreted atom.
 
 
-@dataclass(frozen=True)
-class PosAtom:
-    relation: RelationSymbol
-    refs: tuple
+def instantiate(body: Formula, terms: dict) -> Formula:
+    """body with each placeholder variable replaced by its (offset,
+    variable) term in ``terms``."""
 
-
-@dataclass(frozen=True)
-class PosAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PosOr:
-    left: object
-    right: object
-
-
-def pos_and_all(parts):
-    parts = list(parts)
-    if not parts:
+    def visit(f: Formula):
+        if type(f) is Constraint:
+            return Constraint(f.relation, [terms[var] for _, var in f.args])
         return None
-    node = parts[0]
-    for p in parts[1:]:
-        node = PosAnd(node, p)
-    return node
+
+    return rewrite(body, visit)
 
 
-def pos_or_all(parts):
-    parts = list(parts)
-    if not parts:
-        return None
-    node = parts[0]
-    for p in parts[1:]:
-        node = PosOr(node, p)
-    return node
+def _entry_terms(params, witnesses) -> dict:
+    """Placeholder y{i} -> params[i] and z{q} -> witnesses[q]."""
+    terms = {f"y{i}": p for i, p in enumerate(params)}
+    terms.update((f"z{q}", w) for q, w in enumerate(witnesses))
+    return terms
 
 
 @dataclass(frozen=True)
 class PositiveExistential:
-    """exists z1..zm: body, with body a positive combination of atoms."""
+    """exists z0..z{m-1}: body, with body a positive combination of
+    constraints over the parameters y0, y1, ... and the witnesses."""
 
-    arity: int
     fresh_count: int
-    body: object
+    body: Formula
 
     def instantiate(self, args: tuple, depth: int, fresh_vars: tuple[str, ...]) -> Formula:
-        """Build the path formula with parameter i at args[i] and witness
-        q at offset ``depth`` on fresh_vars[q]."""
-
-        def term(ref):
-            tag = ref[0]
-            if tag == "y":
-                return args[ref[1]]
-            if tag == "z":
-                return (depth, fresh_vars[ref[1]])
-            raise DomainError(f"unexpected reference {ref!r} in negation entry")
-
-        return _positive_formula(self.body, term)
+        """The body with parameter i at args[i] and witness q at offset
+        ``depth`` on fresh_vars[q]."""
+        return instantiate(self.body, _entry_terms(args, [(depth, var) for var in fresh_vars]))
 
     def eval(self, dom: "ConcreteDomain", params: tuple, witness_candidates) -> bool:
         """Truth under the domain, searching witnesses over the candidates."""
-
-        def truth(node, env) -> bool:
-            if isinstance(node, PosAtom):
-                values = []
-                for ref in node.refs:
-                    if ref[0] == "y":
-                        values.append(params[ref[1]])
-                    else:
-                        values.append(env[ref[1]])
-                return dom.eval_relation(node.relation, tuple(values))
-            if isinstance(node, PosAnd):
-                return truth(node.left, env) and truth(node.right, env)
-            if isinstance(node, PosOr):
-                return truth(node.left, env) or truth(node.right, env)
-            raise TypeError(f"not a body node: {node!r}")
-
-        if self.fresh_count == 0:
-            return truth(self.body, ())
-        for env in itertools.product(witness_candidates, repeat=self.fresh_count):
-            if truth(self.body, env):
+        nodes = list(subformulas(self.body))[::-1]  # each after its subformulas
+        for witnesses in itertools.product(witness_candidates, repeat=self.fresh_count):
+            values = _entry_terms(params, witnesses)
+            truth = {}
+            for node in nodes:
+                if type(node) is Constraint:
+                    truth[node] = dom.eval_relation(node.relation, tuple(values[var] for _, var in node.args))
+                elif type(node) is And:
+                    truth[node] = truth[node.left] and truth[node.right]
+                else:
+                    truth[node] = truth[node.left] or truth[node.right]
+            if truth[self.body]:
                 return True
         return False
-
-
-def _positive_formula(body, term) -> Formula:
-    """The formula of a positive body, each atom reference turned into an
-    (offset, variable) argument by ``term``; built on an explicit stack,
-    left operand first."""
-    done: list = []
-    stack: list = [body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PosAtom):
-            done.append(Constraint(node.relation, tuple(term(r) for r in node.refs)))
-        elif isinstance(node, (PosAnd, PosOr)):
-            stack += [And if isinstance(node, PosAnd) else Or, node.right, node.left]
-        elif node is And or node is Or:
-            right = done.pop()
-            done.append(node(done.pop(), right))
-        else:
-            raise TypeError(f"not a body node: {node!r}")
-    return done[0]
-
-
-def _atom(rel: RelationSymbol, *refs) -> PosAtom:
-    return PosAtom(rel, tuple(refs))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +148,15 @@ class ConcreteDomain:
         return f"<domain {self.name}>"
 
 
+# not x < y  iff  y < x or x = y;  not x = y  iff  x < y or y < x
+_ORDER_NEGATIONS = {
+    LESS: PositiveExistential(0, parse_path_formula("lt(y1, y0) | eq(y0, y1)")),
+    EQUAL: PositiveExistential(0, parse_path_formula("lt(y0, y1) | lt(y1, y0)")),
+}
+_EVERYTHING = PositiveExistential(0, parse_path_formula("eq(y0, y0)"))
+_AROUND_WITNESS = parse_path_formula("lt(y0, z0) | lt(z0, y0)")
+
+
 class _NumericDomain(ConcreteDomain):
     """Shared evaluator for the integer-like and rational domains."""
 
@@ -241,25 +188,18 @@ class _NumericDomain(ConcreteDomain):
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
-        if rel.kind == LESS:
-            # not x < y  iff  y < x or x = y
-            return PositiveExistential(2, 0, PosOr(_atom(LT, ("y", 1), ("y", 0)), _atom(EQ, ("y", 0), ("y", 1))))
-        if rel.kind == EQUAL:
-            return PositiveExistential(2, 0, PosOr(_atom(LT, ("y", 0), ("y", 1)), _atom(LT, ("y", 1), ("y", 0))))
+        if rel.kind in _ORDER_NEGATIONS:
+            return _ORDER_NEGATIONS[rel.kind]
         if rel.kind == CONSTANT:
             if not self._negatable_constant(rel.params[0]):
                 # c falls outside the universe, so x = c never holds and
                 # the complement is everything
-                return PositiveExistential(1, 0, _atom(EQ, ("y", 0), ("y", 0)))
+                return _EVERYTHING
             # not x = c  iff  exists z: z = c and (x < z or z < x)
-            body = PosAnd(
-                _atom(rel, ("z", 0)),
-                PosOr(_atom(LT, ("y", 0), ("z", 0)), _atom(LT, ("z", 0), ("y", 0))),
-            )
-            return PositiveExistential(1, 1, body)
+            return PositiveExistential(1, And(Constraint(rel, [(0, "z0")]), _AROUND_WITNESS))
         a, b = rel.params
         # not x = a (mod b)  iff  x = c (mod b) for some c != a
-        return PositiveExistential(1, 0, pos_or_all(_atom(mod_rel(c, b), ("y", 0)) for c in range(b) if c != a))
+        return PositiveExistential(0, reduce(Or, (Constraint(mod_rel(c, b), [(0, "y0")]) for c in range(b) if c != a)))
 
     def _negatable_constant(self, c) -> bool:
         return True
@@ -345,6 +285,14 @@ def _allen_truth(name: str, i: tuple, j: tuple) -> bool:
     raise DomainError(f"unknown Allen relation {name!r}")
 
 
+# the complement of one relation is the disjunction of the other twelve;
+# the parser reads eq as the built-in EQ, which is Allen's eq on intervals
+_ALLEN_NEGATIONS = {
+    name: PositiveExistential(0, parse_path_formula(" | ".join(f"{n}(y0, y1)" for n in ALLEN_RELATIONS if n != name)))
+    for name in ALLEN_RELATIONS
+}
+
+
 class AllenDomain(ConcreteDomain):
     """Integer intervals [s, e] with s < e under Allen's relations.
 
@@ -374,9 +322,13 @@ class AllenDomain(ConcreteDomain):
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
-        name = "eq" if rel.kind == EQUAL else rel.name
-        others = [_atom(interp_rel(n, 2), ("y", 0), ("y", 1)) for n in ALLEN_RELATIONS if n != name]
-        return PositiveExistential(2, 0, pos_or_all(others))
+        return _ALLEN_NEGATIONS["eq" if rel.kind == EQUAL else rel.name]
+
+
+_LEX_NEGATIONS = {
+    "ltlex": PositiveExistential(0, parse_path_formula("ltlex(y1, y0) | eqlex(y0, y1)")),
+    "eqlex": PositiveExistential(0, parse_path_formula("ltlex(y0, y1) | ltlex(y1, y0)")),
+}
 
 
 class LexDomain(ConcreteDomain):
@@ -406,13 +358,7 @@ class LexDomain(ConcreteDomain):
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
-        ltlex = interp_rel("ltlex", 2)
-        eqlex = interp_rel("eqlex", 2)
-        if rel.name == "ltlex":
-            body = PosOr(_atom(ltlex, ("y", 1), ("y", 0)), _atom(eqlex, ("y", 0), ("y", 1)))
-        else:
-            body = PosOr(_atom(ltlex, ("y", 0), ("y", 1)), _atom(ltlex, ("y", 1), ("y", 0)))
-        return PositiveExistential(2, 0, body)
+        return _LEX_NEGATIONS[rel.name]
 
 
 Z_DOMAIN = ZDomain()
@@ -439,10 +385,6 @@ def domain_by_name(name: str) -> ConcreteDomain:
     raise DomainError(f"unknown domain {name!r}")
 
 
-def negation_formula(dom: ConcreteDomain, rel: RelationSymbol) -> PositiveExistential:
-    return dom.negation_formula(rel)
-
-
 # ---------------------------------------------------------------------------
 # Existential interpretations into the integer domain
 
@@ -452,32 +394,17 @@ class ExistentialInterpretation:
     """Reduction of a tuple-valued domain to (Z, <, =).
 
     Every source variable x becomes ``tuple_width`` target variables
-    x__1 ... x__n; a source atom r(t1, ..., tk) becomes the quantifier
-    free formula for r over the components, with the entry's existential
-    witnesses shared per relation symbol and placed at the occurrence's
-    depth.  Unless the interpretation is marked total, an A G conjunct
-    asserts the per-variable domain formula everywhere.
+    x__1 ... x__n; a source atom r(t1, ..., tk) becomes r's body with
+    a{i}_{j} at component j + 1 of t(i+1).  Unless the interpretation is
+    marked total, an A G conjunct asserts the domain body, over a0_{j},
+    for every source variable.
     """
 
     name: str
     tuple_width: int
-    source_arities: tuple  # tuple[(name, arity), ...]
-    relation_bodies: tuple  # tuple[(name, fresh_count, body), ...]
-    domain_body: object  # body over ("arg", 0, j) refs, or None
-    domain_fresh: int
+    relations: tuple  # tuple[(name, arity, body), ...]
+    domain_body: Formula | None
     total: bool
-
-    def source_arity(self, name: str) -> int:
-        for n, arity in self.source_arities:
-            if n == name:
-                return arity
-        raise DomainError(f"interpretation {self.name} has no relation {name!r}")
-
-    def body_for(self, name: str):
-        for n, fresh_count, body in self.relation_bodies:
-            if n == name:
-                return fresh_count, body
-        raise DomainError(f"interpretation {self.name} has no relation {name!r}")
 
 
 def component_name(var: str, j: int) -> str:
@@ -485,126 +412,91 @@ def component_name(var: str, j: int) -> str:
     return f"{var}__{j}"
 
 
+def _component_terms(args, width: int) -> dict:
+    """Placeholder a{i}_{j} -> component j + 1 of args[i]."""
+    return {f"a{i}_{j}": (off, component_name(var, j + 1)) for i, (off, var) in enumerate(args) for j in range(width)}
+
+
 def apply_interpretation(interp: ExistentialInterpretation, f: Formula) -> Formula:
     """Rewrite f over the source signature into a formula over (Z, <, =)."""
     if not is_state_formula(f):
         raise DomainError("apply_interpretation expects a state formula")
-    fresh = FreshNames("__z")
-    shared: dict[str, tuple[str, ...]] = {}  # witness variables per relation symbol
-
-    def build(body, args, depth, zvars) -> Formula:
-        def term(ref):
-            tag = ref[0]
-            if tag == "arg":
-                i, j = ref[1], ref[2]
-                off, var = args[i]
-                return (off, component_name(var, j + 1))
-            if tag == "z":
-                return (depth, zvars[ref[1]])
-            raise DomainError(f"unexpected reference {ref!r} in interpretation body")
-
-        return _positive_formula(body, term)
-
+    table = {name: (arity, body) for name, arity, body in interp.relations}
     source_vars: set[str] = set()
 
     def visit(f: Formula):
         if not isinstance(f, Constraint):
             return None
         rel = f.relation
-        declared = interp.source_arity(rel.name)
-        if rel.arity != declared:
-            raise DomainError(f"{rel.name} is {declared}-ary in interpretation {interp.name}")
+        if rel.name not in table:
+            raise DomainError(f"interpretation {interp.name} has no relation {rel.name!r}")
+        arity, body = table[rel.name]
+        if rel.arity != arity:
+            raise DomainError(f"{rel.name} is {arity}-ary in interpretation {interp.name}")
         source_vars.update(var for _, var in f.args)
-        fresh_count, body = interp.body_for(rel.name)
-        if rel.name not in shared:
-            shared[rel.name] = tuple(fresh.take() for _ in range(fresh_count))
-        return build(body, f.args, f.depth, shared[rel.name])
+        return instantiate(body, _component_terms(f.args, interp.tuple_width))
 
     rewritten = rewrite(f, visit)
     if interp.total:
         return rewritten
-
     conjunct: Formula = TRUE
     if interp.domain_body is not None and source_vars:
-        parts = []
-        wfresh = FreshNames("__w")
-        for var in sorted(source_vars):
-            zvars = tuple(wfresh.take() for _ in range(interp.domain_fresh))
-            parts.append(build(interp.domain_body, ((0, var),), 0, zvars))
-        node = parts[0]
-        for p in parts[1:]:
-            node = And(node, p)
-        conjunct = node
+        conjunct = reduce(And, (
+            instantiate(interp.domain_body, _component_terms([(0, var)], interp.tuple_width))
+            for var in sorted(source_vars)
+        ))
     return And(rewritten, All(Release(FALSE, conjunct)))
 
 
 def identity_interpretation(rels: tuple[RelationSymbol, ...] = (LT, EQ)) -> ExistentialInterpretation:
     """Width-1 interpretation mapping each relation to itself."""
-    bodies = tuple(
-        (r.name, 0, _atom(r, *[("arg", i, 0) for i in range(r.arity)])) for r in rels
+    relations = tuple(
+        (r.name, r.arity, Constraint(r, [(0, f"a{i}_0") for i in range(r.arity)])) for r in rels
     )
-    arities = tuple((r.name, r.arity) for r in rels)
-    return ExistentialInterpretation(
-        name="identity",
-        tuple_width=1,
-        source_arities=arities,
-        relation_bodies=bodies,
-        domain_body=None,
-        domain_fresh=0,
-        total=False,
-    )
+    return ExistentialInterpretation("identity", 1, relations, None, False)
 
 
 def lex_interpretation(width: int) -> ExistentialInterpretation:
     """lexZ[n]: tuples compared lexicographically, components in (Z, <, =)."""
     if width < 1:
         raise DomainError("lexZ needs width >= 1")
-    lt_parts = []
-    for j in range(width):
-        prefix = [_atom(EQ, ("arg", 0, l), ("arg", 1, l)) for l in range(j)]
-        prefix.append(_atom(LT, ("arg", 0, j), ("arg", 1, j)))
-        lt_parts.append(pos_and_all(prefix))
-    eq_body = pos_and_all(_atom(EQ, ("arg", 0, j), ("arg", 1, j)) for j in range(width))
-    bodies = (("ltlex", 0, pos_or_all(lt_parts)), ("eqlex", 0, eq_body))
+    eq = [Constraint(EQ, [(0, f"a0_{j}"), (0, f"a1_{j}")]) for j in range(width)]
+    lt = [Constraint(LT, [(0, f"a0_{j}"), (0, f"a1_{j}")]) for j in range(width)]
+    ltlex = reduce(Or, (reduce(And, eq[:j] + lt[j:j + 1]) for j in range(width)))
     return ExistentialInterpretation(
-        name=f"lexZ[{width}]",
-        tuple_width=width,
-        source_arities=(("ltlex", 2), ("eqlex", 2)),
-        relation_bodies=bodies,
-        domain_body=None,
-        domain_fresh=0,
-        total=True,
+        f"lexZ[{width}]", width, (("ltlex", 2, ltlex), ("eqlex", 2, reduce(And, eq))), None, True
     )
+
+
+# allenZ: interval i is (s1, e1), interval j is (s2, e2)
+_INTERVAL_ENDS = {"s1": (0, "a0_0"), "e1": (0, "a0_1"), "s2": (0, "a1_0"), "e2": (0, "a1_1")}
+_ALLEN_BODIES = {
+    "b": "lt(e1, s2)",
+    "a": "lt(e2, s1)",
+    "m": "eq(e1, s2)",
+    "mi": "eq(e2, s1)",
+    "o": "lt(s1, s2) & lt(s2, e1) & lt(e1, e2)",
+    "oi": "lt(s2, s1) & lt(s1, e2) & lt(e2, e1)",
+    "d": "lt(s2, s1) & lt(e1, e2)",
+    "di": "lt(s1, s2) & lt(e2, e1)",
+    "s": "eq(s1, s2) & lt(e1, e2)",
+    "si": "eq(s1, s2) & lt(e2, e1)",
+    "f": "eq(e1, e2) & lt(s2, s1)",
+    "fi": "eq(e1, e2) & lt(s1, s2)",
+    "eq": "eq(s1, s2) & eq(e1, e2)",
+}
+_ALLEN_INTERPRETATION = ExistentialInterpretation(
+    "allenZ",
+    2,
+    tuple((n, 2, instantiate(parse_path_formula(_ALLEN_BODIES[n]), _INTERVAL_ENDS)) for n in ALLEN_RELATIONS),
+    parse_path_formula("lt(a0_0, a0_1)"),
+    False,
+)
 
 
 def allen_interpretation() -> ExistentialInterpretation:
     """allenZ: intervals as (start, end) pairs with start < end."""
-    s1, e1 = ("arg", 0, 0), ("arg", 0, 1)
-    s2, e2 = ("arg", 1, 0), ("arg", 1, 1)
-    bodies = {
-        "b": _atom(LT, e1, s2),
-        "a": _atom(LT, e2, s1),
-        "m": _atom(EQ, e1, s2),
-        "mi": _atom(EQ, e2, s1),
-        "o": pos_and_all([_atom(LT, s1, s2), _atom(LT, s2, e1), _atom(LT, e1, e2)]),
-        "oi": pos_and_all([_atom(LT, s2, s1), _atom(LT, s1, e2), _atom(LT, e2, e1)]),
-        "d": pos_and_all([_atom(LT, s2, s1), _atom(LT, e1, e2)]),
-        "di": pos_and_all([_atom(LT, s1, s2), _atom(LT, e2, e1)]),
-        "s": pos_and_all([_atom(EQ, s1, s2), _atom(LT, e1, e2)]),
-        "si": pos_and_all([_atom(EQ, s1, s2), _atom(LT, e2, e1)]),
-        "f": pos_and_all([_atom(EQ, e1, e2), _atom(LT, s2, s1)]),
-        "fi": pos_and_all([_atom(EQ, e1, e2), _atom(LT, s1, s2)]),
-        "eq": pos_and_all([_atom(EQ, s1, s2), _atom(EQ, e1, e2)]),
-    }
-    return ExistentialInterpretation(
-        name="allenZ",
-        tuple_width=2,
-        source_arities=tuple((n, 2) for n in ALLEN_RELATIONS),
-        relation_bodies=tuple((n, 0, bodies[n]) for n in ALLEN_RELATIONS),
-        domain_body=_atom(LT, ("arg", 0, 0), ("arg", 0, 1)),
-        domain_fresh=0,
-        total=False,
-    )
+    return _ALLEN_INTERPRETATION
 
 
 def interpretation_by_name(name: str) -> ExistentialInterpretation:

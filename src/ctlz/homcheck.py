@@ -618,24 +618,30 @@ def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: lis
             lower[ci] = max(lower[ci], c)
             upper[ci] = min(upper[ci], c)
 
-    # difference-bound tightening to fixpoint; a cycle drives bounds apart
-    for _ in range(k + 1):
-        changed = False
-        for a, b in edges:
-            if a == b:
-                return None
-            if lower[a] + 1 > lower[b]:
-                lower[b] = lower[a] + 1
-                changed = True
-            if upper[b] - 1 < upper[a]:
-                upper[a] = upper[b] - 1
-                changed = True
-        if any(lower[ci] > upper[ci] for ci in range(k)):
-            return None
-        if not changed:
-            break
-    else:
-        # still tightening after k full passes: strict-order cycle
+    # difference-bound tightening: lower bounds forward and upper bounds
+    # backward along a topological order of the class edges, which gives
+    # the fixpoint in one pass each; a class never ordered lies on a
+    # strict-order cycle
+    succs = [[] for _ in range(k)]
+    indegree = [0] * k
+    for a, b in edges:
+        succs[a].append(b)
+        indegree[b] += 1
+    order = [ci for ci in range(k) if indegree[ci] == 0]
+    for a in order:  # the list grows while it is read: a FIFO queue
+        for b in succs[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                order.append(b)
+    if len(order) < k:
+        return None
+    for a in order:
+        for b in succs[a]:
+            lower[b] = max(lower[b], lower[a] + 1)
+    for a in reversed(order):
+        for b in succs[a]:
+            upper[a] = min(upper[a], upper[b] - 1)
+    if any(lower[ci] > upper[ci] for ci in range(k)):
         return None
 
     # the values meeting a class's congruences repeat with the lcm of its

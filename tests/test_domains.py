@@ -16,6 +16,7 @@ from ctlz import (
     NEGZ_DOMAIN,
     Q_DOMAIN,
     Z_DOMAIN,
+    abstract_constraints,
     apply_interpretation,
     component_name,
     const_rel,
@@ -25,8 +26,10 @@ from ctlz import (
     mod_rel,
     parse_formula,
     relation_from_name,
+    to_snnf,
 )
-from ctlz.domains import ALLEN_RELATIONS, negation_formula
+from ctlz.cli import run_command
+from ctlz.domains import ALLEN_RELATIONS, LexDomain, PositiveExistential, instantiate
 
 
 def test_order_and_equality_on_integers():
@@ -78,6 +81,10 @@ def test_domain_by_name():
 
 
 def _universe(dom):
+    if dom is ALLEN_DOMAIN:
+        return [(s, e) for s in range(-2, 3) for e in range(s + 1, 3)]
+    if isinstance(dom, LexDomain):
+        return list(itertools.product((-1, 0, 1), repeat=dom.width))
     if dom is N_DOMAIN:
         return list(range(0, 13))
     if dom is NEGZ_DOMAIN:
@@ -89,6 +96,10 @@ def _universe(dom):
 
 
 def _relations_for(dom):
+    if dom is ALLEN_DOMAIN:
+        return [relation_from_name(name) for name in ALLEN_RELATIONS]
+    if isinstance(dom, LexDomain):
+        return [relation_from_name("ltlex"), relation_from_name("eqlex")]
     rels = [LT, EQ]
     for c in (0, 2, 5):
         if dom.supports(const_rel(c)):
@@ -103,11 +114,13 @@ def _relations_for(dom):
     return rels
 
 
-@pytest.mark.parametrize("dom", [Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN], ids=lambda d: d.name)
+@pytest.mark.parametrize(
+    "dom", [Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN, ALLEN_DOMAIN, LexDomain(2)], ids=lambda d: d.name
+)
 def test_negation_table_complements_relation(dom):
     universe = _universe(dom)
     for rel in _relations_for(dom):
-        entry = negation_formula(dom, rel)
+        entry = dom.negation_formula(rel)
         for values in itertools.product(universe, repeat=rel.arity):
             direct = dom.eval_relation(rel, values)
             negated = entry.eval(dom, values, universe)
@@ -116,9 +129,9 @@ def test_negation_table_complements_relation(dom):
 
 def test_negation_table_rejects_unsupported_relation():
     with pytest.raises(DomainError):
-        negation_formula(Q_DOMAIN, mod_rel(1, 3))
+        Q_DOMAIN.negation_formula(mod_rel(1, 3))
     with pytest.raises(DomainError):
-        negation_formula(Z_DOMAIN, const_rel(Fraction(1, 2)))
+        Z_DOMAIN.negation_formula(const_rel(Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,29 @@ def test_allen_value_membership():
     assert not ALLEN_DOMAIN.check_value((3, 1))
     assert not ALLEN_DOMAIN.check_value((2, 2))
     assert not ALLEN_DOMAIN.check_value(3)
+
+
+def test_allen_negations_use_the_builtin_eq():
+    # eq(x, y) and the eq of a negation entry are one constraint, so they
+    # get one proposition, and the SNNF prints back to the same formula
+    f = parse_formula("E (eq(x, y) & ~b(x, y))")
+    snnf = to_snnf(f, ALLEN_DOMAIN)
+    assert parse_formula(format_formula(snnf)) == snnf
+    _, table = abstract_constraints(snnf)
+    assert [format_formula(e.constraint) for e in table] == [
+        f"{name}(x, y)" for name in ("eq",) + ALLEN_RELATIONS[1:-1]
+    ]
+    for name in ALLEN_RELATIONS:
+        snnf = to_snnf(parse_formula(f"E ~{name}(x, X^1 y)"), ALLEN_DOMAIN)
+        assert parse_formula(format_formula(snnf)) == snnf
+
+
+def test_abstract_command_gives_allen_eq_one_proposition(capsys):
+    assert run_command(["abstract", "--domain", "allenZ", "--formula", "E (eq(x, y) & ~b(x, y))"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "E (ap0 & (ap1 | ap2 | ap3 | ap4 | ap5 | ap6 | ap7 | ap8 | ap9 | ap10 | ap11 | ap0))"
+    assert lines[1] == "ap0 := eq(x, y)  depth 0"
+    assert lines[2:] == [f"ap{k} := {name}(x, y)  depth 0" for k, name in enumerate(ALLEN_RELATIONS[1:-1], 1)]
 
 
 def test_allen_spot_checks():
@@ -214,3 +250,30 @@ def test_identity_interpretation_keeps_source_shape():
     out = apply_interpretation(interp, f)
     text = format_formula(out)
     assert component_name("x", 1) in text
+
+
+def _body_truth(body, values: tuple) -> bool:
+    """Truth in (Z, <, =) of an interpretation body whose argument i is
+    the tuple values[i]."""
+    width = len(values[0])
+    terms = {f"a{i}_{j}": (0, f"y{i * width + j}") for i in range(len(values)) for j in range(width)}
+    return PositiveExistential(0, instantiate(body, terms)).eval(Z_DOMAIN, sum(values, ()), ())
+
+
+@pytest.mark.parametrize("name", ["lexZ[1]", "lexZ[2]", "lexZ[3]", "allenZ"])
+def test_interpretation_bodies_agree_with_tuple_domain(name):
+    # lexZ[n] relations are Python's tuple order and equality, allenZ's
+    # are _allen_truth on valid intervals
+    interp = interpretation_by_name(name)
+    dom = domain_by_name(name)
+    universe = _universe(dom)
+    for rel_name, arity, body in interp.relations:
+        rel = relation_from_name(rel_name)
+        for values in itertools.product(universe, repeat=arity):
+            assert _body_truth(body, values) == dom.eval_relation(rel, values), (rel_name, values)
+
+
+def test_allen_domain_body_is_check_value():
+    body = interpretation_by_name("allenZ").domain_body
+    for pair in itertools.product(range(-2, 3), repeat=2):
+        assert _body_truth(body, (pair,)) == ALLEN_DOMAIN.check_value(pair), pair

@@ -440,3 +440,15 @@ def test_decide_matches_brute_force_rationals():
         assert d.verdict == (h is not None), s.interpretation
         if d.verdict:
             assert verify_hom(s, d.witness, "Q")
+
+
+def test_brute_force_matches_decide_on_long_chain_and_cycle():
+    # the oracle's bound tightening is one pass each way along a
+    # topological order, so a 1,500-class chain needs no repeated sweeps
+    for cycle in (False, True):
+        s = _lt_chain(1_500, cycle)
+        d = decide_hom(s, "Z")
+        h = brute_force_hom(s, witness_bound(s), "Z")
+        assert d.verdict == (h is not None) == (not cycle)
+        if h is not None:
+            assert verify_hom(s, h, "Z")
