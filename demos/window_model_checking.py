@@ -36,9 +36,9 @@ def main():
     f = parse_formula("E F lt(x, X^1 x)")
     (c,) = constraints_of(f)
     windows = expand_windows(model, 1, (c,))
-    print("\nwindows and labels at depth 1:")
-    for w, lab in zip(windows.windows, windows.labels):
-        print("  ", w, sorted(lab))
+    print(f"\nwindows at depth 1 and whether {c} holds on them:")
+    for w, bits in zip(windows.windows, windows.bits):
+        print("  ", w, bool(bits & 1))
 
     # path formulas over propositions compile to small tableau automata:
     # obligation sets as states, one guarded edge per tableau branch

@@ -18,6 +18,12 @@ is built.  The product reads each window's letter as a bitmask over the
 tracked propositions, follows the edges whose guards it meets, and calls
 an SCC accepting when its internal edges carry every mark.
 
+Window expansion has two steps: ``window_skeleton`` builds the windows
+and their successors from the nodes, the edges and the depth, and
+``expand_windows`` then gives each window one bit per constraint that
+holds on its registers.  The bounded search builds one skeleton per
+edge mask and computes the bits itself.
+
 ``check_ctlstar`` compiles a formula once (the compiled plans sit in one
 LRU cache): NNF, depth and constraints, the distinct state subformulas
 of the NNF in postorder, and for each E psi / A psi the path formula
@@ -76,20 +82,18 @@ class WindowModel:
     depth: int
     windows: list  # tuples of d+1 nodes
     succ: list  # adjacency by position
-    labels: list  # frozenset of propositions per window
-    constraint_prop: dict  # Constraint -> derived proposition name
+    bits: list  # per window, bit i set when constraints[i] holds on it
+    constraints: tuple
 
 
-def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
-    """All length-(depth+1) paths as nodes of a derived graph; labels
-    carry the first component's propositions plus one derived proposition
-    per atomic constraint, evaluated on the window's registers."""
-    if model.is_tree:
-        raise ModelCheckError("model checking runs on graph-shaped models")
-    adjacency = {v: [] for v in model.nodes}
-    for a, b in sorted(model.edges):
+def window_skeleton(nodes, edges, depth: int) -> tuple:
+    """The windows of a graph, all length-(depth+1) paths, and for each
+    window the positions of its successors.  Windows start in node order
+    and grow along the edges in sorted order."""
+    adjacency = {v: [] for v in nodes}
+    for a, b in sorted(edges):
         adjacency[a].append(b)
-    windows = [(v,) for v in model.nodes]
+    windows = [(v,) for v in nodes]
     for _ in range(depth):
         grown = []
         for w in windows:
@@ -101,22 +105,27 @@ def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DO
                     )
         windows = grown
     index = {w: i for i, w in enumerate(windows)}
-    succ = []
-    for w in windows:
-        succ.append([index[w[1:] + (s,)] for s in adjacency[w[-1]]])
+    succ = [[index[w[1:] + (s,)] for s in adjacency[w[-1]]] for w in windows]
+    return windows, succ
 
-    constraint_prop = {}
-    for i, c in enumerate(constraints):
-        constraint_prop[c] = f"__c{i}"
-    labels = []
+
+def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
+    """All length-(depth+1) paths as nodes of a derived graph, each
+    labelled with one bit per atomic constraint that holds on its
+    registers.  Once the window limit is met, the domain is asked once
+    per constraint whether it interprets the relation."""
+    if model.is_tree:
+        raise ModelCheckError("model checking runs on graph-shaped models")
+    windows, succ = window_skeleton(model.nodes, model.edges, depth)
+    tests = [dom.relation_test(c.relation) for c in constraints]
+    bits = []
     for w in windows:
-        props = set(model.label(w[0]))
-        for c, prop in constraint_prop.items():
-            values = tuple(model.gamma(w[off], var) for off, var in c.args)
-            if dom.eval_relation(c.relation, values):
-                props.add(prop)
-        labels.append(frozenset(props))
-    return WindowModel(model, depth, windows, succ, labels, constraint_prop)
+        b = 0
+        for i, c in enumerate(constraints):
+            if tests[i](tuple(model.gamma(w[off], var) for off, var in c.args)):
+                b |= 1 << i
+        bits.append(b)
+    return WindowModel(model, depth, windows, succ, bits, tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +221,11 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
 # Product emptiness
 
 
-def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> set:
+def _accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
     """Positions i such that some accepting run reads a window path
-    starting at window i.  Product nodes are (state, window) pairs, and a
-    product edge carries the marks of the automaton edge it follows."""
+    starting at window i, given each window's successors and letter.
+    Product nodes are (state, window) pairs, and a product edge carries
+    the marks of the automaton edge it follows."""
     node_id = {}
     nodes = []
     adj = []  # successor node ids
@@ -232,7 +242,7 @@ def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> se
             adj_marks.append(None)
         return nid
 
-    roots = [intern(aut.states[0], wi) for wi in range(len(wm.windows))]
+    roots = [intern(aut.states[0], wi) for wi in range(len(letters))]
     frontier = list(range(len(nodes)))
     while frontier:
         nid = frontier.pop()
@@ -245,7 +255,7 @@ def _accepted_start_windows(wm: WindowModel, aut: BuchiAutomaton, letters) -> se
         for pos, neg, target, marks in aut.transitions[q]:
             if letter & pos != pos or letter & neg:
                 continue
-            for wj in wm.succ[wi]:
+            for wj in succ[wi]:
                 tid = intern(target, wj)
                 out.append(tid)
                 out_marks.append(marks)
@@ -334,12 +344,14 @@ def _compile(formula: Formula) -> tuple:
     """The model-independent part of check_ctlstar: the window depth, the
     constraints, the distinct state subformulas of the NNF (children
     before parents, left before right), a map from each E/A subformula to
-    its automaton and tracked propositions."""
+    its automaton and, per tracked proposition, the state subformula or
+    the index of the constraint that it stands for."""
     if not is_state_formula(formula):
         raise ModelCheckError("model checking expects a state formula")
     nnf = to_nnf(formula)
     depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
-    constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}  # as expand_windows names them
+    constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}
+    constraint_index = {f"__c{i}": i for i in range(len(constraints))}
     state: dict = {}  # distinct subformula -> is it a state formula, in postorder
     stack = [(nnf, False)]
     while stack:
@@ -378,24 +390,21 @@ def _compile(formula: Formula) -> tuple:
             psi = negate(psi)  # A psi holds where E ~psi fails
         if psi not in automata:
             automata[psi] = ltl_to_buchi(psi)
-        source = {name: g for g, name in names.items()}
-        paths[f] = (automata[psi], tuple((p, source.get(p)) for p in automata[psi].propositions))
+        source = {name: g for g, name in names.items()} | constraint_index
+        paths[f] = (automata[psi], tuple(source[p] for p in automata[psi].propositions))
     return depth, constraints, order, paths
 
 
-def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> frozenset:
-    """Nodes satisfying the state formula; the formula is normalized to
-    NNF first, so negated constraints are fine and never need witnesses.
-
-    The formula is compiled once (and cached); on a model, one loop fills
-    the node set of every state subformula, dependencies first."""
-    depth, constraints, order, paths = _compile(formula)
-    wm = expand_windows(model, depth, constraints, dom)
-    all_nodes = frozenset(model.nodes)
+def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
+    """The nodes that satisfy a compiled formula, given the window graph,
+    the node labels and each window's constraint bits: one loop fills the
+    node set of every state subformula, dependencies first."""
+    _, _, order, paths = plan
+    all_nodes = frozenset(nodes)
     sat: dict = {}
     for f in order:
         if isinstance(f, Prop):
-            sat[f] = frozenset(v for v in model.nodes if f.name in model.label(v))
+            sat[f] = frozenset(v for v in nodes if f.name in label(v))
         elif isinstance(f, BoolConst):
             sat[f] = all_nodes if f.value else frozenset()
         elif isinstance(f, Not):
@@ -407,12 +416,23 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
         else:
             aut, tracked = paths[f]
             letters = [
-                sum(1 << i for i, (p, g) in enumerate(tracked) if (w[0] in sat[g] if g is not None else p in labels))
-                for w, labels in zip(wm.windows, wm.labels)
+                sum(1 << i for i, g in enumerate(tracked) if (b >> g & 1 if type(g) is int else w[0] in sat[g]))
+                for w, b in zip(windows, bits)
             ]
-            found = frozenset(wm.windows[wi][0] for wi in _accepted_start_windows(wm, aut, letters))
+            found = frozenset(windows[wi][0] for wi in _accepted_start_windows(succ, aut, letters))
             sat[f] = found if isinstance(f, Exists) else all_nodes - found
     return sat[order[-1]]
+
+
+def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> frozenset:
+    """Nodes satisfying the state formula; the formula is normalized to
+    NNF first, so negated constraints are fine and never need witnesses.
+
+    The formula is compiled once (and cached); on a model, the windows
+    are expanded and labelled, and then the state subformulas."""
+    plan = _compile(formula)
+    wm = expand_windows(model, plan[0], plan[1], dom)
+    return _label_states(plan, model.nodes, model.label, wm.windows, wm.succ, wm.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +473,8 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
 
     def arg_windows(f: Formula) -> frozenset:
         if isinstance(f, Constraint):
-            prop = wm.constraint_prop[f]
-            return frozenset(wi for wi in range(nwin) if prop in wm.labels[wi])
+            i = wm.constraints.index(f)
+            return frozenset(wi for wi in range(nwin) if wm.bits[wi] >> i & 1)
         if isinstance(f, Not) and isinstance(f.sub, Constraint):
             return all_windows - arg_windows(f.sub)
         return windows_of_nodes(ctl(f))

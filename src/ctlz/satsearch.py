@@ -1,7 +1,14 @@
 """Bounded satisfiability search and a reduction consistency harness.
 
-The search enumerates small graph models in a fixed canonical order and
-hands each to the model checker, so any hit is verified by construction.
+The search enumerates small graph models in a fixed canonical order:
+node count, edge masks ascending, labellings, register assignments.  Of
+the edge masks it visits only the smallest of each isomorphism class,
+which cannot move the first model (a renamed copy of it at a smaller
+mask would have been found first).  Per edge mask the window graph is
+built once, and the model checker's state labelling runs once per
+distinct vector of constraint truths on the windows, which is all it
+depends on besides the graph and the labels.  The hit is confirmed by
+check_ctlstar on the returned model, so it is verified by construction.
 A miss only means no model within the bounds.  The consistency harness
 replays the constraint-abstraction argument on finite trees: concrete
 truth must survive abstraction plus a register homomorphism, and a
@@ -12,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 from .domains import ConcreteDomain, Z_DOMAIN
 from .formulas import (
@@ -25,8 +34,7 @@ from .formulas import (
     Not,
     Or,
     Prop,
-    Release,
-    Until,
+    _children,
     abstract_constraints,
     constants_of,
     is_snnf,
@@ -36,7 +44,7 @@ from .formulas import (
     variables_of,
 )
 from .homcheck import decide_hom, verify_hom
-from .modelcheck import check_ctlstar
+from .modelcheck import _compile, _label_states, check_ctlstar, window_skeleton
 from .structures import (
     GRAPH_SHAPE,
     ConstraintKripke,
@@ -96,13 +104,47 @@ def candidate_values(formula: Formula, register_range: int, dom: ConcreteDomain 
 # Canonical bounded search
 
 
-def _total_edge_masks(n: int):
+@lru_cache(maxsize=4096)  # every total mask up to three nodes
+def _is_orbit_minimal(mask: int, n: int) -> bool:
+    """Whether no renaming of the n nodes gives a smaller edge bitmask.
+    A renaming sigma sends old node sigma[k] to new node k; rows are
+    compared from the most significant (the last node) down, and each
+    renaming is dropped at its first row that differs."""
+    row_full = (1 << n) - 1
+    rows = [(mask >> (i * n)) & row_full for i in range(n)]
+    for sigma in itertools.permutations(range(n)):
+        for k in range(n - 1, -1, -1):
+            old = rows[sigma[k]]
+            row = sum(1 << k2 for k2 in range(n) if old >> sigma[k2] & 1)
+            if row != rows[k]:
+                if row < rows[k]:
+                    return False
+                break
+    return True
+
+
+def _search_masks(n: int):
     """Edge bitmasks (bit i*n+j set means s_i -> s_j) with every node
-    keeping at least one successor, in ascending numeric order."""
+    keeping at least one successor, in ascending numeric order, each the
+    smallest of its isomorphism class."""
     row_full = (1 << n) - 1
     for mask in range(1 << (n * n)):
-        if all((mask >> (i * n)) & row_full for i in range(n)):
+        if all((mask >> (i * n)) & row_full for i in range(n)) and _is_orbit_minimal(mask, n):
             yield mask
+
+
+class _TruthTable(dict):
+    """The truth of one constraint keyed by the pool indices of its
+    arguments (one index for a unary relation), filled on first use."""
+
+    def __init__(self, holds, pool, arity: int):
+        super().__init__()
+        self.holds, self.pool, self.unary = holds, pool, arity == 1
+
+    def __missing__(self, key):
+        pool = self.pool
+        truth = self[key] = self.holds((pool[key],) if self.unary else tuple(pool[j] for j in key))
+        return truth
 
 
 def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int = 3,
@@ -110,9 +152,22 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
     """First (model, node) in canonical order accepted by check_ctlstar,
     or None when the bounds are exhausted.
 
-    Canonical order: node count ascending; edge bitmask ascending; label
-    bitmask ascending (only when the formula mentions propositions);
-    register assignments lexicographic over the sorted candidate pool.
+    Canonical order: node count ascending; edge bitmask ascending,
+    restricted to the masks that are the smallest of their isomorphism
+    class; label bitmask ascending (only when the formula mentions
+    propositions); register assignments lexicographic over the sorted
+    candidate pool.  The restriction cannot move the first model: were
+    its mask M larger than a renamed copy p(M), the renamed model, with
+    labels and registers carried along, would satisfy the formula at the
+    earlier mask p(M).
+
+    Per mask the window graph is built once.  The checker's answer then
+    depends only on the labels and on which constraints hold on which
+    windows, and each constraint's truth on a window depends only on the
+    pool indices of the registers it reads; so the truth tables over
+    those indices are filled lazily, and the state labelling is computed
+    once per distinct vector of truths.  The hit is confirmed by one call
+    of check_ctlstar on the returned model, which also picks the node.
     """
     if not is_state_formula(formula):
         raise SatSearchError("satisfiability search expects a state formula")
@@ -125,17 +180,35 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
     pool = candidate_values(formula, register_range, dom, full_sweep)
     if variables and not pool:
         return None
+    plan = _compile(formula)
+    depth, constraints = plan[0], plan[1]
+    var_index = {x: k for k, x in enumerate(variables)}
+    # a one-node window graph never exceeds the window limit, so asking
+    # the domain here raises what the first model check would
+    tables = [_TruthTable(dom.relation_test(c.relation), pool, c.relation.arity) for c in constraints]
 
     for n in range(1, max_nodes + 1):
         nodes = [f"s{i}" for i in range(n)]
+        position = {v: i for i, v in enumerate(nodes)}
         reg_cells = [(v, x) for v in nodes for x in variables]
-        for mask in _total_edge_masks(n):
+        for mask in _search_masks(n):
             edges = {
                 (nodes[i], nodes[j])
                 for i in range(n)
                 for j in range(n)
                 if (mask >> (i * n + j)) & 1
             }
+            windows, succ = window_skeleton(nodes, edges, depth)
+            # an atom is one constraint on the register cells of one window
+            atoms: dict = {}
+            window_atoms = []
+            for w in windows:
+                row = []
+                for ci, c in enumerate(constraints):
+                    cells = tuple(position[w[off]] * len(variables) + var_index[var] for off, var in c.args)
+                    row.append(atoms.setdefault((ci, cells), len(atoms)))
+                window_atoms.append(row)
+            readers = [(tables[ci], itemgetter(*cells)) for ci, cells in atoms]
             for label_mask in range(1 << (n * len(props))):
                 labels = {}
                 for i, v in enumerate(nodes):
@@ -144,12 +217,21 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
                     )
                     if on:
                         labels[v] = on
-                for values in itertools.product(pool, repeat=len(reg_cells)):
-                    registers = {cell: value for cell, value in zip(reg_cells, values)}
-                    model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
-                    sat = check_ctlstar(model, formula, dom)
+                label = {v: labels.get(v, frozenset()) for v in nodes}.__getitem__
+                memo: dict = {}  # truths of the atoms -> satisfying nodes
+                for values in itertools.product(range(len(pool)), repeat=len(reg_cells)):
+                    truths = tuple([table[read(values)] for table, read in readers])
+                    sat = memo.get(truths)
+                    if sat is None:
+                        bits = [sum(truths[a] << ci for ci, a in enumerate(row)) for row in window_atoms]
+                        sat = memo[truths] = _label_states(plan, nodes, label, windows, succ, bits)
                     if sat:
-                        return model, next(v for v in nodes if v in sat)
+                        registers = {cell: pool[j] for cell, j in zip(reg_cells, values)}
+                        model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
+                        confirmed = check_ctlstar(model, formula, dom)
+                        if confirmed != sat:
+                            raise RuntimeError(f"check_ctlstar disagrees with the search on {formula}")
+                        return model, next(v for v in nodes if v in confirmed)
     return None
 
 
@@ -171,58 +253,77 @@ class ReductionReport:
 
 
 def _path_lookahead(f: Formula) -> int:
-    if isinstance(f, (Prop, BoolConst)):
-        return 0
-    if isinstance(f, Constraint):
-        return f.depth
-    if isinstance(f, Not):
-        return _path_lookahead(f.sub)
-    if isinstance(f, (And, Or)):
-        return max(_path_lookahead(f.left), _path_lookahead(f.right))
-    if isinstance(f, Next):
-        return 1 + _path_lookahead(f.sub)
-    raise SatSearchError("formula contains U/R/E/A below the top level")
+    """How many steps past its start a path formula of X and boolean
+    connectives reads."""
+    need = 0
+    stack = [(f, 0)]
+    while stack:
+        g, steps = stack.pop()
+        if isinstance(g, (Prop, BoolConst)):
+            need = max(need, steps)
+        elif isinstance(g, Constraint):
+            need = max(need, steps + g.depth)
+        elif isinstance(g, Next):
+            stack.append((g.sub, steps + 1))
+        elif isinstance(g, (Not, And, Or)):
+            stack.extend((kid, steps) for kid in _children(g))
+        else:
+            raise SatSearchError("formula contains U/R/E/A below the top level")
+    return need
 
 
 def _check_shape(formula: Formula) -> None:
     if not is_snnf(formula):
         raise SatSearchError("reduction check expects strong negation normal form")
-
-    def state(f: Formula) -> None:
-        if isinstance(f, (Prop, BoolConst)):
-            return
-        if isinstance(f, Not):
-            state(f.sub)
-            return
-        if isinstance(f, (And, Or)):
-            state(f.left)
-            state(f.right)
-            return
-        if isinstance(f, (Exists, All)):
+    stack = [formula]  # left operands first
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Not, And, Or)):
+            stack.extend(reversed(_children(f)))
+        elif isinstance(f, (Exists, All)):
             _path_lookahead(f.sub)
-            return
-        raise SatSearchError(f"not a state formula of the supported shape: {f}")
-
-    state(formula)
+        elif not isinstance(f, (Prop, BoolConst)):
+            raise SatSearchError(f"not a state formula of the supported shape: {f}")
 
 
-def _eval_path(model: ConstraintKripke, path: tuple, i: int, f: Formula, dom) -> bool:
-    if isinstance(f, Prop):
-        return f.name in model.label(path[i])
-    if isinstance(f, BoolConst):
-        return f.value
-    if isinstance(f, Not):
-        return not _eval_path(model, path, i, f.sub, dom)
-    if isinstance(f, And):
-        return _eval_path(model, path, i, f.left, dom) and _eval_path(model, path, i, f.right, dom)
-    if isinstance(f, Or):
-        return _eval_path(model, path, i, f.left, dom) or _eval_path(model, path, i, f.right, dom)
-    if isinstance(f, Next):
-        return _eval_path(model, path, i + 1, f.sub, dom)
-    if isinstance(f, Constraint):
-        values = tuple(model.gamma(path[i + off], var) for off, var in f.args)
-        return dom.eval_relation(f.relation, values)
-    raise SatSearchError(f"unsupported path formula node {f!r}")
+def _truth(f: Formula, leaf, along_path: bool = False) -> bool:
+    """The value of a boolean combination, evaluated on an explicit stack
+    left operand first with short-circuit.  ``leaf(g, i)`` gives the
+    value of any other node g at path position i; along a path, X moves
+    to the next position."""
+    todo = [(f, 0, False)]  # (node, position, are its operands done)
+    value = False
+    while todo:
+        g, i, done = todo.pop()
+        if isinstance(g, Not):
+            if done:
+                value = not value
+            else:
+                todo += ((g, i, True), (g.sub, i, False))
+        elif isinstance(g, (And, Or)):
+            if not done:
+                todo += ((g, i, True), (g.left, i, False))
+            elif value != isinstance(g, Or):  # the left operand did not decide
+                todo.append((g.right, i, False))
+        elif along_path and isinstance(g, Next):
+            todo.append((g.sub, i + 1, False))
+        else:
+            value = leaf(g, i)
+    return value
+
+
+def _eval_path(model: ConstraintKripke, path: tuple, f: Formula, dom) -> bool:
+    def leaf(g: Formula, i: int) -> bool:
+        if isinstance(g, Prop):
+            return g.name in model.label(path[i])
+        if isinstance(g, BoolConst):
+            return g.value
+        if isinstance(g, Constraint):
+            values = tuple(model.gamma(path[i + off], var) for off, var in g.args)
+            return dom.eval_relation(g.relation, values)
+        raise SatSearchError(f"unsupported path formula node {g!r}")
+
+    return _truth(f, leaf, along_path=True)
 
 
 def _descending_paths(model: ConstraintKripke, node: str, length: int):
@@ -241,24 +342,19 @@ def eval_bounded(model: ConstraintKripke, node: str, formula: Formula, dom: Conc
     boolean connectives; path quantifiers range over the descending
     sequences long enough for every lookahead (shorter branches cannot
     carry an infinite path and are ignored)."""
-    if isinstance(formula, Prop):
-        return formula.name in model.label(node)
-    if isinstance(formula, BoolConst):
-        return formula.value
-    if isinstance(formula, Not):
-        return not eval_bounded(model, node, formula.sub, dom)
-    if isinstance(formula, And):
-        return eval_bounded(model, node, formula.left, dom) and eval_bounded(model, node, formula.right, dom)
-    if isinstance(formula, Or):
-        return eval_bounded(model, node, formula.left, dom) or eval_bounded(model, node, formula.right, dom)
-    if isinstance(formula, (Exists, All)):
-        psi = formula.sub
-        need = _path_lookahead(psi)
-        paths = _descending_paths(model, node, need)
-        if isinstance(formula, Exists):
-            return any(_eval_path(model, p, 0, psi, dom) for p in paths)
-        return all(_eval_path(model, p, 0, psi, dom) for p in paths)
-    raise SatSearchError(f"unsupported formula node {formula!r}")
+
+    def leaf(g: Formula, _) -> bool:
+        if isinstance(g, Prop):
+            return g.name in model.label(node)
+        if isinstance(g, BoolConst):
+            return g.value
+        if isinstance(g, (Exists, All)):
+            paths = _descending_paths(model, node, _path_lookahead(g.sub))
+            quantifier = any if isinstance(g, Exists) else all
+            return quantifier(_eval_path(model, p, g.sub, dom) for p in paths)
+        raise SatSearchError(f"unsupported formula node {g!r}")
+
+    return _truth(formula, leaf)
 
 
 def _strip_table_props(model: ConstraintKripke, table) -> ConstraintKripke:

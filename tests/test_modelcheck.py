@@ -21,7 +21,9 @@ from ctlz import (
     Release,
     Until,
     Z_DOMAIN,
+    DomainError,
     const_rel,
+    domain_by_name,
     mod_rel,
     parse_formula,
     parse_path_formula,
@@ -78,20 +80,48 @@ def test_window_labels_carry_constraint_propositions():
     m = _two_state_model()
     c = Constraint(const_rel(1), ((0, "x"),))
     wm = expand_windows(m, 1, (c,))
-    assert wm.constraint_prop == {c: "__c0"}
-    by_window = dict(zip(wm.windows, wm.labels))
-    assert by_window[("s0", "s1")] == frozenset({"p"})
-    assert by_window[("s1", "s0")] == frozenset({"__c0"})
-    assert by_window[("s1", "s1")] == frozenset({"__c0"})
+    assert wm.constraints == (c,)
+    by_window = dict(zip(wm.windows, wm.bits))
+    assert by_window == {("s0", "s1"): 0, ("s1", "s0"): 1, ("s1", "s1"): 1}
 
 
 def test_window_labels_follow_offsets():
     m = _two_state_model()
     c = Constraint(LT, ((0, "x"), (1, "x")))  # x now < x next
     wm = expand_windows(m, 1, (c,))
-    by_window = dict(zip(wm.windows, wm.labels))
-    assert "__c0" in by_window[("s0", "s1")]
-    assert "__c0" not in by_window[("s1", "s0")]
+    by_window = dict(zip(wm.windows, wm.bits))
+    assert by_window[("s0", "s1")] == 1
+    assert by_window[("s1", "s0")] == 0
+
+
+def test_window_labels_ask_the_domain_once_per_constraint():
+    m = _two_state_model()
+    constraints = (Constraint(const_rel(1), ((0, "x"),)), Constraint(LT, ((0, "x"), (1, "x"))))
+    asked = []
+
+    class CountingZ(type(Z_DOMAIN)):
+        def supports(self, rel):
+            asked.append(rel)
+            return super().supports(rel)
+
+    wm = expand_windows(m, 1, constraints, CountingZ())
+    assert asked == [const_rel(1), LT]
+    assert wm.windows == [("s0", "s1"), ("s1", "s0"), ("s1", "s1")]
+    assert wm.bits == [0b10, 0b01, 0b01]
+    # an unsupported relation is refused with the domain's own message,
+    # and a window graph over the limit is refused before any labelling
+    q = domain_by_name("Q")
+    refused = Constraint(mod_rel(1, 2), ((0, "x"),))
+    with pytest.raises(DomainError) as caught:
+        expand_windows(m, 1, (refused,), q)
+    with pytest.raises(DomainError) as direct:
+        q.eval_relation(mod_rel(1, 2), (0,))
+    assert str(caught.value) == str(direct.value)
+    nodes = tuple(f"v{i}" for i in range(15))
+    big = ConstraintKripke(nodes, tuple((a, b) for a in nodes for b in nodes), {},
+                           {(v, "x"): 0 for v in nodes}, ("x",))
+    with pytest.raises(ModelCheckError, match=str(WINDOW_LIMIT)):
+        expand_windows(big, 3, (refused,), q)
 
 
 def test_windows_reject_trees():

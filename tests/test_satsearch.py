@@ -11,6 +11,7 @@ from ctlz import (
     check_ctlstar,
     model_to_text,
     parse_formula,
+    parse_path_formula,
     to_snnf,
     validate_model,
 )
@@ -21,6 +22,7 @@ from ctlz.satsearch import (
     find_model,
     reduction_consistency,
 )
+from ctlz.cli import run_command
 from ctlz.golden import demo_tree
 from conftest import random_tree_model, random_xonly_formula
 
@@ -174,3 +176,46 @@ def test_reduction_consistency_random_trees():
         assert rep.issues == (), (str(f), rep)
         clean += 1
     assert clean == 60
+
+
+def test_bounded_evaluation_has_no_depth_limit():
+    t = demo_tree()
+    depth = 10**4
+    chain = " & ".join(["lt(x1, X^1 x2)"] * depth)
+    cases = (
+        # the tree is three levels deep, so no path reads that far ahead
+        ("E " + "X " * depth + "p", False),
+        ("A " + "X " * depth + "p", True),
+        ("E (" + chain + ")", eval_bounded(t, "", parse_formula("E lt(x1, X^1 x2)"))),
+        ("A (" + chain + ")", eval_bounded(t, "", parse_formula("A lt(x1, X^1 x2)"))),
+        (" & ".join(["E X lt(x1, X^1 x2)"] * depth), eval_bounded(t, "", parse_formula("E X lt(x1, X^1 x2)"))),
+    )
+    for text, expected in cases:
+        f = parse_formula(text)
+        assert eval_bounded(t, "", f) == expected, text[:20]
+        rep = reduction_consistency(t, f)
+        assert rep.holds_concrete == expected and rep.issues == (), text[:20]
+    # negation is outside strong negation normal form, so only evaluated
+    assert eval_bounded(t, "", parse_formula("~" * depth + "E X p")) == eval_bounded(t, "", parse_formula("E X p"))
+
+
+def test_bounded_evaluation_short_circuits_left_to_right():
+    t = demo_tree()
+    # the right operands are never evaluated, so their shape is not refused
+    assert not eval_bounded(t, "", parse_path_formula("false & (p U q)"))
+    assert eval_bounded(t, "", parse_path_formula("true | X p"))
+    with pytest.raises(SatSearchError, match="unsupported formula node Next"):
+        eval_bounded(t, "", parse_path_formula("true & X p"))
+    # the shape check reports the leftmost offending node
+    with pytest.raises(SatSearchError, match="supported shape: p U q$"):
+        reduction_consistency(t, parse_path_formula("E X p & (p U q) & X q"))
+
+
+def test_a_hit_the_checker_rejects_is_an_internal_error(monkeypatch, capsys):
+    import ctlz.satsearch
+
+    monkeypatch.setattr(ctlz.satsearch, "check_ctlstar", lambda model, formula, dom: frozenset())
+    with pytest.raises(RuntimeError, match="disagrees"):
+        find_model(parse_formula("E F eqc[5](x)"), register_range=7)
+    assert run_command(["sat", "--formula", "E F eqc[5](x)", "--range", "7"]) == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err

@@ -1,0 +1,201 @@
+"""The bounded search against the plain loop it replaced.
+
+``plain_find_model`` is the search as it was before it reused window
+graphs and skipped isomorphic edge masks: every (edge mask, labelling,
+register assignment) in canonical order becomes a model that
+``check_ctlstar`` checks on its own.  ``find_model`` must return the same
+first model, or raise the same exception, on seeded random formulas over
+every searchable domain.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ctlz import (
+    EQ,
+    LT,
+    GRAPH_SHAPE,
+    Q_DOMAIN,
+    Z_DOMAIN,
+    N_DOMAIN,
+    And,
+    All,
+    Constraint,
+    ConstraintKripke,
+    Exists,
+    Next,
+    Not,
+    Or,
+    Prop,
+    Release,
+    Until,
+    check_ctlstar,
+    const_rel,
+    domain_by_name,
+    is_state_formula,
+    model_to_text,
+    mod_rel,
+    parse_formula,
+    propositions_of,
+    relation_from_name,
+    variables_of,
+)
+from ctlz.satsearch import SatSearchError, _search_masks, candidate_values, find_model
+
+
+def _total_edge_masks(n: int):
+    row_full = (1 << n) - 1
+    for mask in range(1 << (n * n)):
+        if all((mask >> (i * n)) & row_full for i in range(n)):
+            yield mask
+
+
+def plain_find_model(formula, dom=Z_DOMAIN, max_nodes=3, register_range=5, full_sweep=False):
+    """One check_ctlstar call per model, every total edge mask visited."""
+    if not is_state_formula(formula):
+        raise SatSearchError("satisfiability search expects a state formula")
+    if max_nodes < 1:
+        raise SatSearchError("max_nodes must be at least 1")
+    if register_range < 0:
+        raise SatSearchError("register_range must be nonnegative")
+    variables = variables_of(formula)
+    props = propositions_of(formula)
+    pool = candidate_values(formula, register_range, dom, full_sweep)
+    if variables and not pool:
+        return None
+    for n in range(1, max_nodes + 1):
+        nodes = [f"s{i}" for i in range(n)]
+        reg_cells = [(v, x) for v in nodes for x in variables]
+        for mask in _total_edge_masks(n):
+            edges = {(nodes[i], nodes[j]) for i in range(n) for j in range(n) if (mask >> (i * n + j)) & 1}
+            for label_mask in range(1 << (n * len(props))):
+                labels = {}
+                for i, v in enumerate(nodes):
+                    on = frozenset(p for k, p in enumerate(props) if (label_mask >> (i * len(props) + k)) & 1)
+                    if on:
+                        labels[v] = on
+                for values in itertools.product(pool, repeat=len(reg_cells)):
+                    registers = dict(zip(reg_cells, values))
+                    model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
+                    sat = check_ctlstar(model, formula, dom)
+                    if sat:
+                        return model, next(v for v in nodes if v in sat)
+    return None
+
+
+# relations each domain interprets, and one it refuses
+RELATIONS = {
+    "Z": ((LT, EQ, const_rel(0), const_rel(2), mod_rel(1, 2)), relation_from_name("ltlex")),
+    "N": ((LT, EQ, const_rel(0), const_rel(-1), mod_rel(0, 2)), relation_from_name("m")),
+    "Q": ((LT, EQ, const_rel(1), const_rel(0)), mod_rel(1, 2)),
+    "lexZ[2]": ((relation_from_name("ltlex"), relation_from_name("eqlex")), LT),
+    "allenZ": ((EQ, relation_from_name("m"), relation_from_name("b"), relation_from_name("o")), LT),
+}
+
+
+def _random_formula(rng, domain, variables, props, refused):
+    relations, bad = RELATIONS[domain]
+
+    def literal():
+        rel = bad if refused and rng.random() < 0.3 else rng.choice(relations)
+        c = Constraint(rel, tuple((rng.randint(0, 1), rng.choice(variables)) for _ in range(rel.arity)))
+        return Not(c) if rng.random() < 0.2 else c
+
+    def path(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.3:
+            return Prop(rng.choice(props)) if props and rng.random() < 0.3 else literal()
+        if roll < 0.45:
+            return Next(path(d - 1))
+        if roll < 0.6:
+            return And(path(d - 1), path(d - 1))
+        if roll < 0.7:
+            return Or(path(d - 1), path(d - 1))
+        if roll < 0.85:
+            return Until(path(d - 1), path(d - 1))
+        return Release(path(d - 1), path(d - 1))
+
+    def state(d):
+        f = (Exists if rng.random() < 0.7 else All)(path(2))
+        if d > 0 and rng.random() < 0.3:
+            return (And if rng.random() < 0.6 else Or)(f, state(d - 1))
+        return f
+
+    return state(1)
+
+
+def _outcome(search, *args):
+    try:
+        found = search(*args)
+    except Exception as exc:  # the exception itself is part of the answer
+        return ("raises", type(exc), str(exc))
+    return None if found is None else (model_to_text(found[0]), found[1])
+
+
+def _plain_models(f, dom, max_nodes, register_range, full_sweep) -> int:
+    """How many models the plain loop checks when it finds nothing."""
+    pool = len(candidate_values(f, register_range, dom, full_sweep))
+    cells, props = len(variables_of(f)), len(propositions_of(f))
+    return sum((2 ** n - 1) ** n * 2 ** (n * props) * pool ** (n * cells) for n in range(1, max_nodes + 1))
+
+
+def _cases():
+    rng = random.Random(2013)
+    for i in range(300):
+        domain = ("Z", "N", "Q", "lexZ[2]", "allenZ")[i % 5]
+        props = ("p",) if rng.random() < 0.35 else ()
+        variables = ("x", "y") if rng.random() < 0.4 else ("x",)
+        refused = rng.random() < 0.1
+        f = _random_formula(rng, domain, variables, props, refused)
+        dom = domain_by_name(domain)
+        register_range = rng.choice((1, 2))
+        full_sweep = domain in ("Z", "N", "Q") and rng.random() < 0.2
+        # at most the node bound that keeps the plain loop to about ten
+        # thousand models
+        max_nodes = rng.choice((1, 2, 3))
+        while max_nodes > 1 and _plain_models(f, dom, max_nodes, register_range, full_sweep) > 10_000:
+            max_nodes -= 1
+        yield i, f, dom, max_nodes, register_range, full_sweep
+
+
+def test_search_matches_the_plain_loop():
+    kinds = set()
+    for i, f, dom, max_nodes, register_range, full_sweep in _cases():
+        args = (f, dom, max_nodes, register_range, full_sweep)
+        expected = _outcome(plain_find_model, *args)
+        assert _outcome(find_model, *args) == expected, (i, str(f), dom.name, max_nodes)
+        kinds.add("raises" if expected and expected[0] == "raises" else expected is not None)
+    assert kinds == {True, False, "raises"}
+
+
+def test_search_matches_the_plain_loop_at_three_nodes():
+    for text in ("E (p U (q & eqc[2](x)))", "A X E F eqc[0](x)", "E (lt(x, X^1 x) & X lt(X^1 x, x))",
+                 "E X X (p & ~q)", "E G lt(x, X^1 x)", "A G (p | X ~p) & E X ~p"):
+        f = parse_formula(text)
+        assert _outcome(find_model, f, Z_DOMAIN, 3, 2) == _outcome(plain_find_model, f, Z_DOMAIN, 3, 2), text
+
+
+def test_unsupported_relations_raise_the_same_error():
+    f = Exists(Constraint(mod_rel(1, 2), ((0, "x"),)))
+    for dom in (Q_DOMAIN, N_DOMAIN):
+        assert _outcome(find_model, f, dom) == _outcome(plain_find_model, f, dom)
+    assert _outcome(find_model, f, Q_DOMAIN)[0] == "raises"
+
+
+def _renamed(mask: int, n: int, p) -> int:
+    return sum(1 << (p[i] * n + p[j]) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1)
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 6), (3, 70)])
+def test_one_edge_mask_per_isomorphism_class(n, classes):
+    kept = list(_search_masks(n))
+    assert len(kept) == classes
+    assert kept == sorted(kept)
+    for mask in _total_edge_masks(n):
+        smallest = min(_renamed(mask, n, p) for p in itertools.permutations(range(n)))
+        # every skipped mask has an isomorphic copy at a smaller mask,
+        # and every kept one is the smallest of its class
+        assert (mask in kept) == (smallest == mask)
+        assert smallest in kept
