@@ -14,9 +14,13 @@ The tableau automaton is transition-based (Giannakopoulou and Lerda;
 Couvreur): a state is a set of obligations, an edge is one tableau
 branch with a guard of positive and negative literals, and the edge
 carries one acceptance mark per Until it does not postpone.  No alphabet
-is built.  The product reads each window's letter as a bitmask over the
-tracked propositions, follows the edges whose guards it meets, and calls
-an SCC accepting when its internal edges carry every mark.
+is built.  The product is searched in one pass: an iterative Tarjan DFS
+over int product nodes (state index * windows + window) that reads each
+window's letter as a bitmask over the tracked propositions, follows the
+edges whose guards it meets, and decides each SCC as it closes: accepting
+when its internal edges carry every mark or when it reaches an accepting
+SCC.  No adjacency is stored, so memory grows with the product nodes
+reached, not with states x windows.
 
 Window expansion has two steps: ``window_skeleton`` builds the windows
 and their successors from the nodes, the edges and the depth, and
@@ -221,138 +225,105 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
 # Product emptiness
 
 
-def _accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
-    """Positions i such that some accepting run reads a window path
+def _edge_table(aut: BuchiAutomaton) -> tuple:
+    """The automaton's edges as the product reads them: per state index,
+    a tuple of (pos, neg, target index, marks), the initial state first."""
+    index = {q: i for i, q in enumerate(aut.states)}
+    return tuple(
+        tuple((pos, neg, index[target], marks) for pos, neg, target, marks in aut.transitions[q])
+        for q in aut.states
+    )
+
+
+_GOOD, _BAD = -1, -2  # the verdict of a node's SCC once it has closed
+
+
+def _accepted_start_windows(succ, edges, n_marks, letters) -> set:
+    """Positions i such that some accepting run of the automaton (an
+    ``_edge_table`` with ``n_marks`` acceptance marks) reads a window path
     starting at window i, given each window's successors and letter.
-    Product nodes are (state, window) pairs, and a product edge carries
-    the marks of the automaton edge it follows."""
-    node_id = {}
-    nodes = []
-    adj = []  # successor node ids
-    adj_marks = []  # the marks of those edges, in the same order
 
-    def intern(q, wi):
-        key = (q, wi)
-        nid = node_id.get(key)
-        if nid is None:
-            nid = len(nodes)
-            node_id[key] = nid
-            nodes.append(key)
-            adj.append(None)
-            adj_marks.append(None)
-        return nid
+    One iterative Tarjan pass over the product, whose node for state q on
+    window w is the int q * len(letters) + w.  A node's successors are
+    generated when it is entered and each edge is classified as the DFS
+    meets it: an edge to a node still on the Tarjan stack stays inside one
+    SCC, so its marks are collected, and an edge into a closed SCC counts
+    only when that SCC is good.  An SCC is decided as it closes, after
+    every SCC it reaches: good when its internal edges carry every mark,
+    or when it reaches a good SCC (Couvreur; Geldenhuys and Valmari)."""
+    nw = len(letters)
+    internal = 1 << n_marks
+    full = 2 * internal - 1  # every mark plus the internal-edge bit
+    # node -> position on the Tarjan stack, or _GOOD / _BAD once closed;
+    # positions are DFS numbers, reused once an SCC leaves the stack
+    pos_of: dict = {}
+    stack: list = []
+    low: list = []
+    acc: list = []  # marks of internal edges | internal, or full once a good SCC is reached
+    matching: dict = {}  # (state, letter) -> (target * nw, marks) of the edges it follows
 
-    roots = [intern(aut.states[0], wi) for wi in range(len(letters))]
-    frontier = list(range(len(nodes)))
-    while frontier:
-        nid = frontier.pop()
-        if adj[nid] is not None:
-            continue
-        q, wi = nodes[nid]
+    def successors(v):
+        q, wi = divmod(v, nw)
         letter = letters[wi]
-        out = []
-        out_marks = []
-        for pos, neg, target, marks in aut.transitions[q]:
-            if letter & pos != pos or letter & neg:
-                continue
-            for wj in succ[wi]:
-                tid = intern(target, wj)
-                out.append(tid)
-                out_marks.append(marks)
-                if adj[tid] is None:
-                    frontier.append(tid)
-        adj[nid] = out
-        adj_marks[nid] = out_marks
+        key = (q, letter)
+        followed = matching.get(key)
+        if followed is None:
+            followed = matching[key] = [
+                (target * nw, marks) for pos, neg, target, marks in edges[q] if letter & pos == pos and not letter & neg
+            ]
+        ws = succ[wi]
+        return iter([(base + wj, marks) for base, marks in followed for wj in ws])
 
-    # Tarjan, iterative; SCCs come out with successors first
-    n = len(nodes)
-    comp = [-1] * n
-    low = [0] * n
-    num = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack = []
-    counter = 0
-    comp_count = 0
-    comp_order: list = []
-
-    for root in range(n):
-        if visited[root]:
+    for root in range(nw):  # (initial state, window) nodes
+        if root in pos_of:
             continue
-        work = [(root, 0)]
+        pos_of[root] = 0
+        stack.append(root)
+        low.append(0)
+        acc.append(0)
+        work = [(root, 0, successors(root))]  # node, marks of its tree edge, successors left
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                num[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if not visited[w]:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, in_marks, todo = work[-1]
+            i = pos_of[v]
+            for w, marks in todo:
+                j = pos_of.get(w)
+                if j is None:
+                    pos_of[w] = len(stack)
+                    low.append(len(stack))
+                    stack.append(w)
+                    acc.append(0)
+                    work.append((w, marks, successors(w)))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == num[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    members.append(w)
-                    if w == v:
-                        break
-                comp_order.append(members)
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    every_mark = (1 << len(aut.untils)) - 1
-    good = [False] * comp_count
-    for ci, members in enumerate(comp_order):
-        internal = False
-        seen = 0  # marks on edges inside the SCC
-        reaches_good = False
-        for v in members:
-            for w, marks in zip(adj[v], adj_marks[v]):
-                if comp[w] == ci:
-                    internal = True
-                    seen |= marks
-                elif good[comp[w]]:
-                    reaches_good = True
-        good[ci] = (internal and seen == every_mark) or reaches_good
-
-    return {wi for wi, nid in enumerate(roots) if good[comp[nid]]}
+                if j >= 0:
+                    if j < low[i]:
+                        low[i] = j
+                    acc[i] |= marks | internal
+                elif j == _GOOD:
+                    acc[i] = full
+            else:
+                work.pop()
+                if low[i] == i:  # v closes its SCC, stack[i:]
+                    verdict = _GOOD if acc[i] == full else _BAD
+                    for u in stack[i:]:
+                        pos_of[u] = verdict
+                    del stack[i:], low[i:], acc[i:]
+                    if work and verdict == _GOOD:
+                        acc[pos_of[work[-1][0]]] = full
+                else:  # the tree edge into v stays inside the parent's SCC
+                    p = pos_of[work[-1][0]]
+                    low[p] = min(low[p], low[i])
+                    acc[p] |= acc[i] | in_marks | internal
+    return {wi for wi in range(nw) if pos_of[wi] == _GOOD}
 
 
 # ---------------------------------------------------------------------------
 # CTL* checking
 
 
-@lru_cache(maxsize=512)
-def _compile(formula: Formula) -> tuple:
-    """The model-independent part of check_ctlstar: the window depth, the
-    constraints, the distinct state subformulas of the NNF (children
-    before parents, left before right), a map from each E/A subformula to
-    its automaton and, per tracked proposition, the state subformula or
-    the index of the constraint that it stands for."""
-    if not is_state_formula(formula):
-        raise ModelCheckError("model checking expects a state formula")
-    nnf = to_nnf(formula)
-    depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
-    constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}
-    constraint_index = {f"__c{i}": i for i in range(len(constraints))}
-    state: dict = {}  # distinct subformula -> is it a state formula, in postorder
+def _state_flags(nnf: Formula) -> dict:
+    """Each distinct subformula of an NNF formula, children before parents
+    and left before right, mapped to whether it is a state formula."""
+    state: dict = {}
     stack = [(nnf, False)]
     while stack:
         g, built = stack.pop()
@@ -363,6 +334,24 @@ def _compile(formula: Formula) -> tuple:
         elif g not in state:  # an earlier occurrence is already finished
             stack.append((g, True))
             stack.extend((kid, False) for kid in reversed(_children(g)))
+    return state
+
+
+@lru_cache(maxsize=512)
+def _compile(formula: Formula) -> tuple:
+    """The model-independent part of check_ctlstar: the window depth, the
+    constraints, the distinct state subformulas of the NNF (children
+    before parents, left before right), and a map from each E/A
+    subformula to its automaton's edge table, its number of acceptance
+    marks and, per tracked proposition, the state subformula or the index
+    of the constraint that it stands for."""
+    if not is_state_formula(formula):
+        raise ModelCheckError("model checking expects a state formula")
+    nnf = to_nnf(formula)
+    depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
+    constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}
+    constraint_index = {f"__c{i}": i for i in range(len(constraints))}
+    state = _state_flags(nnf)
     order = tuple(g for g, is_state in state.items() if is_state)
 
     paths: dict = {}
@@ -389,9 +378,11 @@ def _compile(formula: Formula) -> tuple:
         if isinstance(f, All):
             psi = negate(psi)  # A psi holds where E ~psi fails
         if psi not in automata:
-            automata[psi] = ltl_to_buchi(psi)
+            aut = ltl_to_buchi(psi)
+            automata[psi] = (aut, _edge_table(aut))
+        aut, edges = automata[psi]
         source = {name: g for g, name in names.items()} | constraint_index
-        paths[f] = (automata[psi], tuple(source[p] for p in automata[psi].propositions))
+        paths[f] = (edges, len(aut.untils), tuple(source[p] for p in aut.propositions))
     return depth, constraints, order, paths
 
 
@@ -401,6 +392,7 @@ def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
     node set of every state subformula, dependencies first."""
     _, _, order, paths = plan
     all_nodes = frozenset(nodes)
+    firsts = [w[0] for w in windows]
     sat: dict = {}
     for f in order:
         if isinstance(f, Prop):
@@ -414,12 +406,15 @@ def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
         elif isinstance(f, Or):
             sat[f] = sat[f.left] | sat[f.right]
         else:
-            aut, tracked = paths[f]
-            letters = [
-                sum(1 << i for i, g in enumerate(tracked) if (b >> g & 1 if type(g) is int else w[0] in sat[g]))
-                for w, b in zip(windows, bits)
-            ]
-            found = frozenset(windows[wi][0] for wi in _accepted_start_windows(succ, aut, letters))
+            edges, n_marks, tracked = paths[f]
+            letters = [0] * len(windows)
+            for i, g in enumerate(tracked):  # one pass per tracked proposition
+                if type(g) is int:
+                    letters = [letter | (b >> g & 1) << i for letter, b in zip(letters, bits)]
+                else:
+                    holds = sat[g]
+                    letters = [letter | (v in holds) << i for letter, v in zip(letters, firsts)]
+            found = frozenset(firsts[wi] for wi in _accepted_start_windows(succ, edges, n_marks, letters))
             sat[f] = found if isinstance(f, Exists) else all_nodes - found
     return sat[order[-1]]
 
@@ -439,22 +434,19 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
 # Independent CTL oracle: classical fixpoints on the window graph
 
 
-def _is_ctl_arg(f: Formula) -> bool:
-    if isinstance(f, Constraint):
-        return True
-    if isinstance(f, Not) and isinstance(f.sub, Constraint):
-        return True
-    return is_state_formula(f)
-
-
 def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> frozenset:
     """EX/EU/EG-style fixpoint evaluation for CTL-shaped formulas, kept
-    free of the tableau machinery so the two checkers can disagree."""
+    free of the tableau machinery so the two checkers can disagree.  One
+    loop fills the node set of every state subformula, children first."""
     formula = to_nnf(formula)
     depth = max_constraint_depth(formula)
     constraints = constraints_of(formula)
     wm = expand_windows(model, depth, constraints, dom)
+    state = _state_flags(formula)
+    if not state[formula]:
+        raise ModelCheckError("model checking expects a state formula")
     nwin = len(wm.windows)
+    firsts = [w[0] for w in wm.windows]
     all_windows = frozenset(range(nwin))
     all_nodes = frozenset(model.nodes)
     preds = [[] for _ in range(nwin)]
@@ -466,10 +458,10 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
         return frozenset(wi for wi in range(nwin) if any(wj in S for wj in wm.succ[wi]))
 
     def project(S) -> frozenset:
-        return frozenset(wm.windows[wi][0] for wi in S)
+        return frozenset(firsts[wi] for wi in S)
 
-    def windows_of_nodes(nodes) -> frozenset:
-        return frozenset(wi for wi in range(nwin) if wm.windows[wi][0] in nodes)
+    def is_arg(f: Formula) -> bool:
+        return state[f] or isinstance(f, Constraint) or (isinstance(f, Not) and isinstance(f.sub, Constraint))
 
     def arg_windows(f: Formula) -> frozenset:
         if isinstance(f, Constraint):
@@ -477,7 +469,8 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
             return frozenset(wi for wi in range(nwin) if wm.bits[wi] >> i & 1)
         if isinstance(f, Not) and isinstance(f.sub, Constraint):
             return all_windows - arg_windows(f.sub)
-        return windows_of_nodes(ctl(f))
+        nodes = sat[f]
+        return frozenset(wi for wi in range(nwin) if firsts[wi] in nodes)
 
     def e_until(a: frozenset, b: frozenset) -> frozenset:
         sat = set(b)
@@ -498,43 +491,45 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
                 return frozenset(keep)
             sat = keep
 
-    def ctl(f: Formula) -> frozenset:
-        if isinstance(f, Prop):
-            return frozenset(v for v in model.nodes if f.name in model.label(v))
-        if isinstance(f, BoolConst):
-            return all_nodes if f.value else frozenset()
-        if isinstance(f, Not):
-            return all_nodes - ctl(f.sub)
-        if isinstance(f, And):
-            return ctl(f.left) & ctl(f.right)
-        if isinstance(f, Or):
-            return ctl(f.left) | ctl(f.right)
-        if isinstance(f, (Exists, All)):
-            psi = f.sub
-            universal = isinstance(f, All)
-            if isinstance(psi, Next) and _is_ctl_arg(psi.sub):
-                S = arg_windows(psi.sub)
-                if universal:
-                    return all_nodes - project(pre_exists(all_windows - S))
-                return project(pre_exists(S))
-            if isinstance(psi, Until) and _is_ctl_arg(psi.left) and _is_ctl_arg(psi.right):
-                a, b = arg_windows(psi.left), arg_windows(psi.right)
-                if universal:
-                    return all_nodes - project(e_release(all_windows - a, all_windows - b))
-                return project(e_until(a, b))
-            if isinstance(psi, Release) and _is_ctl_arg(psi.left) and _is_ctl_arg(psi.right):
-                a, b = arg_windows(psi.left), arg_windows(psi.right)
-                if universal:
-                    return all_nodes - project(e_until(all_windows - a, all_windows - b))
-                return project(e_release(a, b))
-            if _is_ctl_arg(psi):
-                S = arg_windows(psi)
-                if universal:
-                    return all_nodes - project(all_windows - S)
-                return project(S)
-            raise ModelCheckError(f"not in the CTL fragment: {f}")
+    def quantified(f: Formula) -> frozenset:
+        psi = f.sub
+        universal = isinstance(f, All)
+        if isinstance(psi, Next) and is_arg(psi.sub):
+            S = arg_windows(psi.sub)
+            if universal:
+                return all_nodes - project(pre_exists(all_windows - S))
+            return project(pre_exists(S))
+        if isinstance(psi, Until) and is_arg(psi.left) and is_arg(psi.right):
+            a, b = arg_windows(psi.left), arg_windows(psi.right)
+            if universal:
+                return all_nodes - project(e_release(all_windows - a, all_windows - b))
+            return project(e_until(a, b))
+        if isinstance(psi, Release) and is_arg(psi.left) and is_arg(psi.right):
+            a, b = arg_windows(psi.left), arg_windows(psi.right)
+            if universal:
+                return all_nodes - project(e_until(all_windows - a, all_windows - b))
+            return project(e_release(a, b))
+        if is_arg(psi):
+            S = arg_windows(psi)
+            if universal:
+                return all_nodes - project(all_windows - S)
+            return project(S)
         raise ModelCheckError(f"not in the CTL fragment: {f}")
 
-    if not is_state_formula(formula):
-        raise ModelCheckError("model checking expects a state formula")
-    return ctl(formula)
+    sat: dict = {}
+    for f, is_state in state.items():
+        if not is_state:
+            continue
+        if isinstance(f, Prop):
+            sat[f] = frozenset(v for v in model.nodes if f.name in model.label(v))
+        elif isinstance(f, BoolConst):
+            sat[f] = all_nodes if f.value else frozenset()
+        elif isinstance(f, Not):
+            sat[f] = all_nodes - sat[f.sub]
+        elif isinstance(f, And):
+            sat[f] = sat[f.left] & sat[f.right]
+        elif isinstance(f, Or):
+            sat[f] = sat[f.left] | sat[f.right]
+        else:
+            sat[f] = quantified(f)
+    return sat[formula]

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, output shapes, file handling."""
 
 import json
+import time
 
 import pytest
 
 import ctlz.cli
-from ctlz import ConstraintKripke, model_to_text, structure_to_text, SigmaStructure, LT
+from ctlz import ConstraintKripke, model_to_text, structure_to_text, SigmaStructure, LT, const_rel
 from ctlz.cli import run_command
 from ctlz.golden import demo_tree
 
@@ -164,6 +165,21 @@ def test_emit_and_eval_round_trip(capsys, chain_structure, cyc_structure, tmp_pa
     assert rc == 0 and out.strip() == "true"
     rc, out, _ = run(capsys, "eval-mso", "--structure", cyc_structure, "--formula", str(sentence))
     assert rc == 1 and out.strip() == "false"
+
+
+def test_emit_mso_refuses_an_oversize_constant_span(capsys, tmp_path):
+    s = SigmaStructure(["a", "b"], {const_rel(0): [("a",)], const_rel(160): [("b",)], LT: [("a", "b")]})
+    p = tmp_path / "wide.structure"
+    p.write_text(structure_to_text(s))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "emit-mso", "--structure", str(p), "--target", "Z")
+    assert time.perf_counter() - start < 0.5
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: constant span 0..160 exceeds 40") and err.count("\n") == 1
+    s = SigmaStructure(["a", "b"], {const_rel(-3): [("a",)], const_rel(3): [("b",)]})
+    p.write_text(structure_to_text(s))
+    rc, out, _ = run(capsys, "emit-mso", "--structure", str(p), "--target", "Z")
+    assert rc == 0 and out.startswith("(and")
 
 
 def test_eval_mso_reports_each_bound_subformula(capsys, cyc_structure):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -320,6 +321,30 @@ def test_deeply_nested_quantifiers(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"nodes": ["c0", "c1", "c2"], "verdict": "sat"}
 
 
+def test_product_memory_follows_the_reached_nodes():
+    """Ten independent Untils give 1,025 automaton states, so a dense
+    states x windows table on 10^4 windows would take over 80 MB.  Each
+    node here may postpone only one Until, so the product reaches about
+    three states per window and its search stays far below that."""
+    k, n = 10, 10_000
+    f = parse_formula("E (" + " & ".join(f"(p{2 * i} U p{2 * i + 1})" for i in range(k)) + ")")
+    nodes = [f"v{j}" for j in range(n)]
+    labels = {
+        v: frozenset(f"p{2 * i + 1}" for i in range(k) if i != j % k) | {f"p{2 * (j % k)}"}
+        for j, v in enumerate(nodes)
+    }
+    model = ConstraintKripke(nodes, [(v, nodes[(j + 1) % n]) for j, v in enumerate(nodes)], labels, {}, [])
+    assert check_ctlstar(_three_cycle(False), f) == frozenset()  # compiles the automaton
+    tracemalloc.start()
+    try:
+        sat = check_ctlstar(model, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sat == frozenset(nodes)
+    assert peak < 20 * 2**20 < 1_025 * n * 8, peak
+
+
 _DISJUNCTS = ("X (q & X q)", "X (p & X q)", "X X p")
 
 
@@ -373,6 +398,16 @@ def test_oracle_agrees_with_the_tableau_checker():
         m = random_graph_model(rng, rng.randint(2, 4), props=("p", "q"), p_prop=0.5)
         f = random_ctl_formula(rng, m.variables, ["p", "q"], depth=rng.randint(1, 3))
         assert check_ctl_oracle(m, f) == check_ctlstar(m, f), str(f)
+
+
+def test_oracle_checks_deep_nesting_on_an_explicit_stack():
+    f = Prop("p")
+    for _ in range(10_000):
+        f = Exists(Next(f))
+    for p_holds in (True, False):
+        m = _three_cycle(p_holds)
+        expected = frozenset(m.nodes) if p_holds else frozenset()
+        assert check_ctl_oracle(m, f) == check_ctlstar(m, f) == expected
 
 
 def test_oracle_rejects_nested_path_operators():
