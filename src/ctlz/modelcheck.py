@@ -20,13 +20,23 @@ window's letter as a bitmask over the tracked propositions, follows the
 edges whose guards it meets, and decides each SCC as it closes: accepting
 when its internal edges carry every mark or when it reaches an accepting
 SCC.  No adjacency is stored, so memory grows with the product nodes
-reached, not with states x windows.
+reached, not with states x windows.  An accepting sink is a state with
+an unguarded self-loop that carries every mark; the compiled plan lists
+them next to the edge table.  When every window has a successor, every
+window path extends to an infinite one, so a product node whose letter
+meets an edge into a sink is good on sight and is closed without being
+entered.  A window graph with dead ends (``validate_model`` rejects them,
+but the API takes them) is searched without this shortcut.
 
 Window expansion has two steps: ``window_skeleton`` builds the windows
 and their successors from the nodes, the edges and the depth, and
 ``expand_windows`` then gives each window one bit per constraint that
-holds on its registers.  The bounded search builds one skeleton per
-edge mask and computes the bits itself.
+holds on its registers.  At depth >= 1 the successors of a window are
+the extensions of its suffix, which sit next to each other, so each is
+one ``range``; at depth 0 they are lists.  Labelling runs one pass per
+constraint over columns of register values indexed by window.  The
+bounded search builds one skeleton per edge mask and computes the bits
+itself.
 
 ``check_ctlstar`` compiles a formula once (the compiled plans sit in one
 LRU cache): NNF, depth and constraints, the distinct state subformulas
@@ -85,7 +95,7 @@ class WindowModel:
     base: ConstraintKripke
     depth: int
     windows: list  # tuples of d+1 nodes
-    succ: list  # adjacency by position
+    succ: list  # per window, its successors' positions: a list at depth 0, a range beyond
     bits: list  # per window, bit i set when constraints[i] holds on it
     constraints: tuple
 
@@ -93,42 +103,55 @@ class WindowModel:
 def window_skeleton(nodes, edges, depth: int) -> tuple:
     """The windows of a graph, all length-(depth+1) paths, and for each
     window the positions of its successors.  Windows start in node order
-    and grow along the edges in sorted order."""
+    and grow along the edges in sorted order.
+
+    At depth 0 the successors are lists.  At depth >= 1 the successors of
+    a window are the extensions of its suffix, a window one shorter, and
+    those sit next to each other in edge order: each is one ``range``."""
     adjacency = {v: [] for v in nodes}
     for a, b in sorted(edges):
         adjacency[a].append(b)
     windows = [(v,) for v in nodes]
+    if not depth:
+        index = {v: i for i, v in enumerate(nodes)}
+        return windows, [[index[s] for s in adjacency[v]] for v in nodes]
     for _ in range(depth):
+        extensions = {}  # shorter window -> positions of its extensions
         grown = []
         for w in windows:
-            for s in adjacency[w[-1]]:
-                grown.append(w + (s,))
-                if len(grown) > WINDOW_LIMIT:
-                    raise ModelCheckError(
-                        f"window expansion exceeds {WINDOW_LIMIT} windows; reduce depth or model size"
-                    )
+            start = len(grown)
+            grown.extend([w + (s,) for s in adjacency[w[-1]]])
+            if len(grown) > WINDOW_LIMIT:
+                raise ModelCheckError(
+                    f"window expansion exceeds {WINDOW_LIMIT} windows; reduce depth or model size"
+                )
+            extensions[w] = range(start, len(grown))
         windows = grown
-    index = {w: i for i, w in enumerate(windows)}
-    succ = [[index[w[1:] + (s,)] for s in adjacency[w[-1]]] for w in windows]
-    return windows, succ
+    return windows, [extensions[w[1:]] for w in windows]
 
 
 def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
     """All length-(depth+1) paths as nodes of a derived graph, each
     labelled with one bit per atomic constraint that holds on its
     registers.  Once the window limit is met, the domain is asked once
-    per constraint whether it interprets the relation."""
+    per constraint whether it interprets the relation.
+
+    Labelling takes one pass per constraint: a column of register values
+    per argument, indexed by window, and the test over their rows."""
     if model.is_tree:
         raise ModelCheckError("model checking runs on graph-shaped models")
     windows, succ = window_skeleton(model.nodes, model.edges, depth)
     tests = [dom.relation_test(c.relation) for c in constraints]
-    bits = []
-    for w in windows:
-        b = 0
-        for i, c in enumerate(constraints):
-            if tests[i](tuple(model.gamma(w[off], var) for off, var in c.args)):
-                b |= 1 << i
-        bits.append(b)
+    values: dict = {}  # variable -> node -> register value
+    bits = [0] * len(windows)
+    for i, (c, test) in enumerate(zip(constraints, tests)):
+        columns = []
+        for off, var in c.args:
+            value = values.get(var)
+            if value is None:
+                value = values[var] = {v: model.gamma(v, var) for v in model.nodes}
+            columns.append([value[w[off]] for w in windows])
+        bits = [b | test(t) << i for b, t in zip(bits, zip(*columns))]
     return WindowModel(model, depth, windows, succ, bits, tuple(constraints))
 
 
@@ -235,13 +258,22 @@ def _edge_table(aut: BuchiAutomaton) -> tuple:
     )
 
 
+def _sinks(edges, n_marks) -> frozenset:
+    """The accepting sinks of an ``_edge_table``: states with an unguarded
+    self-loop that carries every mark, so a run that enters one accepts
+    every infinite window path from there on."""
+    every = (1 << n_marks) - 1
+    return frozenset(q for q, out in enumerate(edges) if (0, 0, q, every) in out)
+
+
 _GOOD, _BAD = -1, -2  # the verdict of a node's SCC once it has closed
 
 
-def _accepted_start_windows(succ, edges, n_marks, letters) -> set:
+def _accepted_start_windows(succ, edges, n_marks, letters, sinks) -> set:
     """Positions i such that some accepting run of the automaton (an
-    ``_edge_table`` with ``n_marks`` acceptance marks) reads a window path
-    starting at window i, given each window's successors and letter.
+    ``_edge_table`` with ``n_marks`` acceptance marks and the accepting
+    ``sinks`` of ``_sinks``) reads a window path starting at window i,
+    given each window's successors and letter.
 
     One iterative Tarjan pass over the product, whose node for state q on
     window w is the int q * len(letters) + w.  A node's successors are
@@ -250,8 +282,18 @@ def _accepted_start_windows(succ, edges, n_marks, letters) -> set:
     SCC, so its marks are collected, and an edge into a closed SCC counts
     only when that SCC is good.  An SCC is decided as it closes, after
     every SCC it reaches: good when its internal edges carry every mark,
-    or when it reaches a good SCC (Couvreur; Geldenhuys and Valmari)."""
+    or when it reaches a good SCC (Couvreur; Geldenhuys and Valmari).
+
+    When every window has a successor, every window path extends to an
+    infinite one, so a node whose letter meets an edge into a sink is good
+    on sight: it is closed as good without being entered (Cerna and
+    Pelanek's terminal accepting states).  Dead-end windows switch this
+    off, since a sink there has no infinite path to read."""
     nw = len(letters)
+    if not all(succ):
+        sinks = frozenset()
+    elif 0 in sinks:
+        return set(range(nw))
     internal = 1 << n_marks
     full = 2 * internal - 1  # every mark plus the internal-edge bit
     # node -> position on the Tarjan stack, or _GOOD / _BAD once closed;
@@ -260,40 +302,54 @@ def _accepted_start_windows(succ, edges, n_marks, letters) -> set:
     stack: list = []
     low: list = []
     acc: list = []  # marks of internal edges | internal, or full once a good SCC is reached
-    matching: dict = {}  # (state, letter) -> (target * nw, marks) of the edges it follows
+    # (state, letter) -> (target * nw, marks) of the edges it follows, or
+    # False when one of them enters a sink
+    matching: dict = {}
 
     def successors(v):
+        """The product edges out of v, or None when v is good on sight."""
         q, wi = divmod(v, nw)
         letter = letters[wi]
         key = (q, letter)
         followed = matching.get(key)
         if followed is None:
-            followed = matching[key] = [
-                (target * nw, marks) for pos, neg, target, marks in edges[q] if letter & pos == pos and not letter & neg
-            ]
+            followed = [(target, marks) for pos, neg, target, marks in edges[q] if letter & pos == pos and not letter & neg]
+            followed = matching[key] = (
+                False if any(target in sinks for target, _ in followed) else [(target * nw, marks) for target, marks in followed]
+            )
+        if followed is False:
+            return None
         ws = succ[wi]
         return iter([(base + wj, marks) for base, marks in followed for wj in ws])
 
     for root in range(nw):  # (initial state, window) nodes
         if root in pos_of:
             continue
+        todo = successors(root)
+        if todo is None:
+            pos_of[root] = _GOOD
+            continue
         pos_of[root] = 0
         stack.append(root)
         low.append(0)
         acc.append(0)
-        work = [(root, 0, successors(root))]  # node, marks of its tree edge, successors left
+        work = [(root, 0, todo)]  # node, marks of its tree edge, successors left
         while work:
             v, in_marks, todo = work[-1]
             i = pos_of[v]
             for w, marks in todo:
                 j = pos_of.get(w)
                 if j is None:
-                    pos_of[w] = len(stack)
-                    low.append(len(stack))
-                    stack.append(w)
-                    acc.append(0)
-                    work.append((w, marks, successors(w)))
-                    break
+                    more = successors(w)
+                    if more is None:
+                        pos_of[w] = j = _GOOD
+                    else:
+                        pos_of[w] = len(stack)
+                        low.append(len(stack))
+                        stack.append(w)
+                        acc.append(0)
+                        work.append((w, marks, more))
+                        break
                 if j >= 0:
                     if j < low[i]:
                         low[i] = j
@@ -343,8 +399,8 @@ def _compile(formula: Formula) -> tuple:
     constraints, the distinct state subformulas of the NNF (children
     before parents, left before right), and a map from each E/A
     subformula to its automaton's edge table, its number of acceptance
-    marks and, per tracked proposition, the state subformula or the index
-    of the constraint that it stands for."""
+    marks, per tracked proposition the state subformula or the index of
+    the constraint that it stands for, and its accepting sinks."""
     if not is_state_formula(formula):
         raise ModelCheckError("model checking expects a state formula")
     nnf = to_nnf(formula)
@@ -379,10 +435,11 @@ def _compile(formula: Formula) -> tuple:
             psi = negate(psi)  # A psi holds where E ~psi fails
         if psi not in automata:
             aut = ltl_to_buchi(psi)
-            automata[psi] = (aut, _edge_table(aut))
-        aut, edges = automata[psi]
+            edges = _edge_table(aut)
+            automata[psi] = (aut, edges, _sinks(edges, len(aut.untils)))
+        aut, edges, sinks = automata[psi]
         source = {name: g for g, name in names.items()} | constraint_index
-        paths[f] = (edges, len(aut.untils), tuple(source[p] for p in aut.propositions))
+        paths[f] = (edges, len(aut.untils), tuple(source[p] for p in aut.propositions), sinks)
     return depth, constraints, order, paths
 
 
@@ -406,7 +463,7 @@ def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
         elif isinstance(f, Or):
             sat[f] = sat[f.left] | sat[f.right]
         else:
-            edges, n_marks, tracked = paths[f]
+            edges, n_marks, tracked, sinks = paths[f]
             letters = [0] * len(windows)
             for i, g in enumerate(tracked):  # one pass per tracked proposition
                 if type(g) is int:
@@ -414,7 +471,7 @@ def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
                 else:
                     holds = sat[g]
                     letters = [letter | (v in holds) << i for letter, v in zip(letters, firsts)]
-            found = frozenset(firsts[wi] for wi in _accepted_start_windows(succ, edges, n_marks, letters))
+            found = frozenset(firsts[wi] for wi in _accepted_start_windows(succ, edges, n_marks, letters, sinks))
             sat[f] = found if isinstance(f, Exists) else all_nodes - found
     return sat[order[-1]]
 

@@ -60,11 +60,17 @@ class ConstraintKripke:
         return self.registers[(node, var)]
 
     def successors(self, node) -> list:
-        return [b for (a, b) in sorted(self.edges) if a == node]
+        return sorted(b for (a, b) in self.edges if a == node)
+
+
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?\d+")
+_FRACTION_RE = re.compile(r"-?\d+/\d+")
+_TREE_NODE_RE = re.compile(r"[1-9]*")
 
 
 def _check_identifier(text: str, what: str, allow_reserved: bool) -> None:
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+    if not _IDENTIFIER_RE.fullmatch(text):
         raise StructureError(f"bad {what} {text!r}")
     if not allow_reserved and text.startswith(RESERVED_PREFIX):
         raise StructureError(f"{what} {text!r} uses the reserved prefix")
@@ -102,7 +108,7 @@ def validate_model(model: ConstraintKripke, allow_reserved: bool = False) -> Non
         if k < 0:
             raise StructureError("tree depth must be nonnegative")
         for node in model.nodes:
-            if not isinstance(node, str) or not re.fullmatch(r"[1-9]*", node):
+            if not isinstance(node, str) or not _TREE_NODE_RE.fullmatch(node):
                 raise StructureError(f"tree node must be a word over 1..{d}, got {node!r}")
             if any(int(ch) > d for ch in node):
                 raise StructureError(f"tree node {node!r} exceeds branching degree {d}")
@@ -190,9 +196,9 @@ def _parse_value(text: str):
 
 def _parse_scalar(text: str):
     text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
+    if _INT_RE.fullmatch(text):
         return int(text)
-    if re.fullmatch(r"-?\d+/\d+", text):
+    if _FRACTION_RE.fullmatch(text):
         return Fraction(text)
     raise StructureError(f"bad register value {text!r}")
 

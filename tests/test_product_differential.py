@@ -3,9 +3,11 @@
 ``plain_accepted_start_windows`` is the product as it was before the
 one-pass search: it builds the whole reachable product with tuple-keyed
 nodes and stored adjacency, runs Tarjan, and then judges the SCCs in a
-separate pass.  ``_accepted_start_windows`` must accept the same start
-windows on seeded random automata and window graphs, and
-``check_ctlstar`` must label the same nodes with either search plugged in.
+separate pass, and knows nothing of accepting sinks.
+``_accepted_start_windows`` must accept the same start windows on seeded
+random automata and window graphs, with and without windows that have no
+successor, and ``check_ctlstar`` must label the same nodes with either
+search plugged in.
 """
 
 import random
@@ -24,7 +26,7 @@ from ctlz import (
     parse_path_formula,
 )
 from ctlz import modelcheck
-from ctlz.modelcheck import BuchiAutomaton, _accepted_start_windows, _edge_table, ltl_to_buchi
+from ctlz.modelcheck import BuchiAutomaton, _accepted_start_windows, _edge_table, _sinks, ltl_to_buchi
 from conftest import random_ctl_formula, random_graph_model
 
 
@@ -136,10 +138,54 @@ def plain_accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
     return {wi for wi, nid in enumerate(roots) if good[comp[nid]]}
 
 
+class _CountingSucc(list):
+    """Successor lists that count how often one is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _reachable(succ, edges, letters) -> set:
+    """The (state index, window) nodes of the product reachable from the
+    initial state on any window, found by a plain search of its own."""
+    seen = {(0, wi) for wi in range(len(letters))}
+    todo = list(seen)
+    while todo:
+        q, wi = todo.pop()
+        for pos, neg, target, _ in edges[q]:
+            if letters[wi] & pos == pos and not letters[wi] & neg:
+                for wj in succ[wi]:
+                    if (target, wj) not in seen:
+                        seen.add((target, wj))
+                        todo.append((target, wj))
+    return seen
+
+
+def _sink_reached(succ, aut, letters) -> bool:
+    edges = _edge_table(aut)
+    sinks = _sinks(edges, len(aut.untils))
+    return any(q in sinks for q, _ in _reachable(succ, edges, letters))
+
+
 def _both(succ, aut, letters):
+    """The accepted start windows, asserted equal under both searches.
+
+    The one-pass search reads a node's successors once, when it enters
+    the node.  So it enters fewer nodes than the product reaches exactly
+    when the sink shortcut fires: when every window has a successor and
+    the product reaches an accepting sink."""
     plain = plain_accepted_start_windows(succ, aut, letters)
-    fused = _accepted_start_windows(succ, _edge_table(aut), len(aut.untils), letters)
+    edges = _edge_table(aut)
+    sinks = _sinks(edges, len(aut.untils))
+    counted = _CountingSucc(succ)
+    fused = _accepted_start_windows(counted, edges, len(aut.untils), letters, sinks)
     assert fused == plain
+    reached = _reachable(succ, edges, letters)
+    fired = counted.reads < len(reached)
+    assert fired == (all(succ) and any(q in sinks for q, _ in reached))
     return fused
 
 
@@ -178,6 +224,23 @@ def test_marks_of_one_scc_split_across_edges():
     # one mark on each of two loops through w0 also covers both
     loops = [[1, 2], [0], [0]]
     assert _both(loops, aut, _letters(aut, "", "p", "q")) == {0, 1, 2}
+
+
+def test_a_sink_behind_a_dead_end_window_accepts_nothing():
+    aut = ltl_to_buchi(parse_path_formula("F p"))
+    edges = _edge_table(aut)
+    assert _sinks(edges, len(aut.untils)) == {aut.states.index(frozenset())}
+    # p on w0 meets the edge into the sink, but w0 -> w1 ends at w1
+    assert _both([[1], []], aut, _letters(aut, "p", "p")) == set()
+    # with w1 looping, every window path is infinite and w0 is good on sight
+    assert _both([[1], [1]], aut, _letters(aut, "p", "")) == {0}
+
+
+def test_an_initial_sink_accepts_every_infinite_window_path():
+    aut = ltl_to_buchi(parse_path_formula("G true"))
+    assert _sinks(_edge_table(aut), len(aut.untils)) == {0}
+    assert _both([[1], [0], [2]], aut, _letters(aut, "", "", "")) == {0, 1, 2}
+    assert _both([[1], [0], []], aut, _letters(aut, "", "", "")) == {0, 1}
 
 
 def test_acceptance_reached_only_through_a_downstream_scc():
@@ -233,11 +296,33 @@ def test_fused_pass_matches_the_three_pass_search():
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def test_fused_pass_matches_on_total_window_graphs():
+    """Every window has a successor, so the sink shortcut is on; ``_both``
+    checks that it fires exactly on the calls that reach a sink, and those
+    are counted."""
+    rng = random.Random(67)
+    props = ["p", "q", "r"]
+    outcomes = {"empty": 0, "some": 0, "all": 0}
+    sink_calls = 0
+    for _ in range(150):
+        psi = _random_path(rng, props, [rng.randint(0, 3)], rng.randint(1, 4))
+        aut = ltl_to_buchi(psi)
+        for _ in range(4):
+            n = rng.randint(1, 12)
+            succ = [sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))) for _ in range(n)]
+            letters = [rng.randrange(1 << len(aut.propositions)) for _ in range(n)]
+            found = _both(succ, aut, letters)
+            outcomes["empty" if not found else "all" if len(found) == n else "some"] += 1
+            sink_calls += _sink_reached(succ, aut, letters)
+    assert min(outcomes.values()) >= 50, outcomes
+    assert sink_calls >= 400
+
+
 def test_check_ctlstar_labels_the_same_nodes_with_either_search(monkeypatch):
     """The plain search, plugged in through an automaton rebuilt from the
     edge table, labels every random model and formula the same way."""
 
-    def plain(succ, edges, n_marks, letters):
+    def plain(succ, edges, n_marks, letters, sinks):
         aut = BuchiAutomaton((), list(range(len(edges))), dict(enumerate(edges)), tuple(range(n_marks)))
         return plain_accepted_start_windows(succ, aut, letters)
 
