@@ -174,6 +174,25 @@ class _NumericDomain(ConcreteDomain):
     def _constant_ok(self, c) -> bool:
         return isinstance(c, int)
 
+    def relation_test(self, rel: RelationSymbol):
+        """One closure per relation kind, so that a tuple costs its arity
+        check and one comparison, with no dispatch on the kind."""
+        self._require(rel)
+        arity = rel.arity
+
+        def wrong(values):
+            raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")
+
+        if rel.kind == LESS:
+            return lambda v: v[0] < v[1] if len(v) == arity else wrong(v)
+        if rel.kind == EQUAL:
+            return lambda v: v[0] == v[1] if len(v) == arity else wrong(v)
+        if rel.kind == CONSTANT:
+            c = rel.params[0]
+            return lambda v: v[0] == c if len(v) == arity else wrong(v)
+        a, b = rel.params
+        return lambda v: v[0] % b == a if len(v) == arity else wrong(v)
+
     def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         if len(values) != rel.arity:
             raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm, prod
@@ -510,9 +511,13 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     """First verifying map (lexicographic in declaration order, values
     ascending) with values in [-bound, bound], or None.
 
-    Chronological backtracking over equality classes with unary filters
-    and difference-bound tightening; the pruning removes only values that
-    extend to no complete map, so the enumeration order is preserved.
+    Backtracking over equality classes in declaration order, each trying
+    its candidate values in ascending order, after unary filters and
+    difference-bound tightening, with forward checking (Haralick and
+    Elliott): every value narrows the ranges of the classes the order
+    edges tie it to, and a value that empties a range is skipped.  All
+    this pruning removes only values that extend to no complete map, so
+    the first map found is the one plain enumeration finds first.
     """
     _signature_check(structure, target)
     elements = structure.elements
@@ -572,25 +577,37 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     for i, ms in mods_of.items():
         mods[cls[i]] |= ms
 
+    succs, order = _kahn_order(k, edges)
+    if len(order) < k:
+        return None  # a strict-order cycle
     if target == "Q":
         candidates = _rational_candidates(n, bound, k, edges, consts)
     else:
         candidates = _integer_candidates(target, bound, k, edges, consts, mods)
     if candidates is None:
         return None
-
-    # classes are assigned in index order, so each class only needs its
-    # order constraints against earlier classes
-    checks = [[] for _ in range(k)]
-    for a, b in edges:
-        if a < b:
-            checks[b].append((a, True))  # h[a] < h[current]
-        elif a > b:
-            checks[a].append((b, False))  # h[current] < h[b]
-    solution = _first_assignment(candidates, checks, k)
+    solution = _first_assignment(candidates, succs, order)
     if solution is None:
         return None
     return {e: solution[cls[index[e]]] for e in elements}
+
+
+def _kahn_order(k: int, edges: set):
+    """(successor lists, topological order) of the k classes under the
+    edges, the order first-in first-out from the classes without
+    predecessors; a class on or behind a strict-order cycle is left out."""
+    succs = [[] for _ in range(k)]
+    indegree = [0] * k
+    for a, b in edges:
+        succs[a].append(b)
+        indegree[b] += 1
+    order = [ci for ci in range(k) if indegree[ci] == 0]
+    for a in order:  # the list grows while it is read: a FIFO queue
+        for b in succs[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                order.append(b)
+    return succs, order
 
 
 def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: list, mods: list):
@@ -622,17 +639,7 @@ def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: lis
     # backward along a topological order of the class edges, which gives
     # the fixpoint in one pass each; a class never ordered lies on a
     # strict-order cycle
-    succs = [[] for _ in range(k)]
-    indegree = [0] * k
-    for a, b in edges:
-        succs[a].append(b)
-        indegree[b] += 1
-    order = [ci for ci in range(k) if indegree[ci] == 0]
-    for a in order:  # the list grows while it is read: a FIFO queue
-        for b in succs[a]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                order.append(b)
+    succs, order = _kahn_order(k, edges)
     if len(order) < k:
         return None
     for a in order:
@@ -681,29 +688,87 @@ def _rational_candidates(n: int, bound: int, k: int, edges: set, consts: list):
     return candidates
 
 
-def _first_assignment(candidates: list, checks: list, k: int):
-    """First assignment of the k classes, lexicographic in class order
-    and candidate order, that passes every check, or None.  ``checks[ci]``
-    holds (other, True) for h[other] < h[ci] and (other, False) for
-    h[ci] < h[other], always with other < ci.  Backtracking runs on an
-    explicit cursor per class, so the class count is not bounded by the
-    recursion limit."""
-    assignment = [None] * k
+def _first_assignment(candidates: list, succs: list, order: list):
+    """First assignment of the classes, lexicographic in class order and
+    candidate order, with h[a] < h[b] for every b in ``succs[a]``, or None.
+    Each class's candidates ascend; ``order`` is a topological order of
+    the edges.
+
+    Forward checking: every class keeps a window [lo, hi) of indices into
+    its candidates.  Once a class takes a value, the lower ends of the
+    windows after it along the edges rise and the upper ends of those
+    before it fall, transitively in ``order``, each to a candidate of its
+    class by bisection (on a range, the next value of its congruence
+    progression).  A value that empties a window extends to no complete
+    map and is skipped, as are the values outside a class's window; the
+    values tried keep their order, so the first map is the one plain
+    chronological backtracking finds.  Backtracking runs on an explicit
+    cursor per class and a trail of window changes, so the class count
+    is not bounded by the recursion limit."""
+    k = len(candidates)
+    preds = [[] for _ in range(k)]
+    rank = [0] * k
+    for r, a in enumerate(order):
+        rank[a] = r
+        for b in succs[a]:
+            preds[b].append(a)
+    lo = [0] * k
+    hi = [len(vals) for vals in candidates]
+    trail: list = []  # (class, lo, hi) before each narrowing
+
+    def narrow(start) -> bool:
+        """Narrow the windows along the edges from the classes in
+        ``start``; False as soon as one empties."""
+        todo = [(rank[a], a) for a in start]
+        heapq.heapify(todo)
+        while todo:  # lower ends, forward
+            a = heapq.heappop(todo)[1]
+            least = candidates[a][lo[a]]
+            for b in succs[a]:
+                new = bisect_right(candidates[b], least)
+                if new > lo[b]:
+                    trail.append((b, lo[b], hi[b]))
+                    lo[b] = new
+                    if new >= hi[b]:
+                        return False
+                    heapq.heappush(todo, (rank[b], b))
+        todo = [(-rank[b], b) for b in start]
+        heapq.heapify(todo)
+        while todo:  # upper ends, backward
+            b = heapq.heappop(todo)[1]
+            most = candidates[b][hi[b] - 1]
+            for a in preds[b]:
+                new = bisect_left(candidates[a], most)
+                if new < hi[a]:
+                    trail.append((a, lo[a], hi[a]))
+                    hi[a] = new
+                    if new <= lo[a]:
+                        return False
+                    heapq.heappush(todo, (-rank[a], a))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            a, lo[a], hi[a] = trail.pop()
+
+    if not narrow(order):
+        return None
+    mark = [0] * k  # per class: trail length before its value
     cursor = [0] * k  # per class: index of the next candidate to try
     ci = 0
     while 0 <= ci < k:
-        vals = candidates[ci]
-        for i in range(cursor[ci], len(vals)):
-            v = vals[i]
-            for other, from_earlier in checks[ci]:
-                if not (assignment[other] < v if from_earlier else v < assignment[other]):
-                    break
-            else:
-                assignment[ci] = v
+        for i in range(max(cursor[ci], lo[ci]), hi[ci]):
+            mark[ci] = len(trail)
+            trail.append((ci, lo[ci], hi[ci]))
+            lo[ci], hi[ci] = i, i + 1
+            if narrow((ci,)):
                 cursor[ci] = i + 1
                 ci += 1
                 break
+            undo(mark[ci])
         else:
             cursor[ci] = 0
             ci -= 1
-    return assignment if ci == k else None
+            if ci >= 0:
+                undo(mark[ci])
+    return [vals[i] for vals, i in zip(candidates, lo)] if ci == k else None

@@ -2,27 +2,34 @@
 
 Each sentence is compiled once into a plan: its distinct nodes (MSO nodes
 are interned, so equal subformulas are one object) in postorder, each with
-its child indices and its free first-order and set names as sorted tuples,
-taken from the free names the node core keeps.  The peak cell count of a
-node, per structure size and set of assigned names, is worked out on
-first use and kept in the plan.  A few recent plans are cached by
-sentence, so every structure evaluated against a sentence reuses its
-plan.
+a kind code, its child indices and its free first-order and set names as
+sorted tuples, taken from the free names the node core keeps.  The peak
+cell count of a node, per structure size and set of assigned names, is
+worked out on first use and kept in the plan.  A few recent plans are
+cached by sentence, so every structure evaluated against a sentence
+reuses its plan.  Every atom is checked against the arity of the
+structure's relation of its name before anything is evaluated.
 
 Per structure, subformulas evaluate to boolean arrays whose axes are
 their unassigned free variables (size n for a first-order axis, 2^n for
-a set axis), so connectives are elementwise operations and quantifiers
-are any/all reductions.  Results are memoised per (plan node, values of
-its free names), so equal subformulas share them.  Evaluation runs as
-generator frames on an explicit stack, one per node being evaluated, so
-nesting depth is not bounded by Python's recursion limit.  A quantifier
-whose body would exceed the cell budget falls back to looping over the
-quantified variable's values.  A quantifier hides any outer value of the
-name it binds.  The bounding quantifier is constantly true here: a finite
-structure has only finitely many subsets, so a bound always exists; the
-evaluator still reports the largest satisfying set when asked, and then
-the plan unfolds into one node per tree position, so that every B
-occurrence reports separately.
+a set axis).  Axes follow one fixed order, ("fo", name) before
+("set", name) and names ascending, and every array's axes are a
+subsequence of it: the leaves sort theirs, and connectives (the sorted
+union) and quantifier reductions keep it.  So a connective lines its
+operands up by inserting length-one axes, never by a transpose, and runs
+as a byte kernel: bitwise and/or on uint8 views of the bool arrays, which
+hold only 0 and 1.  Negation stays on bool arrays, and no array is
+written in place.  Quantifiers are any/all reductions.  Results are
+memoised per (plan node, values of its free names), so equal subformulas
+share them.  Evaluation runs as generator frames on an explicit stack,
+one per inner node being evaluated, so nesting depth is not bounded by
+Python's recursion limit.  A quantifier whose body would exceed the cell
+budget falls back to looping over the quantified variable's values.  A
+quantifier hides any outer value of the name it binds.  The bounding
+quantifier is constantly true here: a finite structure has only finitely
+many subsets, so a bound always exists; the evaluator still reports the
+largest satisfying set when asked, and then the plan unfolds into one
+node per tree position, so that every B occurrence reports separately.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .mso import (
     VarEq,
     _children,
     _free_names,
+    _postorder,
 )
 from .structures import SigmaStructure
 
@@ -55,23 +63,33 @@ MAX_ELEMENTS = 12
 CELL_LIMIT = 1 << 24
 MEMO_CELL_LIMIT = 1 << 18
 
+# node kinds, as kept on the plan: leaves first, then the inner nodes
+_KINDS = (MsoBool, Atom, VarEq, In, Subset, Neg, Conj, Disj, Implies, BoundSet, ExistsFO, ForallFO, ExistsSet, ForallSet)
+BOOL, ATOM, VAREQ, IN, SUBSET, NEG, CONJ, DISJ, IMPLIES, BOUND, EXISTS_FO, FORALL_FO, EXISTS_SET, FORALL_SET = range(14)
+
 
 def _relation_map(structure: SigmaStructure, index: dict) -> dict:
-    out: dict = {}
-    for rel, tuples in structure.interpretation.items():
-        out[rel.name] = [tuple(index[e] for e in t) for t in tuples]
-    return out
+    return {rel.name: [tuple(map(index.__getitem__, t)) for t in tuples] for rel, tuples in structure.interpretation.items()}
+
+
+def _check_arities(atoms, structure: SigmaStructure) -> None:
+    """Each atom must have the arity of the structure's relation of its name;
+    a relation the structure does not list is false everywhere."""
+    arity = {rel.name: rel.arity for rel in structure.interpretation}
+    if any(arity.get(a.relation, len(a.args)) != len(a.args) for a in atoms):
+        raise MsoError("atom arity does not match the relation")
 
 
 class _Plan:
     """A sentence compiled for evaluation: one node per distinct subformula
     (per tree position when ``unfold``), children before parents.  Node i
-    is described by ``nodes[i]``, the formula read for its kind and scalar
-    fields, ``kids[i]``, and its sorted free first-order names ``fo[i]``,
-    set names ``so[i]`` and both together ``names[i]``."""
+    is described by ``nodes[i]``, the formula read for its scalar fields,
+    its kind code ``kind[i]``, ``kids[i]``, and its sorted free first-order
+    names ``fo[i]``, set names ``so[i]`` and both together ``names[i]``."""
 
     def __init__(self, sentence: MsoFormula, unfold: bool):
         self.nodes: list = []
+        self.kind: list = []
         self.kids: list = []
         self.fo: list = []
         self.so: list = []
@@ -91,6 +109,7 @@ class _Plan:
                 fo, so = f._free
                 i = len(self.nodes)
                 self.nodes.append(f)
+                self.kind.append(_KINDS.index(type(f)))
                 self.kids.append(kids)
                 self.fo.append(tuple(sorted(fo)))
                 self.so.append(tuple(sorted(so)))
@@ -103,6 +122,8 @@ class _Plan:
             else:
                 stack += [(f,), *reversed(_children(f))]
         self.root = done[0]
+        self.atoms = {f for f in self.nodes if type(f) is Atom}
+        self.widest = (max(map(len, self.fo)), max(map(len, self.so)))  # most free names of a node
 
     def peak(self, i: int, n: int, assigned: frozenset) -> int:
         """Largest array, in cells, that evaluating node i on an n-element
@@ -145,24 +166,20 @@ class _Evaluator:
             raise MsoError(
                 f"structure has {len(structure.elements)} elements; the evaluator handles at most {MAX_ELEMENTS}"
             )
+        self.structure = structure
         self.n = len(structure.elements)
         self.nsets = 1 << self.n
         self.index = {e: i for i, e in enumerate(structure.elements)}
         self.relations = _relation_map(structure, self.index)
         self.diagnostics = diagnostics
         self.memo: dict = {}
-        masks = np.zeros((self.n, self.nsets), dtype=bool)
-        for i in range(self.n):
-            masks[i] = (np.arange(self.nsets) >> i) & 1
-        self.member = masks
-        sets = np.arange(self.nsets)
-        self.subset = (sets[:, None] & ~sets[None, :]) == 0
-
-    def axis_size(self, axis) -> int:
-        return self.n if axis[0] == "fo" else self.nsets
+        self.member = ((np.arange(self.nsets) >> np.arange(self.n)[:, None]) & 1).astype(bool)
+        self.subsets = None  # cells [X, Y] of X <= Y and their transpose, built on first use
 
     def fits(self, i: int, env: dict) -> bool:
         """Whether evaluating node i under env stays within the cell budget."""
+        if self.small:
+            return True
         assigned = frozenset(v for v in self.plan.names[i] if v in env)
         return self.plan.peak(i, self.n, assigned) <= CELL_LIMIT
 
@@ -171,36 +188,43 @@ class _Evaluator:
         missing = sorted(set(plan.names[plan.root]) - env.keys())
         if missing:
             raise MsoError(f"free variables without assignment: {missing}")
+        _check_arities(plan.atoms, self.structure)
+        fo, so = plan.widest
+        self.small = self.n ** fo * self.nsets ** so <= CELL_LIMIT  # no node can outgrow the budget
         arr, axes = self.eval(plan.root, env)
         assert axes == ()
-        return bool(arr.item() if isinstance(arr, np.ndarray) else arr)
+        return bool(arr)
 
     # -- array plumbing
 
-    def expand(self, arr, arr_axes, axes):
+    def ones(self, axes: tuple):
+        return np.ones([self.n if kind == "fo" else self.nsets for kind, _ in axes], dtype=bool), axes
+
+    @staticmethod
+    def expand(arr, arr_axes, axes):
+        """arr with length-one axes for those of ``axes`` (a supersequence of arr_axes) it lacks."""
         if arr_axes == axes:
             return arr
-        order = sorted(range(len(arr_axes)), key=lambda i: axes.index(arr_axes[i]))
-        arr = np.transpose(arr, order)
-        shape = tuple(self.axis_size(ax) if ax in arr_axes else 1 for ax in axes)
-        return arr.reshape(shape)
+        sizes = dict(zip(arr_axes, arr.shape))
+        return arr.reshape([sizes.get(ax, 1) for ax in axes])
 
     def combine(self, left, right, op):
-        la, laxes = left
-        ra, raxes = right
-        axes = tuple(list(laxes) + [ax for ax in raxes if ax not in laxes])
-        la = self.expand(la, laxes, axes)
-        ra = self.expand(ra, raxes, axes)
-        return op(la, ra), axes
+        """op (bitwise and/or) of two values on the sorted union of their
+        axes, run on uint8 views: for cells of 0 or 1 it is the logical op."""
+        (la, laxes), (ra, raxes) = left, right
+        axes = laxes if laxes == raxes else tuple(sorted({*laxes, *raxes}))
+        la = self.expand(la, laxes, axes).view(np.uint8)
+        return op(la, self.expand(ra, raxes, axes).view(np.uint8)).view(bool), axes
 
     # -- evaluation
 
     def eval(self, i: int, env: dict):
-        """(array, axes) of node i under env.  Each node evaluates in a
-        generator frame that yields (node, env) for a subformula's value and
-        is sent it back; the frames live on an explicit stack, so nesting
-        depth is not bounded by Python's recursion limit."""
-        names = self.plan.names
+        """(array, axes) of node i under env.  A leaf is computed on the
+        spot; any other node evaluates in a generator frame that yields
+        (node, env) for a subformula's value and is sent it back.  The frames
+        live on an explicit stack, so nesting depth is not bounded by
+        Python's recursion limit."""
+        names, kind = self.plan.names, self.plan.kind
         frames: list = []
         value = None
         request = (i, env)
@@ -209,9 +233,11 @@ class _Evaluator:
                 j, env = request
                 key = (j, tuple(map(env.get, names[j])))
                 value = self.memo.get(key)
-                if value is None:
-                    frames.append((key, self._eval(j, env)))
-                elif not frames:
+                if value is None and kind[j] < NEG:  # a leaf's array is small or kept anyway
+                    value = self.memo[key] = self._leaf(j, env)
+                elif value is None:
+                    frames.append((key, self._inner(j, env)))
+                if not frames:
                     return value
             key, frame = frames[-1]
             try:
@@ -220,102 +246,88 @@ class _Evaluator:
             except StopIteration as stop:
                 value = stop.value
             frames.pop()
-            arr = value[0]
-            if not isinstance(arr, np.ndarray) or arr.size <= MEMO_CELL_LIMIT:
+            if value[0].size <= MEMO_CELL_LIMIT:
                 self.memo[key] = value  # caching big arrays per env value would hoard memory
             if not frames:
                 return value
             request = None
 
-    def _eval(self, i: int, env: dict):
-        n = self.n
+    def _leaf(self, i: int, env: dict):
         formula = self.plan.nodes[i]
-        kids = self.plan.kids[i]
-        if isinstance(formula, MsoBool):
+        kind = self.plan.kind[i]
+        if kind == BOOL:
             return np.bool_(formula.value), ()
-        if isinstance(formula, Atom):
-            tuples = self.relations.get(formula.relation, [])
-            return self._table(tuples, formula.args, env)
-        if isinstance(formula, VarEq):
-            return self._table([(k, k) for k in range(n)], (formula.left, formula.right), env)
-        if isinstance(formula, In):
+        if kind == ATOM:
+            return self._table(self.relations.get(formula.relation, []), formula.args, env)
+        if kind == VAREQ:
+            return self._table([(k, k) for k in range(self.n)], (formula.left, formula.right), env)
+        if kind == IN:
             x, X = formula.element, formula.container
             if x in env and X in env:
                 return np.bool_(bool((env[X] >> env[x]) & 1)), ()
             if X in env:
-                s = env[X]
-                return np.array([(s >> i) & 1 for i in range(n)], dtype=bool), (("fo", x),)
+                return self.member[:, env[X]], (("fo", x),)
             if x in env:
                 return self.member[env[x]], (("set", X),)
             return self.member, (("fo", x), ("set", X))
-        if isinstance(formula, Subset):
-            X, Y = formula.left, formula.right
-            if X in env and Y in env:
-                return np.bool_((env[X] & ~env[Y]) == 0), ()
-            if X in env:
-                return (env[X] & ~np.arange(self.nsets)) == 0, (("set", Y),)
-            if Y in env:
-                return (np.arange(self.nsets) & ~env[Y]) == 0, (("set", X),)
-            if X == Y:
-                return np.ones(self.nsets, dtype=bool), (("set", X),)
-            return self.subset, (("set", X), ("set", Y))
-        if isinstance(formula, Neg):
+        X, Y = formula.left, formula.right  # Subset
+        if X in env and Y in env:
+            return np.bool_((env[X] & ~env[Y]) == 0), ()
+        if X in env:
+            return (env[X] & ~np.arange(self.nsets)) == 0, (("set", Y),)
+        if Y in env:
+            return (np.arange(self.nsets) & ~env[Y]) == 0, (("set", X),)
+        if X == Y:
+            return np.ones(self.nsets, dtype=bool), (("set", X),)
+        if self.subsets is None:
+            sets = np.arange(self.nsets)
+            table = (sets[:, None] & ~sets[None, :]) == 0
+            self.subsets = (table, np.ascontiguousarray(table.T))
+        return self.subsets[Y < X], (("set", min(X, Y)), ("set", max(X, Y)))
+
+    def _inner(self, i: int, env: dict):
+        kind = self.plan.kind[i]
+        kids = self.plan.kids[i]
+        if kind == NEG:
             arr, axes = yield kids[0], env
             return ~arr, axes
         # A constant function may be represented with fewer axes than its
         # free variables, so a decisive left operand can stand for the whole
         # connective without touching the right subtree.
-        if isinstance(formula, Conj):
+        if kind == CONJ:
             la, laxes = yield kids[0], env
-            if not np.any(la):
+            if not la.any():
                 return la, laxes
-            return self.combine((la, laxes), (yield kids[1], env), np.logical_and)
-        if isinstance(formula, Disj):
+            return self.combine((la, laxes), (yield kids[1], env), np.bitwise_and)
+        if kind == DISJ:
             la, laxes = yield kids[0], env
-            if np.all(la):
+            if la.all():
                 return la, laxes
-            return self.combine((la, laxes), (yield kids[1], env), np.logical_or)
-        if isinstance(formula, Implies):
+            return self.combine((la, laxes), (yield kids[1], env), np.bitwise_or)
+        if kind == IMPLIES:
             la, laxes = yield kids[0], env
-            if not np.any(la):
+            if not la.any():
                 return ~la, laxes
-            return self.combine((~la, laxes), (yield kids[1], env), np.logical_or)
-        if isinstance(formula, BoundSet):
-            return (yield from self._bound(i, formula, kids[0], env))
-        return (yield from self._quantifier(formula, kids[0], env))
+            return self.combine((~la, laxes), (yield kids[1], env), np.bitwise_or)
+        if kind == BOUND:
+            return (yield from self._bound(i, kids[0], env))
+        return (yield from self._quantifier(i, kids[0], env))
 
     def _table(self, tuples, args, env):
-        axis_vars = []
-        for a in args:
-            if a not in env and ("fo", a) not in axis_vars:
-                axis_vars.append(("fo", a))
-        arr = np.zeros(tuple(self.n for _ in axis_vars), dtype=bool)
+        free = sorted({a for a in args if a not in env})
+        arr = np.zeros((self.n,) * len(free), dtype=bool)
         for t in tuples:
-            if len(t) != len(args):
-                raise MsoError("atom arity does not match the relation")
             coord: dict = {}
-            ok = True
-            for value, a in zip(t, args):
-                if a in env:
-                    if env[a] != value:
-                        ok = False
-                        break
-                else:
-                    ax = ("fo", a)
-                    if ax in coord and coord[ax] != value:
-                        ok = False
-                        break
-                    coord[ax] = value
-            if ok:
-                arr[tuple(coord[ax] for ax in axis_vars)] = True
-        return arr, tuple(axis_vars)
+            if all(env[a] == v if a in env else coord.setdefault(a, v) == v for v, a in zip(t, args)):
+                arr[tuple(coord[a] for a in free)] = True
+        return arr, tuple(("fo", a) for a in free)
 
-    def _quantifier(self, formula, body: int, env: dict):
-        over_sets = isinstance(formula, (ExistsSet, ForallSet))
-        existential = isinstance(formula, (ExistsFO, ExistsSet))
-        var = formula.var
+    def _quantifier(self, i: int, body: int, env: dict):
+        kind = self.plan.kind[i]
+        over_sets = kind in (EXISTS_SET, FORALL_SET)
+        existential = kind in (EXISTS_FO, EXISTS_SET)
+        var = self.plan.nodes[i].var
         axis = ("set", var) if over_sets else ("fo", var)
-        size = self.nsets if over_sets else self.n
         if var in env:  # the body sees the bound variable, not an outer value of its name
             env = {k: v for k, v in env.items() if k != var}
         if self.fits(body, env):
@@ -326,33 +338,29 @@ class _Evaluator:
             reduced = arr.any(axis=k) if existential else arr.all(axis=k)
             return reduced, axes[:k] + axes[k + 1:]
         # body too large to vectorize: loop over the quantified values
-        acc = None
-        acc_axes = None
+        acc = acc_axes = None
         inner = dict(env)
-        for value in range(size):
+        for value in range(self.nsets if over_sets else self.n):
             inner[var] = value
             arr, axes = yield body, inner
             if acc is None:
-                acc, acc_axes = arr.copy() if isinstance(arr, np.ndarray) else arr, axes
+                acc, acc_axes = arr, axes
             else:
-                combined, acc_axes = self.combine(
-                    (acc, acc_axes), (arr, axes), np.logical_or if existential else np.logical_and
+                acc, acc_axes = self.combine(
+                    (acc, acc_axes), (arr, axes), np.bitwise_or if existential else np.bitwise_and
                 )
-                acc = combined
-            if np.all(acc) if existential else not np.any(acc):
+            if acc.all() if existential else not acc.any():
                 break  # every cell decided, further values cannot change it
         return acc, acc_axes
 
-    def _bound(self, i: int, formula, body: int, env: dict):
-        var = formula.var
+    def _bound(self, i: int, body: int, env: dict):
+        var = self.plan.nodes[i].var
         axis = ("set", var)
         if self.diagnostics is None:
             # Truth does not depend on the body here, so only a diagnostics
             # request justifies sweeping the subsets for the largest witness.
             remaining = tuple(("fo", v) for v in self.plan.fo[i] if v not in env)
-            remaining += tuple(("set", v) for v in self.plan.so[i] if v not in env)
-            shape = tuple(self.axis_size(ax) for ax in remaining)
-            return np.ones(shape, dtype=bool) if shape else np.bool_(True), remaining
+            return self.ones(remaining + tuple(("set", v) for v in self.plan.so[i] if v not in env))
         max_size = None
         if var in env:  # the body sees the bound variable, not an outer value of its name
             env = {k: v for k, v in env.items() if k != var}
@@ -373,15 +381,14 @@ class _Evaluator:
                 arr, axes = yield body, inner
                 if remaining is None:
                     remaining = axes
-                if bool(np.any(arr)):
+                if arr.any():
                     size = bin(value).count("1")
                     if max_size is None or size > max_size:
                         max_size = size
             if remaining is None:
                 remaining = ()
         self.diagnostics.setdefault("bounded_sets", []).append({"var": var, "max_size": max_size})
-        shape = tuple(self.axis_size(ax) for ax in remaining)
-        return np.ones(shape, dtype=bool) if shape else np.bool_(True), remaining
+        return self.ones(remaining)
 
 
 def _convert_assignment(assignment, index) -> dict:
@@ -422,6 +429,7 @@ def eval_finite_slow(
     """Reference evaluator: plain recursion, no arrays, no sharing."""
     if len(structure.elements) > MAX_ELEMENTS:
         raise MsoError("structure too large")
+    _check_arities([g for g in _postorder(formula) if type(g) is Atom], structure)
     n = len(structure.elements)
     index = {e: i for i, e in enumerate(structure.elements)}
     relations = _relation_map(structure, index)

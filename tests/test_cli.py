@@ -210,6 +210,20 @@ def test_eval_mso_handles_deeply_nested_sentences(capsys, cyc_structure):
     assert rc == 1 and out == "false\n"
 
 
+
+@pytest.mark.parametrize("rows", [[], [("a", "b")]])
+def test_eval_mso_refuses_an_atom_of_the_wrong_arity_whatever_the_data(capsys, tmp_path, rows):
+    # the arity is checked against the structure's relation before any
+    # evaluation, so an empty relation and a short-circuit do not hide it
+    p = tmp_path / "lt.structure"
+    p.write_text(structure_to_text(SigmaStructure(["a", "b"], {LT: rows})))
+    for formula in ("(exists x (lt x))", "(exists x (and (false) (lt x)))"):
+        rc, out, err = run(capsys, "eval-mso", "--structure", str(p), "--formula", formula)
+        assert (rc, out) == (2, "")
+        assert "atom arity does not match the relation" in err
+    rc, out, _ = run(capsys, "eval-mso", "--structure", str(p), "--formula", "(exists x (other x))")
+    assert (rc, out) == (1, "false\n")  # a relation the structure does not list is false
+
 # ---------------------------------------------------------------------------
 # Model checking and search
 

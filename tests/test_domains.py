@@ -1,6 +1,7 @@
 """Concrete domains: relation semantics, negation tables, interpretations."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,19 @@ def test_allen_domain_body_is_check_value():
     body = interpretation_by_name("allenZ").domain_body
     for pair in itertools.product(range(-2, 3), repeat=2):
         assert _body_truth(body, (pair,)) == ALLEN_DOMAIN.check_value(pair), pair
+
+
+def test_relation_test_agrees_with_eval_relation():
+    # the per-kind closures keep the per-tuple arity check and its text
+    rels = [LT, EQ, const_rel(0), const_rel(-3), const_rel(Fraction(1, 2)), mod_rel(1, 3), mod_rel(0, 2)]
+    values = [-4, -1, 0, 1, 2, 7, Fraction(1, 2), Fraction(-5, 3)]
+    for dom in (Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN):
+        for rel in (r for r in rels if dom.supports(r)):
+            holds = dom.relation_test(rel)
+            for k in (1, 2, 3):
+                for v in itertools.product(values, repeat=k):
+                    if k != rel.arity:
+                        with pytest.raises(DomainError, match=re.escape(f"{rel.name} is {rel.arity}-ary, got {k} values")):
+                            holds(v)
+                    else:
+                        assert holds(v) == dom.eval_relation(rel, v), (dom, rel, v)

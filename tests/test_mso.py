@@ -451,3 +451,105 @@ def test_size_guard():
     big = SigmaStructure([f"e{i}" for i in range(MAX_ELEMENTS + 1)], {LT: []})
     with pytest.raises(MsoError, match="at most"):
         eval_finite(MSO_TRUE, big)
+
+
+def _descending_matrix(rng, depth, fo, so):
+    """A random quantifier-free formula over the names fo and so whose
+    two-variable leaves mostly name their variables in descending order
+    (lt y x, = y x, sub Y X): their tables come out against the evaluator's
+    fixed axis order unless sorted, and meet ascending ones in connectives."""
+
+    def two(scope):
+        pair = rng.sample(scope, 2) if len(scope) > 1 else scope * 2
+        return tuple(sorted(pair, reverse=rng.random() < 0.7))
+
+    if depth > 0:
+        op = rng.choice([Conj, Disj, Implies])
+        return op(_descending_matrix(rng, depth - 1, fo, so), _descending_matrix(rng, depth - 1, fo, so))
+    options = [lambda: Atom("lt", two(fo)), lambda: VarEq(*two(fo)), lambda: Atom("eqc[0]", (rng.choice(fo),))]
+    if so:
+        options += [lambda: Subset(*two(so)), lambda: In(rng.choice(fo), rng.choice(so))]
+    leaf = rng.choice(options)()
+    return Neg(leaf) if rng.random() < 0.4 else leaf
+
+
+DESCENDING_SENTENCES = [
+    "(exists x0 (exists x1 (and (lt x1 x0) (not (lt x0 x1)))))",
+    "(forall x0 (exists x1 (or (lt x1 x0) (eqc[0] x0))))",
+    "(exists x0 (exists x1 (exists x2 (and (lt x2 x0) (and (lt x1 x2) (not (= x1 x0)))))))",
+    "(existsset X0 (existsset X1 (exists x0 (and (in x0 X0) (and (subset X1 X0) (not (subset X0 X1)))))))",
+]
+
+
+def _descending_cases():
+    """Prenex sentences over two or three first-order and up to two set
+    names, on structures of one to five elements."""
+    rng = random.Random(29)
+    sentences = [parse_sexpr(text) for text in DESCENDING_SENTENCES]
+    for _ in range(150):
+        fo = [f"x{k}" for k in range(rng.randint(2, 3))]
+        so = [f"X{k}" for k in range(rng.randint(0, 2))]
+        f = _descending_matrix(rng, 2, fo, so)
+        binders = [(rng.choice([ExistsFO, ForallFO]), v) for v in fo]
+        binders += [(rng.choice([ExistsSet, ForallSet, BoundSet]), v) for v in so]
+        rng.shuffle(binders)
+        for op, v in binders:
+            f = op(v, f)
+        sentences.append(f)
+    return [(f, random_sigma0_structure(rng, rng.randint(1, 5), 0.3, 0.3)) for f in sentences for _ in range(2)]
+
+
+def test_descending_leaves_match_slow_evaluator(monkeypatch):
+    cases = _descending_cases()
+    for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s in cases:
+            want = eval_finite_slow(f, s)
+            assert eval_finite(f, s) == want, (limit, to_sexpr(f))
+            # a diagnostics sink evaluates the unfolded plan
+            assert eval_finite(f, s, diagnostics={}) == want, (limit, to_sexpr(f))
+
+
+def test_every_value_has_its_axes_in_the_fixed_order(monkeypatch):
+    # first-order axes before set axes, names ascending: then combine only
+    # inserts length-one axes and never transposes an operand
+    seen = []
+
+    def check(value, n):
+        arr, axes = value
+        assert list(axes) == sorted(axes)
+        assert arr.shape == tuple(n if kind == "fo" else 1 << n for kind, _ in axes)
+        seen.append(len(axes))
+
+    leaf, inner = msoeval._Evaluator._leaf, msoeval._Evaluator._inner
+
+    def checked_leaf(self, i, env):
+        value = leaf(self, i, env)
+        check(value, self.n)
+        return value
+
+    def checked_inner(self, i, env):
+        value = yield from inner(self, i, env)
+        check(value, self.n)
+        return value
+
+    monkeypatch.setattr(msoeval._Evaluator, "_leaf", checked_leaf)
+    monkeypatch.setattr(msoeval._Evaluator, "_inner", checked_inner)
+    cases = _descending_cases()[:120]
+    sentence = emit_hom_sentence(list(SIGMA0), "Z")
+    rng = random.Random(31)
+    cases += [(sentence, random_sigma0_structure(rng, n, 0.2, 0.1)) for n in (1, 2, 3, 4)]
+    for limit in (msoeval.CELL_LIMIT, 1):
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s in cases:
+            eval_finite(f, s)
+    assert max(seen) >= 3 and seen.count(2) > 100
+
+
+def test_both_evaluators_refuse_an_atom_of_the_wrong_arity():
+    for rows in ([], [("a", "b")]):
+        s = SigmaStructure(["a", "b"], {LT: rows})
+        for text in ("(exists x (lt x))", "(exists x (and (false) (lt x)))"):
+            for evaluate in (eval_finite, eval_finite_slow):
+                with pytest.raises(MsoError, match="atom arity does not match the relation"):
+                    evaluate(parse_sexpr(text), s)
