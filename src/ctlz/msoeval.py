@@ -95,6 +95,7 @@ class _Plan:
         self.so: list = []
         self.names: list = []
         self.peaks: dict = {}  # (node, n, assigned names) -> peak cells
+        self.layouts: dict = {}  # (n, axes, axes) -> combine's axes and operand shapes
         _free_names(sentence)
         index: dict = {}  # formula -> node, unless unfolding
         done: list = []  # nodes of the finished subformulas, in order
@@ -200,21 +201,20 @@ class _Evaluator:
     def ones(self, axes: tuple):
         return np.ones([self.n if kind == "fo" else self.nsets for kind, _ in axes], dtype=bool), axes
 
-    @staticmethod
-    def expand(arr, arr_axes, axes):
-        """arr with length-one axes for those of ``axes`` (a supersequence of arr_axes) it lacks."""
-        if arr_axes == axes:
-            return arr
-        sizes = dict(zip(arr_axes, arr.shape))
-        return arr.reshape([sizes.get(ax, 1) for ax in axes])
-
     def combine(self, left, right, op):
-        """op (bitwise and/or) of two values on the sorted union of their
-        axes, run on uint8 views: for cells of 0 or 1 it is the logical op."""
+        """op (bitwise and/or, or <= for implication) of two values on the
+        sorted union of their axes, run on uint8 views: on cells of 0 or 1
+        it is the logical op.  Each operand gets length-one axes for those
+        of the union it lacks; the layout is kept on the plan."""
         (la, laxes), (ra, raxes) = left, right
-        axes = laxes if laxes == raxes else tuple(sorted({*laxes, *raxes}))
-        la = self.expand(la, laxes, axes).view(np.uint8)
-        return op(la, self.expand(ra, raxes, axes).view(np.uint8)).view(bool), axes
+        key = (self.n, laxes, raxes)
+        if key not in self.plan.layouts:
+            axes = tuple(sorted({*laxes, *raxes}))
+            sizes = [self.n if kind == "fo" else self.nsets for kind, _ in axes]
+            shapes = ([s if ax in part else 1 for s, ax in zip(sizes, axes)] for part in (laxes, raxes))
+            self.plan.layouts[key] = (axes, *shapes)
+        axes, lshape, rshape = self.plan.layouts[key]
+        return op(la.reshape(lshape).view(np.uint8), ra.reshape(rshape).view(np.uint8)).view(bool), axes
 
     # -- evaluation
 
@@ -308,7 +308,7 @@ class _Evaluator:
             la, laxes = yield kids[0], env
             if not la.any():
                 return ~la, laxes
-            return self.combine((~la, laxes), (yield kids[1], env), np.bitwise_or)
+            return self.combine((la, laxes), (yield kids[1], env), np.less_equal)  # a <= b: a implies b
         if kind == BOUND:
             return (yield from self._bound(i, kids[0], env))
         return (yield from self._quantifier(i, kids[0], env))
