@@ -581,7 +581,7 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     if len(order) < k:
         return None  # a strict-order cycle
     if target == "Q":
-        candidates = _rational_candidates(n, bound, k, edges, consts)
+        candidates = _rational_candidates(n, bound, k, consts)
     else:
         candidates = _integer_candidates(target, bound, k, edges, consts, mods)
     if candidates is None:
@@ -664,16 +664,13 @@ def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: lis
     return candidates
 
 
-def _rational_candidates(n: int, bound: int, k: int, edges: set, consts: list):
+def _rational_candidates(n: int, bound: int, k: int, consts: list):
     """Per class, its pinned constant or the ascending grid of fractions
-    with denominators up to n + 1 in [-bound, bound]; None on a
-    self-loop, a constant clash or a constant out of range."""
+    with denominators up to n + 1 in [-bound, bound]; None on a constant
+    clash or a constant out of range."""
     grid = sorted(
         {Fraction(p, q) for q in range(1, n + 2) for p in range(-bound * q, bound * q + 1)}
     )
-    for a, b in edges:
-        if a == b:
-            return None
     candidates = []
     for ci in range(k):
         if len(consts[ci]) > 1:
@@ -695,16 +692,20 @@ def _first_assignment(candidates: list, succs: list, order: list):
     the edges.
 
     Forward checking: every class keeps a window [lo, hi) of indices into
-    its candidates.  Once a class takes a value, the lower ends of the
-    windows after it along the edges rise and the upper ends of those
-    before it fall, transitively in ``order``, each to a candidate of its
-    class by bisection (on a range, the next value of its congruence
+    its candidates, narrowed once over all classes before the search and
+    again after each value a class takes.  The lower ends of the windows
+    after it along the edges rise and the upper ends of those before it
+    fall, transitively in ``order``, each to a candidate of its class by
+    bisection (on a range, the next value of its congruence
     progression).  A value that empties a window extends to no complete
     map and is skipped, as are the values outside a class's window; the
     values tried keep their order, so the first map is the one plain
-    chronological backtracking finds.  Backtracking runs on an explicit
-    cursor per class and a trail of window changes, so the class count
-    is not bounded by the recursion limit."""
+    chronological backtracking finds.  With only strict-order edges,
+    the least value left in a narrowed window always extends, so the
+    search does not backtrack in practice; it stays exact without that
+    argument.  Backtracking runs on an explicit cursor per class and a
+    trail of window changes, so the class count is not bounded by the
+    recursion limit."""
     k = len(candidates)
     preds = [[] for _ in range(k)]
     rank = [0] * k

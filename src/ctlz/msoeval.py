@@ -17,8 +17,8 @@ a set axis).  Axes follow one fixed order, ("fo", name) before
 subsequence of it: the leaves sort theirs, and connectives (the sorted
 union) and quantifier reductions keep it.  So a connective lines its
 operands up by inserting length-one axes, never by a transpose, and runs
-as a byte kernel: bitwise and/or on uint8 views of the bool arrays, which
-hold only 0 and 1.  Negation stays on bool arrays, and no array is
+as a byte kernel on uint8 views of the bool arrays, which hold only 0 and
+1: bitwise and/or, and <= for implication.  Negation stays on bool arrays, and no array is
 written in place.  Quantifiers are any/all reductions.  Results are
 memoised per (plan node, values of its free names), so equal subformulas
 share them.  Evaluation runs as generator frames on an explicit stack,
@@ -64,12 +64,13 @@ CELL_LIMIT = 1 << 24
 MEMO_CELL_LIMIT = 1 << 18
 
 # node kinds, as kept on the plan: leaves first, then the inner nodes
-_KINDS = (MsoBool, Atom, VarEq, In, Subset, Neg, Conj, Disj, Implies, BoundSet, ExistsFO, ForallFO, ExistsSet, ForallSet)
+_KINDS = (MsoBool, Atom, VarEq, In, Subset, Neg, Conj, Disj, Implies, BoundSet,
+          ExistsFO, ForallFO, ExistsSet, ForallSet)
 BOOL, ATOM, VAREQ, IN, SUBSET, NEG, CONJ, DISJ, IMPLIES, BOUND, EXISTS_FO, FORALL_FO, EXISTS_SET, FORALL_SET = range(14)
 
 
 def _relation_map(structure: SigmaStructure, index: dict) -> dict:
-    return {rel.name: [tuple(map(index.__getitem__, t)) for t in tuples] for rel, tuples in structure.interpretation.items()}
+    return {rel.name: [tuple(map(index.__getitem__, t)) for t in rows] for rel, rows in structure.interpretation.items()}
 
 
 def _check_arities(atoms, structure: SigmaStructure) -> None:
