@@ -535,47 +535,27 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
             x = parent[x]
         return x
 
-    lt_pairs = []
-    const_of: dict = {}
-    mods_of: dict = {}
     for rel, tuples in structure.interpretation.items():
         if rel.kind == EQUAL:
             for a, b in tuples:
                 ra, rb = find(index[a]), find(index[b])
                 if ra != rb:
-                    if ra > rb:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-        elif rel.kind == LESS:
-            for a, b in tuples:
-                lt_pairs.append((index[a], index[b]))
-        elif rel.kind == CONSTANT:
-            for (a,) in tuples:
-                const_of.setdefault(index[a], set()).add(rel.params[0])
-        elif rel.kind == MODULO:
-            for (a,) in tuples:
-                mods_of.setdefault(index[a], set()).add(rel.params)
-
-    roots = [find(i) for i in range(n)]
-    class_order: list = []
-    class_idx: dict = {}
-    for i in range(n):
-        r = roots[i]
-        if r not in class_idx:
-            class_idx[r] = len(class_order)
-            class_order.append(r)
-    cls = [class_idx[roots[i]] for i in range(n)]
-    k = len(class_order)
-
-    edges = set()
-    for a, b in lt_pairs:
-        edges.add((cls[a], cls[b]))
+                    parent[max(ra, rb)] = min(ra, rb)
+    number: dict = {}  # root -> class index, in order of first member
+    cls = {e: number.setdefault(find(i), len(number)) for i, e in enumerate(elements)}
+    k = len(number)
+    edges: set = set()
     consts = [set() for _ in range(k)]
     mods = [set() for _ in range(k)]
-    for i, cs in const_of.items():
-        consts[cls[i]] |= cs
-    for i, ms in mods_of.items():
-        mods[cls[i]] |= ms
+    for rel, tuples in structure.interpretation.items():
+        if rel.kind == LESS:
+            edges.update((cls[a], cls[b]) for a, b in tuples)
+        elif rel.kind == CONSTANT:
+            for (a,) in tuples:
+                consts[cls[a]].add(rel.params[0])
+        elif rel.kind == MODULO:
+            for (a,) in tuples:
+                mods[cls[a]].add(rel.params)
 
     succs, order = _kahn_order(k, edges)
     if len(order) < k:
@@ -589,7 +569,7 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     solution = _first_assignment(candidates, succs, order)
     if solution is None:
         return None
-    return {e: solution[cls[index[e]]] for e in elements}
+    return {e: solution[cls[e]] for e in elements}
 
 
 def _kahn_order(k: int, edges: set):
