@@ -176,22 +176,19 @@ class _NumericDomain(ConcreteDomain):
 
     def relation_test(self, rel: RelationSymbol):
         """One closure per relation kind, so that a tuple costs its arity
-        check and one comparison, with no dispatch on the kind."""
+        check and one comparison; a tuple of the wrong arity goes to
+        ``_holds``, which raises."""
         self._require(rel)
-        arity = rel.arity
-
-        def wrong(values):
-            raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")
-
+        n = rel.arity
         if rel.kind == LESS:
-            return lambda v: v[0] < v[1] if len(v) == arity else wrong(v)
+            return lambda v: v[0] < v[1] if len(v) == n else self._holds(rel, v)
         if rel.kind == EQUAL:
-            return lambda v: v[0] == v[1] if len(v) == arity else wrong(v)
+            return lambda v: v[0] == v[1] if len(v) == n else self._holds(rel, v)
         if rel.kind == CONSTANT:
             c = rel.params[0]
-            return lambda v: v[0] == c if len(v) == arity else wrong(v)
+            return lambda v: v[0] == c if len(v) == n else self._holds(rel, v)
         a, b = rel.params
-        return lambda v: v[0] % b == a if len(v) == arity else wrong(v)
+        return lambda v: v[0] % b == a if len(v) == n else self._holds(rel, v)
 
     def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
         if len(values) != rel.arity:
