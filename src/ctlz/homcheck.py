@@ -563,7 +563,7 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     if target == "Q":
         candidates = _rational_candidates(n, bound, k, consts)
     else:
-        candidates = _integer_candidates(target, bound, k, edges, consts, mods)
+        candidates = _integer_candidates(target, bound, k, succs, order, consts, mods)
     if candidates is None:
         return None
     solution = _first_assignment(candidates, succs, order)
@@ -590,10 +590,11 @@ def _kahn_order(k: int, edges: set):
     return succs, order
 
 
-def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: list, mods: list):
+def _integer_candidates(target: str, bound: int, k: int, succs: list, order: list, consts: list, mods: list):
     """Per class, the ascending values (a range) in the target's part of
     [-bound, bound] left by the unary filters and difference-bound
-    tightening; None when some class has none."""
+    tightening; None when some class has none.  ``succs`` and ``order``
+    are the class edges as ``_kahn_order`` gives them."""
     if target == "Z":
         lo, hi = -bound, bound
     elif target == "N":
@@ -619,7 +620,6 @@ def _integer_candidates(target: str, bound: int, k: int, edges: set, consts: lis
     # backward along a topological order of the class edges, which gives
     # the fixpoint in one pass each; a class never ordered lies on a
     # strict-order cycle
-    succs, order = _kahn_order(k, edges)
     if len(order) < k:
         return None
     for a in order:

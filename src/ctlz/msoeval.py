@@ -30,6 +30,36 @@ quantifier is constantly true here: a finite structure has only finitely
 many subsets, so a bound always exists; the evaluator still reports the
 largest satisfying set when asked, and then the plan unfolds into one
 node per tree position, so that every B occurrence reports separately.
+A first-order quantifier on the empty structure is false (exists) or
+true (forall), whatever its body.
+
+Miniscoping.  Where the plan's widest node could outgrow the cell budget
+on the structure (the sigma0 Z sentence at five elements and up), the
+sentence is evaluated on a second plan, built on first use and cached
+beside the first: the sentence with its quantifiers pushed in, so that
+a quantifier reduces each conjunct on its own axes rather than their
+union (Nonnengart and Weidenbach, Computing Small Clause Normal Forms,
+2001).  Each rule holds on every domain, the empty one included; v is
+the quantified name and "v not in A" means v is not free in A:
+
+    forall v (A & B)        ->  forall v A & forall v B
+    forall v (A -> B & C)   ->  forall v (A -> B) & forall v (A -> C)
+    forall v (A -> B)       ->  A -> forall v B            v not in A
+    forall v (A | B)        ->  A | forall v B             v not in A
+    exists v (A | B)        ->  exists v A | exists v B
+    exists v (A & (B | C))  ->  exists v (A & B) | exists v (A & C)
+    exists v (A & B)        ->  A & exists v B             v not in A
+
+and the mirror images of the rules with "v not in A" for v not in B,
+where the connective is symmetric.  A conjunction (disjunction) is split
+only where its operands' free names differ; otherwise the pieces have
+the same axes and splitting only adds nodes.  A quantifier over a name
+its body does not mention is kept, since dropping it is unsound on the
+empty structure, and B nodes are left as they are.  The rewrite is one
+``mso.rewrite`` step keyed by (node, pending quantifier), so it runs on
+explicit frames once per distinct pair.  On small structures the extra
+nodes cost more than the smaller arrays save, so they keep the plain
+plan, as do diagnostics requests, which unfold it.
 """
 
 from __future__ import annotations
@@ -56,6 +86,8 @@ from .mso import (
     _children,
     _free_names,
     _postorder,
+    _rebuilt,
+    rewrite,
 )
 from .structures import SigmaStructure
 
@@ -150,16 +182,68 @@ class _Plan:
         return peaks[(i, n, assigned)]
 
 
-_RECENT_PLANS: dict = {}  # (sentence, unfold) -> plan, least recently used first
+_RECENT_PLANS: dict = {}  # (sentence, unfold, scoped) -> plan, least recently used first
 
 
-def _plan(sentence: MsoFormula, unfold: bool) -> _Plan:
-    key = (sentence, unfold)
-    plan = _RECENT_PLANS.pop(key, None) or _Plan(sentence, unfold)
+def _plan(sentence: MsoFormula, unfold: bool, scoped: bool = False) -> _Plan:
+    """The plan of the sentence: plain, unfolded, or (``scoped``) of the
+    sentence with its quantifiers pushed in, built on first use."""
+    key = (sentence, unfold, scoped)
+    plan = _RECENT_PLANS.pop(key, None) or _Plan(rewrite(sentence, _scope_step) if scoped else sentence, unfold)
     _RECENT_PLANS[key] = plan
     if len(_RECENT_PLANS) > 4:  # callers alternate between a few sentences at most
         del _RECENT_PLANS[next(iter(_RECENT_PLANS))]
     return plan
+
+
+# ---------------------------------------------------------------------------
+# Miniscoping
+
+_PUSHED = (ExistsFO, ForallFO, ExistsSet, ForallSet)  # B is left as it is
+
+
+def _scope_step(f: MsoFormula, scope):
+    """``mso.rewrite`` step that pushes quantifiers in.  With scope None it
+    returns f with every quantifier pushed in; with scope (quantifier
+    class, name) it returns that quantifier applied to f, whose own
+    quantifiers are pushed in already, pushed into f's connectives as far
+    as the rules go.  A quantifier is never dropped, even over a name its
+    body does not mention: that is only sound on a non-empty domain."""
+    if scope is None:
+        if type(f) in _PUSHED:
+            body = yield f.body, None
+            return (yield body, (type(f), f.var))
+        if type(f) is BoundSet:
+            return f
+        return (yield from _rebuilt(f, None))
+    quant, var = scope
+    side = quant in (ExistsSet, ForallSet)  # index of the free set names
+
+    def free(g: MsoFormula) -> bool:
+        return var in _free_names(g)[side]
+
+    def differ(g: MsoFormula) -> bool:  # splitting g only pays when its operands' arrays differ
+        return _free_names(g.left) != _free_names(g.right)
+
+    # split: the connective the quantifier distributes over; guard: the one
+    # it distributes over through a split right operand, forall v (A -> B & C)
+    # and exists v (A & (B | C)); guard and other: the ones it passes by an
+    # operand that does not mention v
+    split, guard, other = (Conj, Implies, Disj) if quant in (ForallFO, ForallSet) else (Disj, Conj, Conj)
+    kind = type(f)
+    if kind not in (split, guard, other) or not free(f):
+        return quant(var, f)
+    left, right = f.left, f.right
+    if kind is split:
+        if differ(f):
+            return split((yield left, scope), (yield right, scope))
+    elif not free(left):
+        return kind(left, (yield right, scope))
+    elif kind is other and not free(right):
+        return kind((yield left, scope), right)
+    elif kind is guard and type(right) is split and differ(right):
+        return split((yield guard(left, right.left), scope), (yield guard(left, right.right), scope))
+    return quant(var, f)
 
 
 class _Evaluator:
@@ -178,6 +262,11 @@ class _Evaluator:
         self.member = ((np.arange(self.nsets) >> np.arange(self.n)[:, None]) & 1).astype(bool)
         self.subsets = None  # cells [X, Y] of X <= Y and their transpose, built on first use
 
+    def bounded(self, plan: _Plan) -> bool:
+        """Whether no node of the plan can outgrow the cell budget."""
+        fo, so = plan.widest
+        return self.n ** fo * self.nsets ** so <= CELL_LIMIT
+
     def fits(self, i: int, env: dict) -> bool:
         """Whether evaluating node i under env stays within the cell budget."""
         if self.small:
@@ -191,8 +280,7 @@ class _Evaluator:
         if missing:
             raise MsoError(f"free variables without assignment: {missing}")
         _check_arities(plan.atoms, self.structure)
-        fo, so = plan.widest
-        self.small = self.n ** fo * self.nsets ** so <= CELL_LIMIT  # no node can outgrow the budget
+        self.small = self.bounded(plan)
         arr, axes = self.eval(plan.root, env)
         assert axes == ()
         return bool(arr)
@@ -334,6 +422,8 @@ class _Evaluator:
         if self.fits(body, env):
             arr, axes = yield body, env
             if axis not in axes:
+                if not self.n and not over_sets:  # no element: exists is false and forall true
+                    return np.full(arr.shape, not existential), axes
                 return arr, axes
             k = axes.index(axis)
             reduced = arr.any(axis=k) if existential else arr.all(axis=k)
@@ -421,7 +511,10 @@ def eval_finite(
     element ids, set values are iterables of element ids."""
     ev = _Evaluator(structure, diagnostics)
     env = _convert_assignment(assignment, ev.index)
-    return ev.run(_plan(formula, diagnostics is not None), env)
+    plan = _plan(formula, diagnostics is not None)
+    if diagnostics is None and not ev.bounded(plan):
+        plan = _plan(formula, False, scoped=True)
+    return ev.run(plan, env)
 
 
 def eval_finite_slow(

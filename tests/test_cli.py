@@ -224,6 +224,15 @@ def test_eval_mso_refuses_an_atom_of_the_wrong_arity_whatever_the_data(capsys, t
     rc, out, _ = run(capsys, "eval-mso", "--structure", str(p), "--formula", "(exists x (other x))")
     assert (rc, out) == (1, "false\n")  # a relation the structure does not list is false
 
+
+def test_eval_mso_quantifies_over_no_element(capsys, tmp_path):
+    p = tmp_path / "empty.structure"
+    p.write_text("ELEMENTS\n")
+    rc, out, _ = run(capsys, "eval-mso", "--structure", str(p), "--formula", "(exists x (true))")
+    assert (rc, out) == (1, "false\n")
+    rc, out, _ = run(capsys, "eval-mso", "--structure", str(p), "--formula", "(forall x (false))")
+    assert (rc, out) == (0, "true\n")
+
 # ---------------------------------------------------------------------------
 # Model checking and search
 

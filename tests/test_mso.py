@@ -41,8 +41,11 @@ from ctlz.mso import (
     Neg,
     Subset,
     VarEq,
+    _free_names,
+    _postorder,
     conj_all,
     fo_free,
+    rewrite,
     set_free,
 )
 from ctlz import msoeval
@@ -553,3 +556,159 @@ def test_both_evaluators_refuse_an_atom_of_the_wrong_arity():
             for evaluate in (eval_finite, eval_finite_slow):
                 with pytest.raises(MsoError, match="atom arity does not match the relation"):
                     evaluate(parse_sexpr(text), s)
+
+
+# ---------------------------------------------------------------------------
+# Miniscoping: the plan for structures on which a node could outgrow the
+# cell budget evaluates the sentence with its quantifiers pushed in
+
+
+EMPTY = SigmaStructure([], {LT: []})
+
+EMPTY_SENTENCES = [
+    "(exists x (true))",
+    "(forall x (false))",
+    "(exists x (lt x x))",
+    "(forall x (lt x x))",
+    "(not (exists x (true)))",
+    "(forall x (exists y (true)))",
+    "(existsset X (forall x (in x X)))",
+    "(forallset X (exists x (false)))",
+    "(and (forall x (false)) (exists y (or (true) (lt y y))))",
+    "(forall x (and (true) (forall y (lt x y))))",
+    "(exists x (and (true) (exists y (true))))",
+    "(forall x (-> (true) (and (false) (lt x x))))",
+]
+
+
+def _run_plan(f, s, env, scoped):
+    """f evaluated on s under env on its plain or its scoped plan, whatever
+    the structure's size."""
+    ev = msoeval._Evaluator(s, None)
+    return ev.run(msoeval._plan(f, False, scoped), msoeval._convert_assignment(env, ev.index))
+
+
+def _scoping_mso(rng, depth):
+    """A random formula over x, y, z and X, Y for the rewrite: quantifiers
+    over and/or/implies chains whose operands mention different names,
+    guarded bodies, binders that rebind an outer name, and B nodes."""
+    if depth <= 0:
+        return rng.choice([
+            lambda: Atom("lt", (rng.choice("xyz"), rng.choice("xyz"))),
+            lambda: Atom("eqc[0]", (rng.choice("xyz"),)),
+            lambda: VarEq(rng.choice("xyz"), rng.choice("xyz")),
+            lambda: In(rng.choice("xyz"), rng.choice("XY")),
+            lambda: Subset(rng.choice("XY"), rng.choice("XY")),
+            lambda: MsoBool(rng.random() < 0.5),
+        ])()
+    roll = rng.random()
+    if roll < 0.1:
+        return Neg(_scoping_mso(rng, depth - 1))
+    if roll < 0.35:  # a chain, its links and/or/implies
+        f = _scoping_mso(rng, depth - 1)
+        for _ in range(rng.randint(1, 3)):
+            f = rng.choice([Conj, Disj, Implies])(_scoping_mso(rng, depth - 1), f)
+        return f
+    var = rng.choice("xyz")
+    if roll < 0.55:  # forall v (G -> A & B) or exists v (G & (A | B))
+        op, guard, split = rng.choice([(ForallFO, Implies, Conj), (ExistsFO, Conj, Disj)])
+        body = split(_scoping_mso(rng, depth - 1), _scoping_mso(rng, depth - 1))
+        return op(var, guard(Atom("eqc[0]", (var,)), body))
+    if roll < 0.85:
+        return rng.choice([ExistsFO, ForallFO])(var, _scoping_mso(rng, depth - 1))
+    return rng.choice([ExistsSet, ForallSet, BoundSet])(rng.choice("XY"), _scoping_mso(rng, depth - 1))
+
+
+def _scoping_cases():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(200):
+        s = random_sigma0_structure(rng, 5, 0.3, 0.4)
+        env = {v: rng.choice(s.elements) for v in "xyz"}
+        env.update({v: [e for e in s.elements if rng.random() < 0.5] for v in "XY"})
+        cases.append((_scoping_mso(rng, 3), s, env))
+    return cases
+
+
+def test_scoped_sentence_keeps_the_free_names():
+    sentence = emit_hom_sentence(list(SIGMA0), "Z")
+    for f in [sentence] + [f for f, _, _ in _scoping_cases()]:
+        assert _free_names(rewrite(f, msoeval._scope_step)) == _free_names(f), to_sexpr(f)
+
+
+def test_both_plans_match_slow_evaluator_on_five_elements(monkeypatch):
+    cases = _scoping_cases()
+    changed = sum(rewrite(f, msoeval._scope_step) is not f for f, _, _ in cases)
+    assert changed > 100
+    for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s, env in cases:
+            want = eval_finite_slow(f, s, env)
+            for scoped in (False, True):
+                assert _run_plan(f, s, env, scoped) == want, (limit, scoped, to_sexpr(f), env)
+            assert eval_finite(f, s, env) == want, (limit, to_sexpr(f), env)
+
+
+def test_first_order_quantifiers_on_the_empty_structure():
+    # no element: exists is false and forall is true, whatever the body
+    for text in EMPTY_SENTENCES:
+        f = parse_sexpr(text)
+        want = eval_finite_slow(f, EMPTY)
+        assert eval_finite(f, EMPTY) == want, text
+        for scoped in (False, True):
+            assert _run_plan(f, EMPTY, {}, scoped) == want, (scoped, text)
+    assert not eval_finite(parse_sexpr("(exists x (true))"), EMPTY)
+    assert eval_finite(parse_sexpr("(forall x (false))"), EMPTY)
+
+
+def test_dropping_a_vacuous_quantifier_fails_on_the_empty_structure(monkeypatch):
+    # the rewrite keeps a quantifier over a name its body does not mention:
+    # dropping it is sound on every structure but the empty one
+    def dropping_step(f, scope):
+        if scope is not None and scope[1] not in _free_names(f)[scope[0] in (ExistsSet, ForallSet)]:
+            return f
+        return (yield from scope_step(f, scope))
+
+    def mismatches(s):
+        monkeypatch.setattr(msoeval, "_RECENT_PLANS", {})
+        sentences = map(parse_sexpr, EMPTY_SENTENCES)
+        return [to_sexpr(f) for f in sentences if _run_plan(f, s, {}, True) != eval_finite_slow(f, s)]
+
+    scope_step = msoeval._scope_step
+    one = SigmaStructure(["a"], {LT: [("a", "a")]})
+    assert mismatches(EMPTY) == mismatches(one) == []
+    monkeypatch.setattr(msoeval, "_scope_step", dropping_step)
+    assert mismatches(one) == []
+    assert "(exists x (true))" in mismatches(EMPTY)
+
+
+def test_scoped_plan_has_one_node_per_distinct_subtree():
+    sentence = emit_hom_sentence(list(SIGMA0), "Z")
+    scoped = rewrite(sentence, msoeval._scope_step)
+    assert scoped is not sentence
+    assert len(msoeval._plan(sentence, False, scoped=True).nodes) == len(_postorder(scoped))
+    assert len(msoeval._plan(sentence, unfold=False).nodes) == len(_postorder(sentence)) == 678
+
+
+def test_deep_sentences_evaluate_on_the_scoped_plan(monkeypatch):
+    depth = 10_000
+    # lt holds everywhere but at (e4, e0)
+    elements = [f"e{i}" for i in range(5)]
+    s = SigmaStructure(elements, {LT: [(a, b) for a in elements for b in elements if (a, b) != ("e4", "e0")]})
+    # each conjunct mentions x or y alone and the rest of the chain both,
+    # so forall y splits the chain down to its last link
+    links = [Atom("lt", ("x", "x")), Atom("lt", ("y", "y"))]
+    chain = ForallFO("x", ForallFO("y", conj_all([links[i % 2] for i in range(depth - 1)] + [Atom("lt", ("x", "y"))])))
+    plan = msoeval._plan(chain, False, scoped=True)
+    assert type(plan.nodes[plan.root].body) is Conj
+    atoms = [Atom(f"r{i % 7}", ("x",)) if i % 3 else Atom("lt", ("x", "x")) for i in range(depth)]
+    sentences = [
+        (chain, False),
+        (ExistsFO("x", parse_sexpr("(not " * depth + "(lt x x)" + ")" * depth)), True),
+        (parse_sexpr("(exists x " * depth + "(lt x x)" + ")" * depth), True),
+        (ExistsFO("x", conj_all(atoms)), False),
+    ]
+    monkeypatch.setattr(msoeval, "CELL_LIMIT", 4)  # five elements outgrow it: the scoped plan runs
+    for f, want in sentences:
+        assert eval_finite(f, s) == want
+        assert (f, False, True) in msoeval._RECENT_PLANS
