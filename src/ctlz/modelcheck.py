@@ -14,19 +14,19 @@ The tableau automaton is transition-based (Giannakopoulou and Lerda;
 Couvreur): a state is a set of obligations, an edge is one tableau
 branch with a guard of positive and negative literals, and the edge
 carries one acceptance mark per Until it does not postpone.  No alphabet
-is built.  The product is searched in one pass: an iterative Tarjan DFS
-over int product nodes (state index * windows + window) that reads each
-window's letter as a bitmask over the tracked propositions, follows the
-edges whose guards it meets, and decides each SCC as it closes: accepting
-when its internal edges carry every mark or when it reaches an accepting
-SCC.  No adjacency is stored, so memory grows with the product nodes
-reached, not with states x windows.  An accepting sink is a state with
-an unguarded self-loop that carries every mark; the compiled plan lists
-them next to the edge table.  When every window has a successor, every
-window path extends to an infinite one, so a product node whose letter
-meets an edge into a sink is good on sight and is closed without being
-entered.  A window graph with dead ends (``validate_model`` rejects them,
-but the API takes them) is searched without this shortcut.
+is built.  Windows with equal successors (at depth >= 1, those sharing a
+suffix) form one successor class, and a product node is a state and a
+class: the next window read is some member of the class.  The product
+is searched in one pass: an iterative Tarjan DFS over int product nodes
+(state index * classes + class) that reads each member's letter as a
+bitmask over the tracked propositions, follows the edges whose guards it
+meets to the class of that member's successors, and decides each SCC as
+it closes.  No adjacency is stored, so memory grows with the product
+nodes reached, not with states x classes.  An accepting sink, a state
+with an unguarded self-loop that carries every mark, is listed next to
+the edge table; when every window has a successor, a node that can step
+into one is good on sight and is not entered.  A window graph with dead
+ends (``validate_model`` rejects them) is searched without this shortcut.
 
 Window expansion has two steps: ``window_skeleton`` builds the windows
 and their successors from the nodes, the edges and the depth, and
@@ -266,110 +266,128 @@ def _sinks(edges, n_marks) -> frozenset:
     return frozenset(q for q, out in enumerate(edges) if (0, 0, q, every) in out)
 
 
+def successor_classes(succ) -> tuple:
+    """Per window the id of its successor class, and per class the shared
+    successors, its members: windows with equal successors share a class,
+    which at depth >= 1 is one suffix range of ``window_skeleton``."""
+    ids: dict = {}
+    of = [ids.setdefault(s if type(s) is range else tuple(s), len(ids)) for s in succ]
+    return of, list(ids)
+
+
 _GOOD, _BAD = -1, -2  # the verdict of a node's SCC once it has closed
 
 
-def _accepted_start_windows(succ, edges, n_marks, letters, sinks) -> set:
+def _accepted_start_windows(classes, edges, n_marks, letters, sinks) -> set:
     """Positions i such that some accepting run of the automaton (an
     ``_edge_table`` with ``n_marks`` acceptance marks and the accepting
     ``sinks`` of ``_sinks``) reads a window path starting at window i,
-    given each window's successors and letter.
+    given the windows' ``successor_classes`` and letters.
 
-    One iterative Tarjan pass over the product, whose node for state q on
-    window w is the int q * len(letters) + w.  A node's successors are
-    generated when it is entered and each edge is classified as the DFS
-    meets it: an edge to a node still on the Tarjan stack stays inside one
-    SCC, so its marks are collected, and an edge into a closed SCC counts
-    only when that SCC is good.  An SCC is decided as it closes, after
-    every SCC it reaches: good when its internal edges carry every mark,
-    or when it reaches a good SCC (Couvreur; Geldenhuys and Valmari).
+    One iterative Tarjan pass over the product, whose node (q, c) is the
+    int q * len(classes[1]) + c.  Its edges read each member w of class c:
+    an edge of q whose guard meets w's letter leads to its target on the
+    class of w's successors.  Window i is accepted when an initial edge
+    that meets its letter leads to a good node, so runs lose only their
+    first edge.  A node's successors are generated when it is entered and
+    each edge is classified as the DFS meets it: an edge to a node still
+    on the Tarjan stack stays inside one SCC, so its marks are collected,
+    and an edge into a closed SCC counts only when that SCC is good.  An
+    SCC is decided as it closes, after every SCC it reaches: good when its
+    internal edges carry every mark, or when it reaches a good SCC
+    (Couvreur; Geldenhuys and Valmari).
 
     When every window has a successor, every window path extends to an
-    infinite one, so a node whose letter meets an edge into a sink is good
-    on sight: it is closed as good without being entered (Cerna and
+    infinite one, so a node or start window that reads a letter meeting
+    an edge into a sink is good on sight and is not entered (Cerna and
     Pelanek's terminal accepting states).  Dead-end windows switch this
     off, since a sink there has no infinite path to read."""
-    nw = len(letters)
-    if not all(succ):
+    cls, members = classes
+    nc = len(members)
+    if not all(members):
         sinks = frozenset()
-    elif 0 in sinks:
-        return set(range(nw))
     internal = 1 << n_marks
     full = 2 * internal - 1  # every mark plus the internal-edge bit
     # node -> position on the Tarjan stack, or _GOOD / _BAD once closed;
     # positions are DFS numbers, reused once an SCC leaves the stack
     pos_of: dict = {}
-    stack: list = []
-    low: list = []
-    acc: list = []  # marks of internal edges | internal, or full once a good SCC is reached
-    # (state, letter) -> (target * nw, marks) of the edges it follows, or
+    # per state, letter -> (target, marks) of the edges it follows, or
     # False when one of them enters a sink
-    matching: dict = {}
+    matching = [{} for _ in edges]
+
+    def follow(q, letter):
+        followed = [(target, marks) for pos, neg, target, marks in edges[q] if letter & pos == pos and not letter & neg]
+        matching[q][letter] = followed = False if any(target in sinks for target, _ in followed) else followed
+        return followed
 
     def successors(v):
         """The product edges out of v, or None when v is good on sight."""
-        q, wi = divmod(v, nw)
-        letter = letters[wi]
-        key = (q, letter)
-        followed = matching.get(key)
-        if followed is None:
-            followed = [(target, marks) for pos, neg, target, marks in edges[q] if letter & pos == pos and not letter & neg]
-            followed = matching[key] = (
-                False if any(target in sinks for target, _ in followed) else [(target * nw, marks) for target, marks in followed]
-            )
-        if followed is False:
-            return None
-        ws = succ[wi]
-        return iter([(base + wj, marks) for base, marks in followed for wj in ws])
+        q, c = divmod(v, nc)
+        known = matching[q]
+        out = []
+        for w in members[c]:
+            letter = letters[w]
+            followed = known[letter] if letter in known else follow(q, letter)
+            if followed is False:
+                return None
+            out += [(target * nc + cls[w], marks) for target, marks in followed]
+        return iter(out)
 
-    for root in range(nw):  # (initial state, window) nodes
-        if root in pos_of:
-            continue
-        todo = successors(root)
-        if todo is None:
-            pos_of[root] = _GOOD
-            continue
-        pos_of[root] = 0
-        stack.append(root)
-        low.append(0)
-        acc.append(0)
-        work = [(root, 0, todo)]  # node, marks of its tree edge, successors left
-        while work:
-            v, in_marks, todo = work[-1]
-            i = pos_of[v]
-            for w, marks in todo:
-                j = pos_of.get(w)
-                if j is None:
-                    more = successors(w)
-                    if more is None:
-                        pos_of[w] = j = _GOOD
-                    else:
-                        pos_of[w] = len(stack)
-                        low.append(len(stack))
-                        stack.append(w)
-                        acc.append(0)
-                        work.append((w, marks, more))
-                        break
-                if j >= 0:
-                    if j < low[i]:
-                        low[i] = j
-                    acc[i] |= marks | internal
-                elif j == _GOOD:
-                    acc[i] = full
-            else:
-                work.pop()
-                if low[i] == i:  # v closes its SCC, stack[i:]
-                    verdict = _GOOD if acc[i] == full else _BAD
-                    for u in stack[i:]:
-                        pos_of[u] = verdict
-                    del stack[i:], low[i:], acc[i:]
-                    if work and verdict == _GOOD:
-                        acc[pos_of[work[-1][0]]] = full
-                else:  # the tree edge into v stays inside the parent's SCC
-                    p = pos_of[work[-1][0]]
-                    low[p] = min(low[p], low[i])
-                    acc[p] |= acc[i] | in_marks | internal
-    return {wi for wi in range(nw) if pos_of[wi] == _GOOD}
+    keys = [letter * nc + c for letter, c in zip(letters, cls)]  # all a start verdict depends on
+    verdicts = dict.fromkeys(keys)
+    for key in verdicts:
+        letter, c = divmod(key, nc)
+        followed = matching[0][letter] if letter in matching[0] else follow(0, letter)
+        roots = () if followed is False else [target * nc + c for target, _ in followed]
+        for root in roots:
+            if root in pos_of:
+                continue
+            todo = successors(root)
+            if todo is None:
+                pos_of[root] = _GOOD
+                continue
+            pos_of[root] = 0
+            # per stack entry its low link and the marks of its internal
+            # edges | internal, or full once it reaches a good SCC
+            stack, low, acc = [root], [0], [0]
+            work = [(root, 0, todo)]  # node, marks of its tree edge, successors left
+            while work:
+                v, in_marks, todo = work[-1]
+                i = pos_of[v]
+                for w, marks in todo:
+                    j = pos_of.get(w)
+                    if j is None:
+                        more = successors(w)
+                        if more is None:
+                            pos_of[w] = j = _GOOD
+                        else:
+                            pos_of[w] = len(stack)
+                            low.append(len(stack))
+                            stack.append(w)
+                            acc.append(0)
+                            work.append((w, marks, more))
+                            break
+                    if j >= 0:
+                        if j < low[i]:
+                            low[i] = j
+                        acc[i] |= marks | internal
+                    elif j == _GOOD:
+                        acc[i] = full
+                else:
+                    work.pop()
+                    if low[i] == i:  # v closes its SCC, stack[i:]
+                        verdict = _GOOD if acc[i] == full else _BAD
+                        for u in stack[i:]:
+                            pos_of[u] = verdict
+                        del stack[i:], low[i:], acc[i:]
+                        if work and verdict == _GOOD:
+                            acc[pos_of[work[-1][0]]] = full
+                    else:  # the tree edge into v stays inside the parent's SCC
+                        p = pos_of[work[-1][0]]
+                        low[p] = min(low[p], low[i])
+                        acc[p] |= acc[i] | in_marks | internal
+        verdicts[key] = followed is False or any(pos_of[root] == _GOOD for root in roots)
+    return {wi for wi, key in enumerate(keys) if verdicts[key]}
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +461,10 @@ def _compile(formula: Formula) -> tuple:
     return depth, constraints, order, paths
 
 
-def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
-    """The nodes that satisfy a compiled formula, given the window graph,
-    the node labels and each window's constraint bits: one loop fills the
-    node set of every state subformula, dependencies first."""
+def _label_states(plan: tuple, nodes, label, windows, classes, bits) -> frozenset:
+    """The nodes that satisfy a compiled formula, given the windows, their
+    ``successor_classes``, the node labels and each window's constraint
+    bits: one loop fills every state subformula's node set, children first."""
     _, _, order, paths = plan
     all_nodes = frozenset(nodes)
     firsts = [w[0] for w in windows]
@@ -471,7 +489,7 @@ def _label_states(plan: tuple, nodes, label, windows, succ, bits) -> frozenset:
                 else:
                     holds = sat[g]
                     letters = [letter | (v in holds) << i for letter, v in zip(letters, firsts)]
-            found = frozenset(firsts[wi] for wi in _accepted_start_windows(succ, edges, n_marks, letters, sinks))
+            found = frozenset(firsts[wi] for wi in _accepted_start_windows(classes, edges, n_marks, letters, sinks))
             sat[f] = found if isinstance(f, Exists) else all_nodes - found
     return sat[order[-1]]
 
@@ -484,7 +502,7 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
     are expanded and labelled, and then the state subformulas."""
     plan = _compile(formula)
     wm = expand_windows(model, plan[0], plan[1], dom)
-    return _label_states(plan, model.nodes, model.label, wm.windows, wm.succ, wm.bits)
+    return _label_states(plan, model.nodes, model.label, wm.windows, successor_classes(wm.succ), wm.bits)
 
 
 # ---------------------------------------------------------------------------

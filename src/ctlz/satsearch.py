@@ -44,7 +44,7 @@ from .formulas import (
     variables_of,
 )
 from .homcheck import decide_hom, verify_hom
-from .modelcheck import _compile, _label_states, check_ctlstar, window_skeleton
+from .modelcheck import _compile, _label_states, check_ctlstar, successor_classes, window_skeleton
 from .structures import (
     GRAPH_SHAPE,
     ConstraintKripke,
@@ -199,6 +199,7 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
                 if (mask >> (i * n + j)) & 1
             }
             windows, succ = window_skeleton(nodes, edges, depth)
+            classes = successor_classes(succ)
             # an atom is one constraint on the register cells of one window
             atoms: dict = {}
             window_atoms = []
@@ -224,7 +225,7 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
                     sat = memo.get(truths)
                     if sat is None:
                         bits = [sum(truths[a] << ci for ci, a in enumerate(row)) for row in window_atoms]
-                        sat = memo[truths] = _label_states(plan, nodes, label, windows, succ, bits)
+                        sat = memo[truths] = _label_states(plan, nodes, label, windows, classes, bits)
                     if sat:
                         registers = {cell: pool[j] for cell, j in zip(reg_cells, values)}
                         model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)

@@ -240,7 +240,7 @@ def _random_constraint(rng: random.Random, variables, max_offset: int = 1) -> Co
     return Constraint(rel, args)
 
 
-def random_ctl_formula(rng: random.Random, variables, props, depth: int = 3):
+def random_ctl_formula(rng: random.Random, variables, props, depth: int = 3, max_offset: int = 1):
     """State formula in the fragment the fixpoint oracle accepts:
     boolean combinations of quantified Next/Until/Release whose operands
     are literals or nested state formulas."""
@@ -248,9 +248,9 @@ def random_ctl_formula(rng: random.Random, variables, props, depth: int = 3):
     def arg(d: int):
         roll = rng.random()
         if roll < 0.35:
-            return _random_constraint(rng, variables)
+            return _random_constraint(rng, variables, max_offset)
         if roll < 0.45:
-            return Not(_random_constraint(rng, variables))
+            return Not(_random_constraint(rng, variables, max_offset))
         return state(d - 1)
 
     def state(d: int):

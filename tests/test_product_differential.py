@@ -1,19 +1,24 @@
 """Product emptiness against the three-pass search it replaced.
 
 ``plain_accepted_start_windows`` is the product as it was before the
-one-pass search: it builds the whole reachable product with tuple-keyed
-nodes and stored adjacency, runs Tarjan, and then judges the SCCs in a
-separate pass, and knows nothing of accepting sinks.
-``_accepted_start_windows`` must accept the same start windows on seeded
+one-pass search: one node per (state, window), the whole reachable
+product built with tuple-keyed nodes and stored adjacency, Tarjan, and
+then a separate pass that judges the SCCs; it knows nothing of successor
+classes or accepting sinks.  ``_accepted_start_windows``, one node per
+(state, successor class), must accept the same start windows on seeded
 random automata and window graphs, with and without windows that have no
-successor, and ``check_ctlstar`` must label the same nodes with either
-search plugged in.
+successor, and on real ``window_skeleton`` output at depths 0 to 2, and
+``check_ctlstar`` must label the same nodes with either search plugged
+in.  On larger models shaped like the benchmark's, ``check_ctlstar``
+must agree with the fixpoint oracle on CTL and with its own dual on
+CTL*.
 """
 
 import random
 
 from ctlz import (
     And,
+    ConstraintKripke,
     Exists,
     All,
     Next,
@@ -26,8 +31,18 @@ from ctlz import (
     parse_path_formula,
 )
 from ctlz import modelcheck
-from ctlz.modelcheck import BuchiAutomaton, _accepted_start_windows, _edge_table, _sinks, ltl_to_buchi
-from conftest import random_ctl_formula, random_graph_model
+from ctlz.formulas import max_constraint_depth, rewrite
+from ctlz.modelcheck import (
+    BuchiAutomaton,
+    _accepted_start_windows,
+    _edge_table,
+    _sinks,
+    check_ctl_oracle,
+    ltl_to_buchi,
+    successor_classes,
+    window_skeleton,
+)
+from conftest import _random_constraint, random_ctl_formula, random_graph_model
 
 
 def plain_accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
@@ -138,8 +153,8 @@ def plain_accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
     return {wi for wi, nid in enumerate(roots) if good[comp[nid]]}
 
 
-class _CountingSucc(list):
-    """Successor lists that count how often one is read."""
+class _CountingMembers(list):
+    """Class members that count how often a class is read."""
 
     reads = 0
 
@@ -148,42 +163,49 @@ class _CountingSucc(list):
         return super().__getitem__(i)
 
 
-def _reachable(succ, edges, letters) -> set:
-    """The (state index, window) nodes of the product reachable from the
-    initial state on any window, found by a plain search of its own."""
-    seen = {(0, wi) for wi in range(len(letters))}
-    todo = list(seen)
+def _reachable(classes, edges, letters) -> set:
+    """The (state index, class) nodes of the class product reachable from
+    the start windows, found by a plain search of its own: a start window
+    leads to the node of each initial edge its letter meets on the class
+    of its successors, and a node reads each member of its class."""
+    cls, members = classes
+
+    def step(q, w):
+        return [(target, cls[w]) for pos, neg, target, _ in edges[q] if letters[w] & pos == pos and not letters[w] & neg]
+
+    seen = set()
+    todo = [node for w in range(len(letters)) for node in step(0, w)]
     while todo:
-        q, wi = todo.pop()
-        for pos, neg, target, _ in edges[q]:
-            if letters[wi] & pos == pos and not letters[wi] & neg:
-                for wj in succ[wi]:
-                    if (target, wj) not in seen:
-                        seen.add((target, wj))
-                        todo.append((target, wj))
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo += [nxt for w in members[node[1]] for nxt in step(node[0], w)]
     return seen
 
 
 def _sink_reached(succ, aut, letters) -> bool:
     edges = _edge_table(aut)
     sinks = _sinks(edges, len(aut.untils))
-    return any(q in sinks for q, _ in _reachable(succ, edges, letters))
+    return any(q in sinks for q, _ in _reachable(successor_classes(succ), edges, letters))
 
 
 def _both(succ, aut, letters):
     """The accepted start windows, asserted equal under both searches.
 
-    The one-pass search reads a node's successors once, when it enters
-    the node.  So it enters fewer nodes than the product reaches exactly
+    The one-pass search reads a class once, when it enters a product node
+    on it, and enters each node at most once, so at most states x classes
+    of them.  It enters fewer nodes than the class product reaches exactly
     when the sink shortcut fires: when every window has a successor and
-    the product reaches an accepting sink."""
+    the class product reaches an accepting sink."""
     plain = plain_accepted_start_windows(succ, aut, letters)
     edges = _edge_table(aut)
     sinks = _sinks(edges, len(aut.untils))
-    counted = _CountingSucc(succ)
-    fused = _accepted_start_windows(counted, edges, len(aut.untils), letters, sinks)
+    cls, members = successor_classes(succ)
+    counted = _CountingMembers(members)
+    fused = _accepted_start_windows((cls, counted), edges, len(aut.untils), letters, sinks)
     assert fused == plain
-    reached = _reachable(succ, edges, letters)
+    assert counted.reads <= len(edges) * len(members)
+    reached = _reachable((cls, members), edges, letters)
     fired = counted.reads < len(reached)
     assert fired == (all(succ) and any(q in sinks for q, _ in reached))
     return fused
@@ -318,13 +340,86 @@ def test_fused_pass_matches_on_total_window_graphs():
     assert sink_calls >= 400
 
 
+def _random_graph(rng, n, degrees):
+    """n nodes, each with a seeded number of distinct successors drawn
+    from degrees."""
+    nodes = [f"v{i}" for i in range(n)]
+    return nodes, {(a, b) for a in nodes for b in rng.sample(nodes, min(n, rng.choice(degrees)))}
+
+
+def test_fused_pass_matches_on_window_skeletons():
+    """Real window graphs: at depth >= 1 each successor set is the range
+    of one suffix's extensions, shared by every window with that suffix,
+    and at depth 0 a list per node.  Every fourth graph may have a dead-end
+    node, which gives empty ranges."""
+    rng = random.Random(71)
+    props = ["p", "q", "r"]
+    shared = 0
+    for depth in (0, 1, 2):
+        outcomes = {"empty": 0, "some": 0, "all": 0}
+        for i in range(100):
+            aut = ltl_to_buchi(_random_path(rng, props, [rng.randint(0, 3)], rng.randint(1, 4)))
+            nodes, edges = _random_graph(rng, rng.randint(2, 6), range(0 if i % 4 == 0 else 1, 5))
+            windows, succ = window_skeleton(nodes, edges, depth)
+            letters = [rng.randrange(1 << len(aut.propositions)) for _ in windows]
+            found = _both(succ, aut, letters)
+            outcomes["empty" if not found else "all" if len(found) == len(windows) else "some"] += 1
+            shared += len(successor_classes(succ)[1]) < len(windows)
+        assert min(outcomes.values()) >= 5, (depth, outcomes)
+    assert shared >= 200
+
+
+def _bench_shaped_model(rng, n):
+    """n nodes with 2-4 successors each, registers x and y in [-3, 3] and
+    propositions p and q: the shape of the benchmark's model-checking
+    inputs."""
+    nodes, edges = _random_graph(rng, n, range(2, 5))
+    labels = {v: frozenset(p for p in ("p", "q") if rng.random() < 0.4) for v in nodes}
+    registers = {(v, x): rng.randint(-3, 3) for v in nodes for x in ("x", "y")}
+    return ConstraintKripke(nodes, edges, labels, registers, ("x", "y"))
+
+
+def test_larger_models_agree_with_the_oracle_and_the_dual():
+    """Depth-2 formulas on 200-400 node models: CTL against the fixpoint
+    oracle, and E psi against the complement of A ~psi for CTL* bodies
+    whose leaves are propositions, constraints and CTL state formulas."""
+    rng = random.Random(73)
+    variables = ("x", "y")
+
+    def leaf(g):
+        if g == Prop("c"):
+            return _random_constraint(rng, variables, 2)
+        if g == Prop("s"):
+            return random_ctl_formula(rng, variables, ["p", "q"], depth=1, max_offset=2)
+        return None
+
+    partial = 0
+    for _ in range(6):
+        m = _bench_shaped_model(rng, rng.randint(200, 400))
+        everything = frozenset(m.nodes)
+        for _ in range(3):
+            f = random_ctl_formula(rng, variables, ["p", "q"], depth=2, max_offset=2)
+            while max_constraint_depth(f) != 2:
+                f = random_ctl_formula(rng, variables, ["p", "q"], depth=2, max_offset=2)
+            sat = check_ctlstar(m, f)
+            assert sat == check_ctl_oracle(m, f), str(f)
+            partial += 0 < len(sat) < len(m.nodes)
+        for _ in range(3):
+            psi = rewrite(_random_path(rng, ["p", "q", "c", "s"], [rng.randint(1, 2)], 3), leaf)
+            sat = check_ctlstar(m, Exists(psi))
+            assert sat == everything - check_ctlstar(m, All(Not(psi))), str(psi)
+            partial += 0 < len(sat) < len(m.nodes)
+    assert partial >= 20
+
+
 def test_check_ctlstar_labels_the_same_nodes_with_either_search(monkeypatch):
     """The plain search, plugged in through an automaton rebuilt from the
     edge table, labels every random model and formula the same way."""
 
-    def plain(succ, edges, n_marks, letters, sinks):
+    def plain(classes, edges, n_marks, letters, sinks):
         aut = BuchiAutomaton((), list(range(len(edges))), dict(enumerate(edges)), tuple(range(n_marks)))
-        return plain_accepted_start_windows(succ, aut, letters)
+        cls, members = classes
+        return plain_accepted_start_windows([members[c] for c in cls], aut, letters)
 
     rng = random.Random(59)
     cases = []
