@@ -152,6 +152,17 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_malformed_input_files_are_input_errors(capsys, tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_text("SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0 s0\n")
+    structure = tmp_path / "bad.structure"
+    structure.write_text("ELEMENTS\na b\n")
+    assert run(capsys, "mc", "--model", str(model), "--formula", "E X p") == (
+        2, "", "error: bad edge line 's0 s0 s0'\n")
+    assert run(capsys, "homcheck", "--structure", str(structure)) == (
+        2, "", "error: element ids cannot contain spaces: 'a b'\n")
+
+
 # ---------------------------------------------------------------------------
 # MSO commands
 

@@ -186,6 +186,90 @@ def test_model_file_errors():
         model_from_text("SHAPE tree 2\nVARS x\nNODES\neps\nREGISTERS\neps x 0\n")
 
 
+_GRAPH_HEAD = "SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "model file must start with a SHAPE line"),
+        ("# only a comment\n\nVARS x\n", "model file must start with a SHAPE line"),
+        ("SHAPE cube\nVARS x\n", "bad SHAPE line 'SHAPE cube'"),
+        ("SHAPE tree two 1\nVARS x\n", "bad SHAPE line 'SHAPE tree two 1'"),
+        ("SHAPE graph\n", "model file needs a VARS line after SHAPE"),
+        ("SHAPE graph\nNODES\ns0\n", "model file needs a VARS line after SHAPE"),
+        ("SHAPE graph\nVARS x\ns0\nNODES\ns0\n", "unexpected line 's0' before any section"),
+        (_GRAPH_HEAD + "s0 s0 s0\n", "bad edge line 's0 s0 s0'"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x\n", "bad register line 's0 x'"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x 1 2\n", "bad register line 's0 x 1 2'"),
+        ("SHAPE tree 2 1\nVARS x\nNODES\neps\n0\n", "bad tree node id '0'"),
+        ("SHAPE tree 2 1\nVARS x\nNODES\neps\nREGISTERS\nroot x 0\n", "bad tree node id 'root'"),
+        (_GRAPH_HEAD + "REGISTERS\n", "missing register value for ('s0', 'x')"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x 0\ns0 z 0\n", "register entry ('s0', 'z') outside nodes x variables"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x 0\ns9 x 0\n", "register entry ('s9', 'x') outside nodes x variables"),
+        (_GRAPH_HEAD + "LABELS\ns9 p\nREGISTERS\ns0 x 0\n", "label on unknown node 's9'"),
+    ],
+)
+def test_model_reader_error_texts(text, message):
+    with pytest.raises(StructureError) as info:
+        model_from_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the first malformed line in file order is the one reported
+        ("EDGES\ns0\ns0 s0 s0\n", "bad edge line 's0'"),
+        ("REGISTERS\ns0 x\nEDGES\ns0\n", "bad register line 's0 x'"),
+        ("EDGES\ns0\nREGISTERS\ns0 x\n", "bad edge line 's0'"),
+        ("REGISTERS\ns0 x pi\ns0 x\n", "bad register value 'pi'"),
+        ("REGISTERS\ns0 x\ns0 x pi\n", "bad register line 's0 x'"),
+    ],
+)
+def test_model_reader_reports_the_first_malformed_line(body, message):
+    with pytest.raises(StructureError) as info:
+        model_from_text("SHAPE graph\nVARS x\nNODES\ns0\n" + body)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("EDGES\neps 0\neps\n", "bad tree node id '0'"),
+        ("EDGES\neps\neps 0\n", "bad edge line 'eps'"),
+        ("REGISTERS\n0 x 1\neps x\n", "bad tree node id '0'"),
+        ("REGISTERS\neps x\n0 x 1\n", "bad register line 'eps x'"),
+        ("REGISTERS\neps x pi\n0 x 1\n", "bad register value 'pi'"),
+        ("REGISTERS\n0 x pi\n", "bad tree node id '0'"),
+        ("LABELS\n0 p\nREGISTERS\neps x\n", "bad tree node id '0'"),
+    ],
+)
+def test_tree_reader_reports_the_first_malformed_line(body, message):
+    with pytest.raises(StructureError) as info:
+        model_from_text("SHAPE tree 2 1\nVARS x\nNODES\neps\n1\n" + body)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "structure file must start with ELEMENTS"),
+        ("a\nELEMENTS\n", "structure file must start with ELEMENTS"),
+        ("ELEMENTS\na b\n", "element ids cannot contain spaces: 'a b'"),
+        ("ELEMENTS\na\nREL lt\na z\n", "lt tuple ('a', 'z') mentions an unknown element"),
+        ("ELEMENTS\na\nb\na\n", "duplicate elements"),
+        ("ELEMENTS\na b\nREL nope[\n", "element ids cannot contain spaces: 'a b'"),
+        ("ELEMENTS\na\nREL nope[\nREL __x\n", "bad relation name 'nope['"),
+        ("ELEMENTS\na\nREL lt\na a a\nREL nope[\n", "bad relation name 'nope['"),
+    ],
+)
+def test_structure_reader_error_texts(text, message):
+    with pytest.raises(StructureError) as info:
+        structure_from_text(text)
+    assert str(info.value) == message
+
+
 def test_structure_text_round_trip():
     s = SigmaStructure(
         ["a", "b", "c"],
