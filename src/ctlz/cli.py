@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .domains import (
     DomainError,
@@ -447,9 +448,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later
+    calls in the process.  Parsing keeps no state in it: each call gets a
+    fresh namespace."""
+    return _build_parser()
+
+
 def run_command(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

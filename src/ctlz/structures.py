@@ -244,15 +244,20 @@ def model_to_text(model: ConstraintKripke) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+def _content(text: str) -> list:
+    """The lines that carry content: `#` comments cut, surrounding
+    whitespace stripped, blank lines dropped."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [line for raw in lines if (line := raw.strip())]
+
+
+_MODEL_SECTIONS = frozenset(("NODES", "EDGES", "LABELS", "REGISTERS"))
 
 
 def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke:
-    lines = list(_content_lines(text))
+    lines = _content(text)
     if not lines or not lines[0].startswith("SHAPE"):
         raise StructureError("model file must start with a SHAPE line")
     shape_parts = lines[0].split()
@@ -271,34 +276,47 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
         raise StructureError("model file needs a VARS line after SHAPE")
     variables = lines[1].split()[1:]
 
+    # each section is read whole; sections go in file order, and each
+    # raises on its first malformed line
+    heads = [i for i, line in enumerate(lines) if line in _MODEL_SECTIONS]
+    if len(lines) > 2 and (not heads or heads[0] > 2):
+        raise StructureError(f"unexpected line {lines[2]!r} before any section")
     nodes: list = []
     edges: set = set()
     labels: dict = {}
     registers: dict = {}
-    section = None
-    for line in lines[2:]:
-        if line in ("NODES", "EDGES", "LABELS", "REGISTERS"):
-            section = line
-            continue
+    values: dict = {}  # register value text -> value
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        section, body = lines[start], lines[start + 1:end]
         if section == "NODES":
-            nodes.append(_node_from_file(line, is_tree))
+            nodes += [_node_from_file(line, True) for line in body] if is_tree else body
         elif section == "EDGES":
-            parts = line.split()
-            if len(parts) != 2:
-                raise StructureError(f"bad edge line {line!r}")
-            edges.add((_node_from_file(parts[0], is_tree), _node_from_file(parts[1], is_tree)))
+            for line in body:
+                parts = line.split()
+                if len(parts) != 2:
+                    raise StructureError(f"bad edge line {line!r}")
+                a, b = parts
+                if is_tree:
+                    a, b = _node_from_file(a, True), _node_from_file(b, True)
+                edges.add((a, b))
         elif section == "LABELS":
-            parts = line.split()
-            node = _node_from_file(parts[0], is_tree)
-            labels[node] = frozenset(parts[1:])
-        elif section == "REGISTERS":
-            parts = line.split()
-            if len(parts) != 3:
-                raise StructureError(f"bad register line {line!r}")
-            node = _node_from_file(parts[0], is_tree)
-            registers[(node, parts[1])] = _parse_value(parts[2])
+            for line in body:
+                node, *props = line.split()
+                if is_tree:
+                    node = _node_from_file(node, True)
+                labels[node] = frozenset(props)
         else:
-            raise StructureError(f"unexpected line {line!r} before any section")
+            for line in body:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise StructureError(f"bad register line {line!r}")
+                node, var, value = parts
+                if is_tree:
+                    node = _node_from_file(node, True)
+                parsed = values.get(value)
+                if parsed is None:
+                    parsed = values[value] = _parse_value(value)
+                registers[node, var] = parsed
 
     if is_tree and not edges:
         d = shape[1]
@@ -319,38 +337,38 @@ def structure_to_text(structure: SigmaStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WHITESPACE_RE = re.compile(r"\s")
+
+
 def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructure:
-    lines = list(_content_lines(text))
+    lines = _content(text)
     if not lines or lines[0] != "ELEMENTS":
         raise StructureError("structure file must start with ELEMENTS")
-    elements: list = []
+    heads = [i for i, line in enumerate(lines) if line[:4] == "REL "]
+    ends = heads[1:] + [len(lines)]
+    elements = lines[1:heads[0] if heads else len(lines)]
+    spaced = next(filter(_WHITESPACE_RE.search, elements), None)
+    if spaced is not None:
+        what = "spaces" if " " in spaced else "whitespace"
+        raise StructureError(f"element ids cannot contain {what}: {spaced!r}")
     interpretation: dict = {}
-    current: RelationSymbol | None = None
-    arities: dict = {}
-    for line in lines[1:]:
-        if line.startswith("REL "):
-            name = line[4:].strip()
-            try:
-                rel = relation_from_name(name)
-            except FormulaError as exc:
-                raise StructureError(str(exc)) from None
-            current = rel
-            if rel not in interpretation:
-                interpretation[rel] = []
+    fixed: set = set()  # interpreted symbols whose arity came from a row
+    for start, end in zip(heads, ends):
+        try:
+            rel = relation_from_name(lines[start][4:].strip())
+        except FormulaError as exc:
+            raise StructureError(str(exc)) from None
+        rows = interpretation.setdefault(rel, [])
+        if end == start + 1:
             continue
-        if current is None:
-            if " " in line:
-                raise StructureError(f"element ids cannot contain spaces: {line!r}")
-            elements.append(line)
-        else:
-            t = tuple(line.split())
-            if current.kind == "interpreted" and current not in arities:
-                # fix the arity of an interpreted symbol from its first tuple
-                fixed = RelationSymbol(current.name, len(t), current.kind, current.params)
-                interpretation[fixed] = interpretation.pop(current)
-                current = fixed
-                arities[current] = len(t)
-            interpretation[current].append(t)
+        body = [tuple(line.split()) for line in lines[start + 1:end]]
+        if rel.kind == "interpreted" and rel not in fixed:
+            # fix the arity of an interpreted symbol from its first tuple
+            del interpretation[rel]
+            rel = RelationSymbol(rel.name, len(body[0]), rel.kind, rel.params)
+            interpretation[rel] = rows
+            fixed.add(rel)
+        rows += body
     structure = SigmaStructure(elements, interpretation)
     validate_structure(structure, allow_reserved=allow_reserved)
     return structure
@@ -422,14 +440,10 @@ def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable, v
         variables = list(model.variables)
     elements = [element_id(n, v) for n in model.nodes for v in variables]
 
-    interpretation: dict = {}
-    for entry in table:
-        interpretation.setdefault(entry.constraint.relation, [])
-
+    found: dict = {entry.constraint.relation: {} for entry in table}  # rows in first-seen order
     for entry in table:
         d_i = entry.depth
-        rel = entry.constraint.relation
-        rows = interpretation[rel]
+        rows = found[entry.constraint.relation]
         for v in model.nodes:
             if entry.prop not in model.label(v):
                 continue
@@ -439,7 +453,5 @@ def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable, v
                 )
             s = v[: len(v) - d_i]
             u = v[len(v) - d_i:]
-            row = tuple(element_id(s + u[:off], var) for off, var in entry.constraint.args)
-            if row not in rows:
-                rows.append(row)
-    return SigmaStructure(elements, interpretation)
+            rows[tuple(element_id(s + u[:off], var) for off, var in entry.constraint.args)] = None
+    return SigmaStructure(elements, {rel: list(rows) for rel, rows in found.items()})

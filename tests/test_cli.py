@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output shapes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -318,3 +321,60 @@ def test_selftest_passes(capsys):
     assert rc == 0
     assert "7 passed, 0 failed" in out
     assert "fail" not in out.replace("0 failed", "")
+
+
+# ---------------------------------------------------------------------------
+# One argument parser per process
+
+
+def _outcomes(capsys, commands):
+    results = []
+    for argv in commands:
+        try:
+            rc = run_command(list(argv))
+        except SystemExit as exc:  # a usage error
+            rc = ("usage", exc.code)
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def test_the_shared_parser_keeps_no_state(capsys, monkeypatch, two_model):
+    commands = [
+        ("mc", "--json", "--model", two_model, "--formula", "E G ~p"),
+        ("mc", "--model", two_model, "--formula", "E G ~p"),
+        ("sat", "--full-sweep", "--max-nodes", "1", "--range", "2", "--formula", "E F eqc[2](x)"),
+        ("sat", "--max-nodes", "1", "--range", "2", "--formula", "E F eqc[2](x)"),
+        ("sat", "--range", "2"),
+        ("sat", "--range", "2"),
+    ]
+    shared = _outcomes(capsys, commands)
+    monkeypatch.setattr(ctlz.cli, "_parser", ctlz.cli._build_parser)
+    fresh = [_outcomes(capsys, [argv])[0] for argv in commands]
+    assert shared == fresh
+    assert shared[-1][0] == ("usage", 2) and "required: --formula" in shared[-1][2]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import ctlz.cli\n"
+        "print(len(built))\n"
+        "ctlz.cli.run_command(['parse', '--formula', 'p'])\n"
+        "first = len(built)\n"
+        "ctlz.cli.run_command(['parse', '--formula', 'q'])\n"
+        "print(first, len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ctlz.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    at_import, _, _, counts = done.stdout.splitlines()
+    first, after = counts.split()
+    assert at_import == "0" and int(first) > 0 and after == first

@@ -28,6 +28,7 @@ from ctlz import (
     validate_structure,
     Z_DOMAIN,
 )
+from ctlz.formulas import abstract_constraints, parse_formula, to_snnf
 from conftest import random_graph_model, random_tree_model
 
 
@@ -257,6 +258,9 @@ def test_tree_reader_reports_the_first_malformed_line(body, message):
         ("", "structure file must start with ELEMENTS"),
         ("a\nELEMENTS\n", "structure file must start with ELEMENTS"),
         ("ELEMENTS\na b\n", "element ids cannot contain spaces: 'a b'"),
+        ("ELEMENTS\na\tb\nc\nREL lt\nc c\n", "element ids cannot contain whitespace: 'a\\tb'"),
+        ("ELEMENTS\na\xa0b\n", "element ids cannot contain whitespace: 'a\\xa0b'"),
+        ("ELEMENTS\na \tb\n", "element ids cannot contain spaces: 'a \\tb'"),
         ("ELEMENTS\na\nREL lt\na z\n", "lt tuple ('a', 'z') mentions an unknown element"),
         ("ELEMENTS\na\nb\na\n", "duplicate elements"),
         ("ELEMENTS\na b\nREL nope[\n", "element ids cannot contain spaces: 'a b'"),
@@ -338,6 +342,36 @@ def test_extract_requires_deep_enough_label():
     t.labels[""] = frozenset({"p"})
     with pytest.raises(StructureError, match="ancestors"):
         extract_constraint_graph(t, _lt_step_table())
+
+
+@pytest.mark.parametrize(
+    "formula", ["E (lt(x, X^1 x) & eq(x, x))", "E (eq(x, X^1 x) & X eq(x, x) & eq(X^1 x, X^1 x))"]
+)
+def test_extract_rows_equal_the_list_dedupe_on_a_large_tree(formula):
+    # the second formula's eq(x, x) at depth 0 and eq(X^1 x, X^1 x) at
+    # depth 1 give every labelled node the same row twice
+    rng = random.Random(7)
+    nodes, frontier = [""], [""]
+    for _ in range(11):
+        frontier = [v + i for v in frontier for i in "12"]
+        nodes += frontier
+    assert len(nodes) > 4000
+    registers = {(v, "x"): rng.randint(-1, 1) for v in nodes}
+    tree = ConstraintKripke(nodes, {(v[:-1], v) for v in nodes if v}, {}, registers, ["x"], tree_shape(2, 11))
+    _, table = abstract_constraints(to_snnf(parse_formula(formula), Z_DOMAIN))
+    tree = abstract_model(tree, table, Z_DOMAIN)
+    expected = {}
+    for entry in table:
+        rows = expected.setdefault(entry.constraint.relation, [])
+        for v in tree.nodes:
+            if entry.prop in tree.label(v):
+                s, u = v[: len(v) - entry.depth], v[len(v) - entry.depth:]
+                row = tuple(element_id(s + u[:off], var) for off, var in entry.constraint.args)
+                if row not in rows:
+                    rows.append(row)
+    graph = extract_constraint_graph(tree, table)
+    assert list(graph.interpretation) == list(expected)
+    assert graph.interpretation == expected
 
 
 def test_gamma_map_is_registers_by_element_id():
