@@ -278,15 +278,15 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
 
     # each section is read whole; sections go in file order, and each
     # raises on its first malformed line
-    heads = [i for i, line in enumerate(lines) if line in _MODEL_SECTIONS]
-    if len(lines) > 2 and (not heads or heads[0] > 2):
+    bounds = [i for i, line in enumerate(lines) if line in _MODEL_SECTIONS] + [len(lines)]
+    if bounds[0] > 2:
         raise StructureError(f"unexpected line {lines[2]!r} before any section")
     nodes: list = []
     edges: set = set()
     labels: dict = {}
     registers: dict = {}
     values: dict = {}  # register value text -> value
-    for start, end in zip(heads, heads[1:] + [len(lines)]):
+    for start, end in zip(bounds, bounds[1:]):
         section, body = lines[start], lines[start + 1:end]
         if section == "NODES":
             nodes += [_node_from_file(line, True) for line in body] if is_tree else body
@@ -344,25 +344,22 @@ def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructu
     lines = _content(text)
     if not lines or lines[0] != "ELEMENTS":
         raise StructureError("structure file must start with ELEMENTS")
-    heads = [i for i, line in enumerate(lines) if line[:4] == "REL "]
-    ends = heads[1:] + [len(lines)]
-    elements = lines[1:heads[0] if heads else len(lines)]
+    bounds = [i for i, line in enumerate(lines) if line[:4] == "REL "] + [len(lines)]
+    elements = lines[1:bounds[0]]
     spaced = next(filter(_WHITESPACE_RE.search, elements), None)
     if spaced is not None:
         what = "spaces" if " " in spaced else "whitespace"
         raise StructureError(f"element ids cannot contain {what}: {spaced!r}")
     interpretation: dict = {}
     fixed: set = set()  # interpreted symbols whose arity came from a row
-    for start, end in zip(heads, ends):
+    for start, end in zip(bounds, bounds[1:]):
         try:
             rel = relation_from_name(lines[start][4:].strip())
         except FormulaError as exc:
             raise StructureError(str(exc)) from None
         rows = interpretation.setdefault(rel, [])
-        if end == start + 1:
-            continue
         body = [tuple(line.split()) for line in lines[start + 1:end]]
-        if rel.kind == "interpreted" and rel not in fixed:
+        if body and rel.kind == "interpreted" and rel not in fixed:
             # fix the arity of an interpreted symbol from its first tuple
             del interpretation[rel]
             rel = RelationSymbol(rel.name, len(body[0]), rel.kind, rel.params)
