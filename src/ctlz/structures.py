@@ -210,12 +210,10 @@ def _node_to_file(node: str) -> str:
     return node if node else "eps"
 
 
-def _node_from_file(text: str, is_tree: bool) -> str:
-    if is_tree:
-        if not _TREE_NODE_FILE_RE.fullmatch(text):
-            raise StructureError(f"bad tree node id {text!r}")
-        return "" if text == "eps" else text
-    return text
+def _tree_node_from_file(text: str) -> str:
+    if not _TREE_NODE_FILE_RE.fullmatch(text):
+        raise StructureError(f"bad tree node id {text!r}")
+    return "" if text == "eps" else text
 
 
 def model_to_text(model: ConstraintKripke) -> str:
@@ -289,7 +287,7 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
     for start, end in zip(bounds, bounds[1:]):
         section, body = lines[start], lines[start + 1:end]
         if section == "NODES":
-            nodes += [_node_from_file(line, True) for line in body] if is_tree else body
+            nodes += [_tree_node_from_file(line) for line in body] if is_tree else body
         elif section == "EDGES":
             for line in body:
                 parts = line.split()
@@ -297,13 +295,13 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
                     raise StructureError(f"bad edge line {line!r}")
                 a, b = parts
                 if is_tree:
-                    a, b = _node_from_file(a, True), _node_from_file(b, True)
+                    a, b = _tree_node_from_file(a), _tree_node_from_file(b)
                 edges.add((a, b))
         elif section == "LABELS":
             for line in body:
                 node, *props = line.split()
                 if is_tree:
-                    node = _node_from_file(node, True)
+                    node = _tree_node_from_file(node)
                 labels[node] = frozenset(props)
         else:
             for line in body:
@@ -312,7 +310,7 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
                     raise StructureError(f"bad register line {line!r}")
                 node, var, value = parts
                 if is_tree:
-                    node = _node_from_file(node, True)
+                    node = _tree_node_from_file(node)
                 parsed = values.get(value)
                 if parsed is None:
                     parsed = values[value] = _parse_value(value)

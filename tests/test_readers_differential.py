@@ -18,15 +18,23 @@ import pytest
 from ctlz import StructureError, model_from_text, structure_from_text
 from ctlz.formulas import FormulaError, RelationSymbol, relation_from_name
 from ctlz.structures import (
+    _TREE_NODE_FILE_RE,
     GRAPH_SHAPE,
     ConstraintKripke,
     SigmaStructure,
-    _node_from_file,
     _parse_value,
     tree_shape,
     validate_model,
     validate_structure,
 )
+
+
+def _node_from_file(text: str, is_tree: bool) -> str:
+    if is_tree:
+        if not _TREE_NODE_FILE_RE.fullmatch(text):
+            raise StructureError(f"bad tree node id {text!r}")
+        return "" if text == "eps" else text
+    return text
 
 
 def _content_lines(text: str):
