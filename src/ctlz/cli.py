@@ -376,6 +376,7 @@ def _cmd_selftest(args) -> int:
 # Parser wiring
 
 
+@cache  # built on the first call and shared: parsing leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctlz",
@@ -448,16 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by later
-    calls in the process.  Parsing keeps no state in it: each call gets a
-    fresh namespace."""
-    return _build_parser()
-
-
 def run_command(argv) -> int:
-    args = _parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -349,7 +349,7 @@ def test_the_shared_parser_keeps_no_state(capsys, monkeypatch, two_model):
         ("sat", "--range", "2"),
     ]
     shared = _outcomes(capsys, commands)
-    monkeypatch.setattr(ctlz.cli, "_parser", ctlz.cli._build_parser)
+    monkeypatch.setattr(ctlz.cli, "_build_parser", ctlz.cli._build_parser.__wrapped__)
     fresh = [_outcomes(capsys, [argv])[0] for argv in commands]
     assert shared == fresh
     assert shared[-1][0] == ("usage", 2) and "required: --formula" in shared[-1][2]
