@@ -342,7 +342,8 @@ def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructu
     lines = _content(text)
     if not lines or lines[0] != "ELEMENTS":
         raise StructureError("structure file must start with ELEMENTS")
-    bounds = [i for i, line in enumerate(lines) if line[:4] == "REL "] + [len(lines)]
+    # line[0] first: indexing one character allocates nothing, a slice does
+    bounds = [i for i, line in enumerate(lines) if line[0] == "R" and line[:4] == "REL "] + [len(lines)]
     elements = lines[1:bounds[0]]
     spaced = next(filter(_WHITESPACE_RE.search, elements), None)
     if spaced is not None:
