@@ -233,7 +233,7 @@ def _model_defect(rng, lines: list) -> None:
         lines.insert(at, rng.choice(["LABELS", "NODES"]))
         lines.insert(at + 1, rng.choice(["s99 p", "99 p", "__p", "s0 __q", "eps 1p"]))
     elif kind == 8:
-        regs = [i for i, line in enumerate(lines) if len(line.split()) == 3 and line[0] != "S"]
+        regs = [i for i, line in enumerate(lines) if len(line.split()) == 3]
         if regs:
             del lines[rng.choice(regs)]
     elif kind == 9:
@@ -248,6 +248,7 @@ def _model_defect(rng, lines: list) -> None:
         lines.insert(at, rng.choice(["NODES", "EDGES", "LABELS", "REGISTERS"]))
 
 
+# ltlex twice: interpreted relations, whose arity comes from a row, are drawn more often
 _RELATIONS = ("lt", "eq", "eqc[3]", "eqc[-1/2]", "mod[1,3]", "ltlex", "during", "ltlex")
 
 
