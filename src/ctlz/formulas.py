@@ -105,7 +105,7 @@ def relation_from_name(name: str, arity: int | None = None) -> RelationSymbol:
         return LT
     if name == "eq":
         return EQ
-    m = re.fullmatch(r"eqc\[(-?\d+(?:/\d+)?)\]", name)
+    m = re.fullmatch(r"eqc\[(-?\d+(?:/0*[1-9]\d*)?)\]", name)  # no zero denominator
     if m:
         text = m.group(1)
         value = Fraction(text) if "/" in text else int(text)

@@ -15,10 +15,11 @@ once and runs every later step on its classes:
      solve B greedily inside the constant window; give the free parts
      order-preserving longest-path potentials scaled to respect the
      congruences; glue with offsets that clear the window on both sides;
-   - N and negZ: longest-path potentials on the whole quotient;
-   - Q: pinned classes take their constant, the others a point between
-     their predecessors and the least constant strictly below them in
-     the order, found in one reverse-topological pass.
+   - N: the Z path, where without constants every class lands in R;
+   - negZ: downward longest-path potentials on the whole quotient;
+   - Q: reject a pinned class with a constant no larger than one below
+     it (one reverse-topological pass), else the Z values with every
+     constant scaled by K, divided by K (see ``_values_q``).
 
 A final verification pass re-checks every tuple, so a returned witness is
 always sound; a failure there raises ``InternalError``.
@@ -304,7 +305,7 @@ def partition_bgsr(quotient: Quotient):
 # Value synthesis on an acyclic quotient with consistent unaries
 
 
-def _solve_bounded(quotient: Quotient, bounded: set, residues: list, m: int, M: int):
+def _solve_bounded(quotient: Quotient, bounded: set, residues: list, m: int, M: int, scale: int):
     """Greedy minimal values in [m, M] for the bounded classes, in
     topological order; complete because every constraint (strict order
     below, congruence, pinned constant) is monotone: raising predecessors
@@ -315,7 +316,7 @@ def _solve_bounded(quotient: Quotient, bounded: set, residues: list, m: int, M: 
         lower = max([m] + [values[p] + 1 for p in quotient.preds[ci] if p in bounded])
         residue, modulus = residues[ci]
         if quotient.constants[ci]:
-            v = quotient.constants[ci][0]
+            v = int(quotient.constants[ci][0] * scale)
             if v < lower or v % modulus != residue:
                 return None, ci
         else:
@@ -343,16 +344,18 @@ def _potentials(quotient: Quotient, order: list, members: set, upward: bool) -> 
     return g
 
 
-def _values_z(structure: SigmaStructure, quotient: Quotient, order: list):
+def _values_z(structure: SigmaStructure, quotient: Quotient, order: list, parts: tuple, scale: int = 1):
     """Class values for target Z, or a negative decision when the bounded
-    part does not fit the constant window."""
+    part does not fit the constant window; every constant c counts as
+    ``scale * c``, in a window widened to integers."""
     residues = [class_residue(quotient, ci) for ci in range(len(quotient.classes))]
     delta = prod(structure.moduli())
-    m = min([0] + structure.constants())
-    M = max([0] + structure.constants())
-    bounded, greater, smaller, rest = partition_bgsr(quotient)
+    constants = [scale * c for c in structure.constants()]
+    m = floor(min([0] + constants))
+    M = ceil(max([0] + constants))
+    bounded, greater, smaller, rest = parts
 
-    values, stuck = _solve_bounded(quotient, bounded, residues, m, M)
+    values, stuck = _solve_bounded(quotient, bounded, residues, m, M, scale)
     if stuck is not None:
         return _no("bounded_infeasible", element=quotient.classes[stuck][0])
     g_r = _potentials(quotient, order, greater | smaller | rest, upward=True)
@@ -367,17 +370,9 @@ def _values_z(structure: SigmaStructure, quotient: Quotient, order: list):
     return values
 
 
-def _values_free(structure: SigmaStructure, quotient: Quotient, order: list, target: str) -> dict:
-    """N keeps the upward potentials at or above 0, negZ the downward ones
-    at or below -1; h = delta * g + least CRT residue."""
-    delta = prod(structure.moduli())
-    g = _potentials(quotient, order, set(order), upward=target == "N")
-    return {ci: delta * g[ci] + class_residue(quotient, ci)[0] for ci in order}
-
-
-def _values_q(quotient: Quotient, order: list):
-    """Class values for target Q, or a negative decision when a pinned
-    class has a constant no larger than its own below it in the order."""
+def _order_constant_conflict(quotient: Quotient, order: list):
+    """A negative decision when a pinned class has a constant no larger
+    than its own below it in the order, else None."""
     pinned = {ci: cs[0] for ci, cs in enumerate(quotient.constants) if cs}
     pin = {ci: Fraction(c) for ci, c in pinned.items()}
     # least pinned constant strictly below each class in the order
@@ -398,25 +393,21 @@ def _values_q(quotient: Quotient, order: list):
                 lower_constant=pinned[a],
                 upper_constant=pinned[b],
             )
+    return None
 
-    # pinned classes take their constant, others the midpoint of known
-    # neighbors (density of Q)
-    values: dict = {}
-    for ci in order:
-        if ci in pin:
-            values[ci] = pin[ci]
-            continue
-        lower = max((values[p] for p in quotient.preds[ci]), default=None)
-        upper = upper_pin[ci]
-        if lower is None and upper is None:
-            values[ci] = Fraction(0)
-        elif lower is None:
-            values[ci] = upper - 1
-        elif upper is None:
-            values[ci] = lower + 1
-        else:
-            values[ci] = (lower + upper) / 2
-    return values
+
+def _values_q(structure: SigmaStructure, quotient: Quotient, order: list):
+    """Q values: the Z values with every constant scaled by K, divided by
+    K.  K = D * max(1, L) for D the least common denominator of the pins
+    and L the longest strict path in B; pins p < q on a path have
+    K * (q - p) >= L, so the bounded solve never gets stuck."""
+    parts = partition_bgsr(quotient)
+    longest = max(_potentials(quotient, order, parts[0], upward=True).values(), default=0)
+    scale = lcm(*(Fraction(cs[0]).denominator for cs in quotient.constants if cs)) * max(1, longest)
+    values = _values_z(structure, quotient, order, parts, scale)
+    if isinstance(values, HomDecision):
+        raise InternalError("scaled Q constants left a bounded class without a value")
+    return {ci: Fraction(v, scale) for ci, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +480,14 @@ def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
         return _no("cycle", elements=[quotient.classes[ci][0] for ci in cycle])
 
     order = _topological_order(quotient, range(len(quotient.classes)))
-    if target == "Z":
-        values = _values_z(structure, quotient, order)
+    if target == "negZ":
+        g = _potentials(quotient, order, set(order), upward=False)
+        delta = prod(structure.moduli())
+        values = {ci: delta * g[ci] + class_residue(quotient, ci)[0] for ci in order}
     elif target == "Q":
-        values = _values_q(quotient, order)
+        values = _order_constant_conflict(quotient, order) or _values_q(structure, quotient, order)
     else:
-        values = _values_free(structure, quotient, order, target)
+        values = _values_z(structure, quotient, order, partition_bgsr(quotient))
     if isinstance(values, HomDecision):
         return values
     h = {e: values[quotient.class_of[e]] for e in structure.elements}

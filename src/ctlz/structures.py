@@ -65,7 +65,7 @@ class ConstraintKripke:
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
-_FRACTION_RE = re.compile(r"-?\d+/\d+")
+_FRACTION_RE = re.compile(r"-?\d+/0*[1-9]\d*")  # no zero denominator
 _TREE_NODE_RE = re.compile(r"[1-9]*")
 
 
@@ -350,20 +350,21 @@ def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructu
         what = "spaces" if " " in spaced else "whitespace"
         raise StructureError(f"element ids cannot contain {what}: {spaced!r}")
     interpretation: dict = {}
-    fixed: set = set()  # interpreted symbols whose arity came from a row
+    fixed: dict = {}  # interpreted name -> its symbol, once a row fixed the arity
     for start, end in zip(bounds, bounds[1:]):
         try:
             rel = relation_from_name(lines[start][4:].strip())
         except FormulaError as exc:
             raise StructureError(str(exc)) from None
+        rel = fixed.get(rel.name, rel)  # a repeated header continues the relation
         rows = interpretation.setdefault(rel, [])
         body = [tuple(line.split()) for line in lines[start + 1:end]]
-        if body and rel.kind == "interpreted" and rel not in fixed:
+        if body and rel.kind == "interpreted" and rel.name not in fixed:
             # fix the arity of an interpreted symbol from its first tuple
             del interpretation[rel]
             rel = RelationSymbol(rel.name, len(body[0]), rel.kind, rel.params)
             interpretation[rel] = rows
-            fixed.add(rel)
+            fixed[rel.name] = rel
         rows += body
     structure = SigmaStructure(elements, interpretation)
     validate_structure(structure, allow_reserved=allow_reserved)

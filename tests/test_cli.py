@@ -130,6 +130,17 @@ def test_homcheck_long_chain(capsys, tmp_path):
     rc, out, err = run(capsys, "homcheck", "--json", "--structure", str(p))
     assert rc == 0 and err == ""
     assert json.loads(out)["verdict"] == "yes"
+    # x0 = 0 < x1 < ... < x9999 = 1 over Q: denominators stay at 9,999
+    elements = [f"x{i}" for i in range(10_000)]
+    s = SigmaStructure(
+        elements,
+        {LT: list(zip(elements, elements[1:])), const_rel(0): [("x0",)], const_rel(1): [("x9999",)]},
+    )
+    p.write_text(structure_to_text(s))
+    rc, out, err = run(capsys, "homcheck", "--target", "Q", "--json", "--structure", str(p))
+    assert rc == 0 and err == ""
+    assert len(out) < 1_000_000
+    assert json.loads(out)["witness"]["x1"] == "1/9999"
 
 
 def test_internal_error_exits_three(capsys, chain_structure, monkeypatch):
@@ -164,6 +175,13 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path):
         2, "", "error: bad edge line 's0 s0 s0'\n")
     assert run(capsys, "homcheck", "--structure", str(structure)) == (
         2, "", "error: element ids cannot contain spaces: 'a b'\n")
+    # a zero denominator is an input error, not a ZeroDivisionError
+    model.write_text("SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0\nREGISTERS\ns0 x 1/0\n")
+    structure.write_text("ELEMENTS\na\nREL eqc[1/0]\na\n")
+    assert run(capsys, "mc", "--model", str(model), "--formula", "E X p") == (
+        2, "", "error: bad register value '1/0'\n")
+    assert run(capsys, "homcheck", "--structure", str(structure), "--target", "Q") == (
+        2, "", "error: bad relation name 'eqc[1/0]'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,9 @@ def test_relation_name_forms():
     assert relation_from_name("lt") == LT
     free = relation_from_name("edge", 2)
     assert free.arity == 2 and free == interp_rel("edge", 2)
+    assert relation_from_name("eqc[-3/06]").params == (Fraction(-1, 2),)
+    with pytest.raises(FormulaError, match=r"^bad relation name 'eqc\[1/00\]'$"):
+        relation_from_name("eqc[1/00]")
 
 
 def test_fraction_constants_round_trip_in_formula_text():

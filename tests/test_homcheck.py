@@ -38,11 +38,15 @@ def _s(elements, **rels):
     return SigmaStructure(list(elements), interp)
 
 
-def _lt_chain(n, cycle=False):
+def _lt_chain(n, cycle=False, pinned=False):
+    """x0 < x1 < ... < x(n-1), closed to a cycle or with x0 = 0 and
+    x(n-1) = 1 on request."""
     elements = [f"x{i}" for i in range(n)]
     lt = [(elements[i], elements[i + 1]) for i in range(n - 1)]
     if cycle:
         lt.append((elements[-1], elements[0]))
+    if pinned:
+        return SigmaStructure(elements, {LT: lt, const_rel(0): [("x0",)], const_rel(1): [(elements[-1],)]})
     return SigmaStructure(elements, {LT: lt})
 
 
@@ -122,6 +126,14 @@ def test_long_chain_decides_for_every_target():
         d = decide_hom(s, target)
         assert d.verdict, target
         assert verify_hom(s, d.witness, target)
+    # pinned at both ends: no integer room, and rationals of small
+    # denominators (the chain has 9,999 edges between the pins)
+    pinned = _lt_chain(10_000, pinned=True)
+    assert decide_hom(pinned, "Z").reason.kind == "bounded_infeasible"
+    q = decide_hom(pinned, "Q")
+    assert q.verdict and verify_hom(pinned, q.witness, "Q")
+    assert max(v.denominator for v in q.witness.values()) <= 9_999
+    assert len(q.to_json()) < 1_000_000
 
 
 def test_failed_verification_raises_internal_error(monkeypatch):
@@ -148,6 +160,17 @@ def test_quotient_is_built_once_per_decision(monkeypatch):
 
     monkeypatch.setattr(ctlz.homcheck, "build_quotient", counting)
     for target in ("Z", "Q"):
+        calls.clear()
+        assert decide_hom(s, target).verdict
+        assert len(calls) == 1, target
+
+
+def test_partition_is_built_once_per_decision(monkeypatch):
+    pinned = _s(["a", "x", "b"], lt=[("a", "x"), ("x", "b")], eqc0=[("a",)], eqc5=[("b",)])
+    free = _s("ab", lt=[("a", "b")])
+    calls = []
+    monkeypatch.setattr(ctlz.homcheck, "partition_bgsr", lambda q: calls.append(q) or partition_bgsr(q))
+    for s, target in ((pinned, "Z"), (pinned, "Q"), (free, "N")):
         calls.clear()
         assert decide_hom(s, target).verdict
         assert len(calls) == 1, target

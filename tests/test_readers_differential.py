@@ -6,9 +6,11 @@ section for every line.  ``model_from_text`` and ``structure_from_text``
 must build the same objects (equal, and with the same repr, so the same
 order and value types) or raise the same exception with the same text,
 on seeded random files with comments, blank lines, CRLF endings, tabs,
-trailing spaces, repeated sections and one injected defect.  The one
-declared difference: an element id with whitespace other than a space in
-it is refused (``declared_structure_from_text``).
+trailing spaces, repeated sections and one injected defect.  Two
+declared differences, modelled by ``declared_structure_from_text``: an
+element id with whitespace other than a space in it is refused, and a
+repeated header of an interpreted relation whose arity a row has fixed
+continues that relation.
 """
 
 import random
@@ -140,8 +142,12 @@ def plain_structure_from_text(text: str, allow_reserved: bool = False) -> SigmaS
 
 
 def declared_structure_from_text(text: str) -> SigmaStructure:
-    """The plain reader with the declared change: an element id that
-    holds any whitespace is refused, with the old text for a space."""
+    """The plain reader with the declared changes: an element id that
+    holds any whitespace is refused, with the old text for a space; and
+    the rows under a repeated header of an interpreted relation whose
+    arity a row has fixed join that relation's earlier rows (the header
+    is dropped and its rows move up to the end of the section holding
+    them)."""
     lines = list(_content_lines(text))
     if lines and lines[0] == "ELEMENTS":
         for line in lines[1:]:
@@ -149,7 +155,26 @@ def declared_structure_from_text(text: str) -> SigmaStructure:
                 break
             if any(ch.isspace() for ch in line):
                 raise StructureError(f"element ids cannot contain whitespace: {line!r}")
-    return plain_structure_from_text(text)
+    sections: list = [[]]
+    current, name = sections[0], None  # where rows go; the interpreted name they are for
+    fixed: dict = {}  # interpreted name -> the section whose row fixed its arity
+    for line in lines:
+        if not line.startswith("REL "):
+            if name is not None:
+                fixed.setdefault(name, current)
+            current.append(line)
+            continue
+        name = line[4:].strip()
+        try:
+            name = name if relation_from_name(name).kind == "interpreted" else None
+        except FormulaError:
+            name = None  # the plain reader raises at this header
+        if name in fixed:
+            current = fixed[name]
+        else:
+            current = [line]
+            sections.append(current)
+    return plain_structure_from_text("\n".join(line for section in sections for line in section))
 
 
 def _outcome(read, text):

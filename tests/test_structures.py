@@ -28,7 +28,7 @@ from ctlz import (
     validate_structure,
     Z_DOMAIN,
 )
-from ctlz.formulas import abstract_constraints, parse_formula, to_snnf
+from ctlz.formulas import abstract_constraints, interp_rel, parse_formula, to_snnf
 from conftest import random_graph_model, random_tree_model
 
 
@@ -203,6 +203,8 @@ _GRAPH_HEAD = "SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0\n"
         (_GRAPH_HEAD + "s0 s0 s0\n", "bad edge line 's0 s0 s0'"),
         (_GRAPH_HEAD + "REGISTERS\ns0 x\n", "bad register line 's0 x'"),
         (_GRAPH_HEAD + "REGISTERS\ns0 x 1 2\n", "bad register line 's0 x 1 2'"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x 1/0\n", "bad register value '1/0'"),
+        (_GRAPH_HEAD + "REGISTERS\ns0 x (2,-3/00)\n", "bad register value '-3/00'"),
         ("SHAPE tree 2 1\nVARS x\nNODES\neps\n0\n", "bad tree node id '0'"),
         ("SHAPE tree 2 1\nVARS x\nNODES\neps\nREGISTERS\nroot x 0\n", "bad tree node id 'root'"),
         (_GRAPH_HEAD + "REGISTERS\n", "missing register value for ('s0', 'x')"),
@@ -266,6 +268,9 @@ def test_tree_reader_reports_the_first_malformed_line(body, message):
         ("ELEMENTS\na b\nREL nope[\n", "element ids cannot contain spaces: 'a b'"),
         ("ELEMENTS\na\nREL nope[\nREL __x\n", "bad relation name 'nope['"),
         ("ELEMENTS\na\nREL lt\na a a\nREL nope[\n", "bad relation name 'nope['"),
+        ("ELEMENTS\na\nREL eqc[1/0]\na\n", "bad relation name 'eqc[1/0]'"),
+        # a repeated header continues an interpreted relation of fixed arity
+        ("ELEMENTS\na\nREL ltlex\na a a\nREL ltlex\na a\n", "ltlex is 3-ary, got tuple ('a', 'a')"),
     ],
 )
 def test_structure_reader_error_texts(text, message):
@@ -286,6 +291,15 @@ def test_structure_text_round_trip():
     assert {r.name: sorted(t) for r, t in back.interpretation.items()} == {
         r.name: sorted(t) for r, t in s.interpretation.items()
     }
+
+
+def test_repeated_interpreted_header_continues_the_relation():
+    s = structure_from_text("ELEMENTS\na\nb\nc\nREL ltlex\na b c\nREL lt\nREL ltlex\nb c a\n")
+    ltlex = interp_rel("ltlex", 3)
+    assert s.interpretation == {ltlex: [("a", "b", "c"), ("b", "c", "a")], LT: []}
+    # a header with no row yet leaves the arity to a later section
+    empty_first = structure_from_text("ELEMENTS\na\nREL ltlex\nREL ltlex\na a a\nREL ltlex\na a a\n")
+    assert empty_first.interpretation == {ltlex: [("a", "a", "a")] * 2}
 
 
 def test_structure_file_errors():
