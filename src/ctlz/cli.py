@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .domains import (
@@ -76,12 +75,6 @@ def _load_structure(path: str):
         return structure_from_text(fh.read())
 
 
-def _render_value(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return str(v)
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -94,15 +87,12 @@ def _print_decision(decision: HomDecision, elements, as_json: bool) -> int:
         if decision.verdict:
             print("witness:")
             for e in elements:
-                print(f"  {e} = {_render_value(decision.witness[e])}")
+                print(f"  {e} = {decision.witness[e]}")
         else:
             print(f"reason: {decision.reason.kind}")
             for key in sorted(decision.reason.details):
                 value = decision.reason.details[key]
-                if isinstance(value, (list, tuple)):
-                    rendered = " ".join(_render_value(x) for x in value)
-                else:
-                    rendered = _render_value(value)
+                rendered = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else value
                 print(f"  {key}: {rendered}")
     return 0 if decision.verdict else 1
 

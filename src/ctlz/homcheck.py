@@ -36,7 +36,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm, prod
+from math import ceil, floor, gcd, inf, lcm, prod
 
 from .domains import DomainError, domain_by_name
 from .formulas import CONSTANT, EQUAL, LESS, MODULO
@@ -370,20 +370,21 @@ def _values_z(structure: SigmaStructure, quotient: Quotient, order: list, parts:
     return values
 
 
-def _order_constant_conflict(quotient: Quotient, order: list):
+def _order_constant_conflict(quotient: Quotient, order: list, denominator: int):
     """A negative decision when a pinned class has a constant no larger
-    than its own below it in the order, else None."""
+    than its own below it in the order, else None.  Pins are compared as
+    integers, scaled by ``denominator``, a common multiple of theirs."""
     pinned = {ci: cs[0] for ci, cs in enumerate(quotient.constants) if cs}
-    pin = {ci: Fraction(c) for ci, c in pinned.items()}
-    # least pinned constant strictly below each class in the order
-    upper_pin: list = [None] * len(quotient.classes)
+    pin = {ci: c.numerator * (denominator // c.denominator) for ci, c in pinned.items()}
+    # least pinned constant strictly below, and at or below, each class
+    upper_pin = [inf] * len(quotient.classes)
+    least_pin = list(upper_pin)
     for ci in reversed(order):
-        bounds = [pin[s] for s in quotient.succs[ci] if s in pin]
-        bounds += [upper_pin[s] for s in quotient.succs[ci] if upper_pin[s] is not None]
-        upper_pin[ci] = min(bounds, default=None)
+        upper_pin[ci] = least = min([least_pin[s] for s in quotient.succs[ci]], default=inf)
+        least_pin[ci] = min(least, pin.get(ci, inf))
 
     for a in sorted(pin):
-        if upper_pin[a] is not None and upper_pin[a] <= pin[a]:
+        if upper_pin[a] <= pin[a]:
             below = _reach(quotient.succs[a], quotient.succs)
             b = min(ci for ci in below if ci in pin and pin[ci] <= pin[a])
             return _no(
@@ -396,14 +397,14 @@ def _order_constant_conflict(quotient: Quotient, order: list):
     return None
 
 
-def _values_q(structure: SigmaStructure, quotient: Quotient, order: list):
+def _values_q(structure: SigmaStructure, quotient: Quotient, order: list, denominator: int):
     """Q values: the Z values with every constant scaled by K, divided by
-    K.  K = D * max(1, L) for D the least common denominator of the pins
-    and L the longest strict path in B; pins p < q on a path have
+    K.  K = D * max(1, L) for D the least common ``denominator`` of the
+    pins and L the longest strict path in B; pins p < q on a path have
     K * (q - p) >= L, so the bounded solve never gets stuck."""
     parts = partition_bgsr(quotient)
     longest = max(_potentials(quotient, order, parts[0], upward=True).values(), default=0)
-    scale = lcm(*(Fraction(cs[0]).denominator for cs in quotient.constants if cs)) * max(1, longest)
+    scale = denominator * max(1, longest)
     values = _values_z(structure, quotient, order, parts, scale)
     if isinstance(values, HomDecision):
         raise InternalError("scaled Q constants left a bounded class without a value")
@@ -485,7 +486,8 @@ def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
         delta = prod(structure.moduli())
         values = {ci: delta * g[ci] + class_residue(quotient, ci)[0] for ci in order}
     elif target == "Q":
-        values = _order_constant_conflict(quotient, order) or _values_q(structure, quotient, order)
+        lcd = lcm(*(cs[0].denominator for cs in quotient.constants if cs))
+        values = _order_constant_conflict(quotient, order, lcd) or _values_q(structure, quotient, order, lcd)
     else:
         values = _values_z(structure, quotient, order, partition_bgsr(quotient))
     if isinstance(values, HomDecision):

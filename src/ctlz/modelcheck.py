@@ -14,14 +14,14 @@ The tableau automaton is transition-based (Giannakopoulou and Lerda;
 Couvreur): a state is a set of obligations, an edge is one tableau
 branch with a guard of positive and negative literals, and the edge
 carries one acceptance mark per Until it does not postpone.  No alphabet
-is built.  Windows with equal successors (at depth >= 1, those sharing a
-suffix) form one successor class, and a product node is a state and a
-class: the next window read is some member of the class.  The product
-is searched in one pass: an iterative Tarjan DFS over int product nodes
-(state index * classes + class) that reads each member's letter as a
-bitmask over the tracked propositions, follows the edges whose guards it
-meets to the class of that member's successors, and decides each SCC as
-it closes.  No adjacency is stored, so memory grows with the product
+is built.  The successors of a window extend one shorter path, its
+successor class: its node at depth 0, its suffix at depth >= 1.  A
+product node is a state and a class: the next window read is some
+member of the class.  The product is searched in one pass: an iterative
+Tarjan DFS over int product nodes (state index * classes + class) that
+reads each member's letter as a bitmask over the tracked propositions,
+follows the edges whose guards it meets to the class of that member's
+successors, and decides each SCC as it closes.  No adjacency is stored, so memory grows with the product
 nodes reached, not with states x classes.  An accepting sink, a state
 with an unguarded self-loop that carries every mark, is listed next to
 the edge table; when every window has a successor, a node that can step
@@ -29,14 +29,14 @@ into one is good on sight and is not entered.  A window graph with dead
 ends (``validate_model`` rejects them) is searched without this shortcut.
 
 Window expansion has two steps: ``window_skeleton`` builds the windows
-and their successors from the nodes, the edges and the depth, and
-``expand_windows`` then gives each window one bit per constraint that
-holds on its registers.  At depth >= 1 the successors of a window are
-the extensions of its suffix, which sit next to each other, so each is
-one ``range``; at depth 0 they are lists.  Labelling runs one pass per
-constraint over columns of register values indexed by window.  The
-bounded search builds one skeleton per edge mask and computes the bits
-itself.
+and their successor classes from the nodes, the edges and the depth, in
+one growth loop, and ``expand_windows`` then gives each window one bit
+per constraint that holds on its registers.  At depth >= 1 the members
+of a class, the extensions of one suffix, sit next to each other, so
+each is one ``range``; at depth 0 they are lists.  Labelling runs one
+pass per constraint over columns of register values indexed by window.
+The bounded search builds one skeleton per edge mask and computes the
+bits itself.
 
 ``check_ctlstar`` compiles a formula once (the compiled plans sit in one
 LRU cache): NNF, depth and constraints, the distinct state subformulas
@@ -92,42 +92,43 @@ class ModelCheckError(ValueError):
 
 @dataclass
 class WindowModel:
-    base: ConstraintKripke
-    depth: int
     windows: list  # tuples of d+1 nodes
-    succ: list  # per window, its successors' positions: a list at depth 0, a range beyond
+    classes: tuple  # (cls, members): per window its successor class, per class its members
     bits: list  # per window, bit i set when constraints[i] holds on it
     constraints: tuple
 
 
 def window_skeleton(nodes, edges, depth: int) -> tuple:
-    """The windows of a graph, all length-(depth+1) paths, and for each
-    window the positions of its successors.  Windows start in node order
-    and grow along the edges in sorted order.
+    """The windows of a graph, all length-(depth+1) paths, and their
+    successor classes ``(cls, members)``.  Windows start in node order and
+    grow along the edges in sorted order.
 
-    At depth 0 the successors are lists.  At depth >= 1 the successors of
-    a window are the extensions of its suffix, a window one shorter, and
-    those sit next to each other in edge order: each is one ``range``."""
+    A window's class is what its successors extend: its node at depth 0,
+    its suffix, a window one shorter, at depth >= 1; ``members[c]`` lists
+    the positions of those successors, which at depth >= 1 sit next to
+    each other as one ``range``.  Each growth step gives a window's
+    children the members of its class as their classes, in order, and
+    the ranges of the children just built become the new members."""
+    index = {v: i for i, v in enumerate(nodes)}
     adjacency = {v: [] for v in nodes}
     for a, b in sorted(edges):
         adjacency[a].append(b)
     windows = [(v,) for v in nodes]
-    if not depth:
-        index = {v: i for i, v in enumerate(nodes)}
-        return windows, [[index[s] for s in adjacency[v]] for v in nodes]
+    cls = list(range(len(nodes)))
+    members = [[index[s] for s in adjacency[v]] for v in nodes]
     for _ in range(depth):
-        extensions = {}  # shorter window -> positions of its extensions
-        grown = []
-        for w in windows:
+        grown, grown_cls, extensions = [], [], []
+        for w, c in zip(windows, cls):
             start = len(grown)
             grown.extend([w + (s,) for s in adjacency[w[-1]]])
             if len(grown) > WINDOW_LIMIT:
                 raise ModelCheckError(
                     f"window expansion exceeds {WINDOW_LIMIT} windows; reduce depth or model size"
                 )
-            extensions[w] = range(start, len(grown))
-        windows = grown
-    return windows, [extensions[w[1:]] for w in windows]
+            grown_cls.extend(members[c])
+            extensions.append(range(start, len(grown)))
+        windows, cls, members = grown, grown_cls, extensions
+    return windows, (cls, members)
 
 
 def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
@@ -140,7 +141,7 @@ def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DO
     per argument, indexed by window, and the test over their rows."""
     if model.is_tree:
         raise ModelCheckError("model checking runs on graph-shaped models")
-    windows, succ = window_skeleton(model.nodes, model.edges, depth)
+    windows, classes = window_skeleton(model.nodes, model.edges, depth)
     tests = [dom.relation_test(c.relation) for c in constraints]
     values: dict = {}  # variable -> node -> register value
     bits = [0] * len(windows)
@@ -152,7 +153,7 @@ def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DO
                 value = values[var] = {v: model.gamma(v, var) for v in model.nodes}
             columns.append([value[w[off]] for w in windows])
         bits = [b | test(t) << i for b, t in zip(bits, zip(*columns))]
-    return WindowModel(model, depth, windows, succ, bits, tuple(constraints))
+    return WindowModel(windows, classes, bits, tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +267,6 @@ def _sinks(edges, n_marks) -> frozenset:
     return frozenset(q for q, out in enumerate(edges) if (0, 0, q, every) in out)
 
 
-def successor_classes(succ) -> tuple:
-    """Per window the id of its successor class, and per class the shared
-    successors, its members: windows with equal successors share a class,
-    which at depth >= 1 is one suffix range of ``window_skeleton``."""
-    ids: dict = {}
-    of = [ids.setdefault(s if type(s) is range else tuple(s), len(ids)) for s in succ]
-    return of, list(ids)
-
-
 _GOOD, _BAD = -1, -2  # the verdict of a node's SCC once it has closed
 
 
@@ -282,7 +274,8 @@ def _accepted_start_windows(classes, edges, n_marks, letters, sinks) -> set:
     """Positions i such that some accepting run of the automaton (an
     ``_edge_table`` with ``n_marks`` acceptance marks and the accepting
     ``sinks`` of ``_sinks``) reads a window path starting at window i,
-    given the windows' ``successor_classes`` and letters.
+    given the windows' successor classes from ``window_skeleton`` and
+    their letters.
 
     One iterative Tarjan pass over the product, whose node (q, c) is the
     int q * len(classes[1]) + c.  Its edges read each member w of class c:
@@ -304,7 +297,8 @@ def _accepted_start_windows(classes, edges, n_marks, letters, sinks) -> set:
     off, since a sink there has no infinite path to read."""
     cls, members = classes
     nc = len(members)
-    if not all(members):
+    # off when a class that some window uses has no members
+    if sinks and not all(members) and not {c for c, m in enumerate(members) if not m}.isdisjoint(cls):
         sinks = frozenset()
     internal = 1 << n_marks
     full = 2 * internal - 1  # every mark plus the internal-edge bit
@@ -463,8 +457,8 @@ def _compile(formula: Formula) -> tuple:
 
 def _label_states(plan: tuple, nodes, label, windows, classes, bits) -> frozenset:
     """The nodes that satisfy a compiled formula, given the windows, their
-    ``successor_classes``, the node labels and each window's constraint
-    bits: one loop fills every state subformula's node set, children first."""
+    successor classes from ``window_skeleton``, the node labels and each
+    window's constraint bits: one loop fills every state subformula's node set, children first."""
     _, _, order, paths = plan
     all_nodes = frozenset(nodes)
     firsts = [w[0] for w in windows]
@@ -502,7 +496,7 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
     are expanded and labelled, and then the state subformulas."""
     plan = _compile(formula)
     wm = expand_windows(model, plan[0], plan[1], dom)
-    return _label_states(plan, model.nodes, model.label, wm.windows, successor_classes(wm.succ), wm.bits)
+    return _label_states(plan, model.nodes, model.label, wm.windows, wm.classes, wm.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +518,14 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
     firsts = [w[0] for w in wm.windows]
     all_windows = frozenset(range(nwin))
     all_nodes = frozenset(model.nodes)
+    cls, members = wm.classes
     preds = [[] for _ in range(nwin)]
     for wi in range(nwin):
-        for wj in wm.succ[wi]:
+        for wj in members[cls[wi]]:
             preds[wj].append(wi)
 
     def pre_exists(S: frozenset) -> frozenset:
-        return frozenset(wi for wi in range(nwin) if any(wj in S for wj in wm.succ[wi]))
+        return frozenset(wi for wi in range(nwin) if any(wj in S for wj in members[cls[wi]]))
 
     def project(S) -> frozenset:
         return frozenset(firsts[wi] for wi in S)
@@ -561,7 +556,7 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
     def e_release(a: frozenset, b: frozenset) -> frozenset:
         sat = set(b)
         while True:
-            keep = {wi for wi in sat if wi in a or any(wj in sat for wj in wm.succ[wi])}
+            keep = {wi for wi in sat if wi in a or any(wj in sat for wj in members[cls[wi]])}
             if keep == sat:
                 return frozenset(keep)
             sat = keep

@@ -463,6 +463,8 @@ class _Evaluator:
                 witness = arr.any(axis=other) if other else arr
                 sizes = [bin(s).count("1") for s in np.nonzero(witness)[0]]
                 max_size = max(sizes) if sizes else None
+            elif arr.any():  # the body does not read the set, so every subset satisfies it
+                max_size = self.n
             remaining = tuple(ax for ax in axes if ax != axis)
         else:
             inner = dict(env)

@@ -44,7 +44,7 @@ from .formulas import (
     variables_of,
 )
 from .homcheck import decide_hom, verify_hom
-from .modelcheck import _compile, _label_states, check_ctlstar, successor_classes, window_skeleton
+from .modelcheck import _compile, _label_states, check_ctlstar, window_skeleton
 from .structures import (
     GRAPH_SHAPE,
     ConstraintKripke,
@@ -198,8 +198,7 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
                 for j in range(n)
                 if (mask >> (i * n + j)) & 1
             }
-            windows, succ = window_skeleton(nodes, edges, depth)
-            classes = successor_classes(succ)
+            windows, classes = window_skeleton(nodes, edges, depth)
             # an atom is one constraint on the register cells of one window
             atoms: dict = {}
             window_atoms = []

@@ -232,6 +232,22 @@ def test_eval_mso_reports_each_bound_subformula(capsys, cyc_structure):
     assert out == expected
 
 
+@pytest.mark.parametrize("body, max_size", [
+    ("(true)", 2),
+    ("(or (true) (subset X X))", 2),  # the disjunction is decided before it reads X
+    ("(subset X X)", 2),
+    ("(false)", None),
+])
+def test_eval_mso_bound_size_when_the_body_ignores_the_set(capsys, tmp_path, body, max_size):
+    # every subset satisfies a body that holds without reading X, so the
+    # largest one is the whole structure
+    p = tmp_path / "ab.structure"
+    p.write_text("ELEMENTS\na\nb\n")
+    rc, out, _ = run(capsys, "eval-mso", "--json", "--structure", str(p), "--formula", f"(B X {body})")
+    assert rc == 0
+    assert json.loads(out) == {"diagnostics": {"bounded_sets": [{"max_size": max_size, "var": "X"}]}, "value": True}
+
+
 def test_eval_mso_handles_deeply_nested_sentences(capsys, cyc_structure):
     depth = 3_000
     formula = "(not " * depth + "(B X (exists x (in x X)))" + ")" * depth

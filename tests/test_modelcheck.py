@@ -70,8 +70,9 @@ def test_windows_are_paths_of_the_requested_length():
 def test_window_successors_shift_by_one():
     m = _two_state_model()
     wm = expand_windows(m, 1)
-    for w, succ in zip(wm.windows, wm.succ):
-        for j in succ:
+    cls, members = wm.classes
+    for w, c in zip(wm.windows, cls):
+        for j in members[c]:
             v = wm.windows[j]
             assert v[:-1] == w[1:]
             assert (w[-1], v[-1]) in m.edges

@@ -39,10 +39,19 @@ from ctlz.modelcheck import (
     _sinks,
     check_ctl_oracle,
     ltl_to_buchi,
-    successor_classes,
     window_skeleton,
 )
 from conftest import _random_constraint, random_ctl_formula, random_graph_model
+
+
+def successor_classes(succ) -> tuple:
+    """Per window the id of its successor class, and per class the shared
+    successors, its members: windows with equal successor lists share a
+    class.  The classes of window graphs that ``window_skeleton`` did not
+    build."""
+    ids: dict = {}
+    of = [ids.setdefault(tuple(s), len(ids)) for s in succ]
+    return of, list(ids)
 
 
 def plain_accepted_start_windows(succ, aut: BuchiAutomaton, letters) -> set:
@@ -189,8 +198,10 @@ def _sink_reached(succ, aut, letters) -> bool:
     return any(q in sinks for q, _ in _reachable(successor_classes(succ), edges, letters))
 
 
-def _both(succ, aut, letters):
-    """The accepted start windows, asserted equal under both searches.
+def _both(succ, aut, letters, classes=None):
+    """The accepted start windows, asserted equal under both searches,
+    with the given successor classes of ``succ`` or else its
+    ``successor_classes``.
 
     The one-pass search reads a class once, when it enters a product node
     on it, and enters each node at most once, so at most states x classes
@@ -200,7 +211,7 @@ def _both(succ, aut, letters):
     plain = plain_accepted_start_windows(succ, aut, letters)
     edges = _edge_table(aut)
     sinks = _sinks(edges, len(aut.untils))
-    cls, members = successor_classes(succ)
+    cls, members = classes or successor_classes(succ)
     counted = _CountingMembers(members)
     fused = _accepted_start_windows((cls, counted), edges, len(aut.untils), letters, sinks)
     assert fused == plain
@@ -348,25 +359,26 @@ def _random_graph(rng, n, degrees):
 
 
 def test_fused_pass_matches_on_window_skeletons():
-    """Real window graphs: at depth >= 1 each successor set is the range
-    of one suffix's extensions, shared by every window with that suffix,
-    and at depth 0 a list per node.  Every fourth graph may have a dead-end
-    node, which gives empty ranges."""
+    """Real window graphs with the skeleton's own classes: at depth >= 1 a
+    window's class is its suffix, whose extensions are one range shared by
+    every window with that suffix, and at depth 0 its node, whose class is
+    a list.  So windows share classes at depth >= 1 only.  Every fourth
+    graph may have a dead-end node, which gives empty ranges."""
     rng = random.Random(71)
     props = ["p", "q", "r"]
-    shared = 0
+    shared = {0: 0, 1: 0, 2: 0}  # per depth, the graphs with a class of two or more windows
     for depth in (0, 1, 2):
         outcomes = {"empty": 0, "some": 0, "all": 0}
         for i in range(100):
             aut = ltl_to_buchi(_random_path(rng, props, [rng.randint(0, 3)], rng.randint(1, 4)))
             nodes, edges = _random_graph(rng, rng.randint(2, 6), range(0 if i % 4 == 0 else 1, 5))
-            windows, succ = window_skeleton(nodes, edges, depth)
+            windows, (cls, members) = window_skeleton(nodes, edges, depth)
             letters = [rng.randrange(1 << len(aut.propositions)) for _ in windows]
-            found = _both(succ, aut, letters)
+            found = _both([members[c] for c in cls], aut, letters, (cls, members))
             outcomes["empty" if not found else "all" if len(found) == len(windows) else "some"] += 1
-            shared += len(successor_classes(succ)[1]) < len(windows)
+            shared[depth] += len(set(cls)) < len(windows)
         assert min(outcomes.values()) >= 5, (depth, outcomes)
-    assert shared >= 200
+    assert shared[0] == 0 and min(shared[1], shared[2]) >= 95, shared
 
 
 def _bench_shaped_model(rng, n):

@@ -4,9 +4,9 @@
 by one index lookup per (window, successor), and ``plain_expand_windows``
 labels one window at a time, asking each constraint for its register
 values through ``gamma``.  ``window_skeleton`` and ``expand_windows`` must
-give the same windows, the same successor sequences and the same bits on
-seeded random graphs and models, and refuse the same inputs with the same
-errors.
+give the same windows, the same successor sequences (read through the
+successor classes) and the same bits on seeded random graphs and models,
+and refuse the same inputs with the same errors.
 """
 
 import random
@@ -15,8 +15,19 @@ import pytest
 
 from ctlz import EQ, LT, Constraint, ConstraintKripke, const_rel, mod_rel
 from ctlz.domains import ALLEN_RELATIONS, DomainError, Z_DOMAIN, domain_by_name
-from ctlz.formulas import interp_rel
-from ctlz.modelcheck import WINDOW_LIMIT, ModelCheckError, WindowModel, expand_windows, window_skeleton
+from ctlz.formulas import interp_rel, parse_path_formula
+from ctlz.modelcheck import (
+    WINDOW_LIMIT,
+    ModelCheckError,
+    WindowModel,
+    _accepted_start_windows,
+    _edge_table,
+    _sinks,
+    expand_windows,
+    ltl_to_buchi,
+    window_skeleton,
+)
+from test_product_differential import _CountingMembers
 
 
 def plain_window_skeleton(nodes, edges, depth: int) -> tuple:
@@ -51,7 +62,7 @@ def plain_expand_windows(model, depth, constraints=(), dom=Z_DOMAIN) -> WindowMo
             if tests[i](tuple(model.gamma(w[off], var) for off, var in c.args)):
                 b |= 1 << i
         bits.append(b)
-    return WindowModel(model, depth, windows, succ, bits, tuple(constraints))
+    return WindowModel(windows, (list(range(len(windows))), succ), bits, tuple(constraints))
 
 
 def _random_graph(rng, n):
@@ -93,16 +104,56 @@ def test_skeleton_matches_the_list_based_expansion():
     for _ in range(200):
         nodes, edges = _random_graph(rng, rng.randint(1, 7))
         depth = rng.randint(0, 3)
-        windows, succ = window_skeleton(nodes, edges, depth)
+        windows, (cls, members) = window_skeleton(nodes, edges, depth)
         plain_windows, plain_succ = plain_window_skeleton(nodes, edges, depth)
         assert windows == plain_windows
-        assert [list(s) for s in succ] == plain_succ
+        assert [list(members[c]) for c in cls] == plain_succ
         if depth:
-            assert all(type(s) is range for s in succ)
-            ranges += len(succ)
+            assert all(type(m) is range for m in members)
+            ranges += len(cls)
         else:
-            assert all(type(s) is list for s in succ)
+            assert all(type(m) is list for m in members)
     assert ranges >= 1000
+
+
+def test_successor_classes_are_the_extended_windows():
+    """A window's class lists exactly the windows that extend its suffix
+    (at depth 0, the successors of its node), in the list-based order.
+    Classes that no window uses may be empty, yet the accepting-sink
+    shortcut stays on exactly when every window has a successor: with
+    ``G true``, whose initial state is a sink, no class is read when it
+    is on, and the windows that cannot start an infinite path are refused
+    when it is off."""
+    edges_g = _edge_table(ltl_to_buchi(parse_path_formula("G true")))
+    sinks = _sinks(edges_g, 0)
+    assert sinks == {0}
+    rng = random.Random(83)
+    seen = {"on": 0, "off": 0, "on_with_empty_class": 0}
+    for depth in range(4):
+        for _ in range(60):
+            nodes, edges = _random_graph(rng, rng.randint(1, 6))
+            windows, (cls, members) = window_skeleton(nodes, edges, depth)
+            _, plain_succ = plain_window_skeleton(nodes, edges, depth)
+            assert len(cls) == len(windows)
+            for w, c, expected in zip(windows, cls, plain_succ):
+                for j in members[c]:
+                    if depth:
+                        assert windows[j][:-1] == w[1:]
+                    else:
+                        assert len(windows[j]) == 1 and (w[0], windows[j][0]) in edges
+                assert list(members[c]) == expected
+            counted = _CountingMembers(members)
+            accepted = _accepted_start_windows((cls, counted), edges_g, 0, [0] * len(windows), sinks)
+            total = all(plain_succ)
+            assert (counted.reads == 0) == total
+            if total:
+                assert accepted == set(range(len(windows)))
+                seen["on"] += 1
+                seen["on_with_empty_class"] += not all(members)
+            else:
+                assert not any(wi in accepted for wi, s in enumerate(plain_succ) if not s)
+                seen["off"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("dom_name", ["Z", "lexZ[2]", "allenZ"])
@@ -120,7 +171,7 @@ def test_labelling_matches_the_per_window_labelling(dom_name):
         wm = expand_windows(model, depth, constraints, dom)
         plain = plain_expand_windows(model, depth, constraints, dom)
         assert wm.windows == plain.windows
-        assert [list(s) for s in wm.succ] == plain.succ
+        assert [list(wm.classes[1][c]) for c in wm.classes[0]] == plain.classes[1]
         assert wm.bits == plain.bits
         assert wm.constraints == plain.constraints
         set_bits += sum(bin(b).count("1") for b in wm.bits)
