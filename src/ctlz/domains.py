@@ -40,8 +40,8 @@ from .formulas import (
     is_state_formula,
     mod_rel,
     parse_path_formula,
+    postorder,
     rewrite,
-    subformulas,
 )
 
 
@@ -90,7 +90,7 @@ class PositiveExistential:
 
     def eval(self, dom: "ConcreteDomain", params: tuple, witness_candidates) -> bool:
         """Truth under the domain, searching witnesses over the candidates."""
-        nodes = list(subformulas(self.body))[::-1]  # each after its subformulas
+        nodes = postorder(self.body)
         for witnesses in itertools.product(witness_candidates, repeat=self.fresh_count):
             values = _entry_terms(params, witnesses)
             truth = {}

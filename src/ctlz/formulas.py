@@ -1,4 +1,5 @@
-"""Formula layer: AST, parser, printer, and the rewriting passes.
+"""Formula layer: the node core, the CTL* AST, parser, printer, and the
+rewriting passes.
 
 State and path formulas of CTL* extended with atomic constraints
 ``r(X^i1 x1, ..., X^ik xk)`` whose relation symbols are interpreted by a
@@ -8,14 +9,21 @@ closed under the representation; F and G exist only in the concrete
 syntax and are desugared while parsing (F psi = true U psi,
 G psi = false R psi).
 
-Nodes are interned (hash-consed): building a node whose fields equal
-those of a live node returns that node, so structural equality is
-identity and hashing costs O(1) whatever the depth.  Every structural
-pass runs on one traversal core with explicit stacks: ``_children``,
-``subformulas`` (preorder), and ``rewrite`` (preorder visit, postorder
-rebuild); negation normal form is one pass that carries a polarity bit,
-and the parser is an operator-precedence loop.  No pass recurses, so
-formula nesting depth is not bounded by Python's recursion limit.
+The node core serves both syntaxes, the CTL* formulas here and the MSO
+sentences of ``mso``.  Nodes are interned (hash-consed): building a node
+whose fields equal those of a live node returns that node, so structural
+equality is identity, hashing costs O(1) whatever the depth, and a
+formula is a DAG of its distinct subformulas.  Each node class names its
+fields and, among them, its subformula fields; from those come
+``_children``, the generic ``repr``, ``subformulas`` (every occurrence,
+in preorder), ``postorder`` (every distinct node, children first) and
+``rebuild``.  Every rewriting pass is a step on one engine,
+``transform``, which runs generator frames on an explicit stack and
+rewrites each distinct (node, context) pair once: ``rewrite`` is the step
+without context, negation normal form the step whose context is the
+polarity, and ``mso`` adds substitution, relativization and the tree
+encoding.  The parser is an operator-precedence loop.  No pass recurses,
+so formula nesting depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -121,14 +129,14 @@ def relation_from_name(name: str, arity: int | None = None) -> RelationSymbol:
 
 
 # ---------------------------------------------------------------------------
-# AST: interned, immutable nodes
+# Node core: the interned nodes of both syntaxes and the passes over them
 
 # key -> live node; an entry goes away with its node, and a key holds the
 # node's children, so no child dies while a parent's entry is live
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _intern(cls, values: tuple, key: tuple) -> "Formula":
+def _intern(cls, values: tuple, key: tuple) -> "Node":
     node = _NODES.get(key)
     if node is None:
         node = object.__new__(cls)
@@ -138,16 +146,18 @@ def _intern(cls, values: tuple, key: tuple) -> "Formula":
     return node
 
 
-class Formula:
-    """Common base of the interned nodes below.
+class Node:
+    """Common base of the interned nodes, CTL* formulas and MSO sentences.
 
-    A node class lists its fields in ``_fields``; nodes are built from
-    positional or keyword field values, equal field values give the very
-    same node, and fields cannot be reassigned.
+    A node class lists its fields in ``_fields`` and, among them, the
+    fields holding subformulas in ``_kids``; those come last.  Nodes are
+    built from positional or keyword field values, equal field values
+    give the very same node, and fields cannot be reassigned.
     """
 
     __slots__ = ("__weakref__",)
     _fields: tuple = ()
+    _kids: tuple = ()
 
     def __new__(cls, *args, **kwargs):
         if kwargs:
@@ -164,6 +174,123 @@ class Formula:
 
     def __repr__(self) -> str:
         return _render(self, _repr_pieces)
+
+
+def _children(f: Node) -> list:
+    return [getattr(f, name) for name in f._kids]
+
+
+def subformulas(f: Node) -> Iterable[Node]:
+    """Every subformula occurrence in preorder, left to right."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(_children(f)))
+
+
+def _render(f: Node, pieces) -> str:
+    """Text of f: ``pieces(node, minimum)`` lists strings and
+    (subformula, minimum precedence) items, expanded left to right on a
+    stack."""
+    out = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(reversed(pieces(*item)))
+    return "".join(out)
+
+
+def _repr_pieces(f: Node, _minimum: int) -> list:
+    parts: list = [f"{type(f).__name__}("]
+    for i, name in enumerate(f._fields):
+        value = getattr(f, name)
+        parts.append(f"{', ' if i else ''}{name}=")
+        parts.append((value, 0) if name in f._kids else repr(value))
+    parts.append(")")
+    return parts
+
+
+def postorder(f: Node, skip=None) -> list:
+    """The distinct nodes of f, children before parents, left to right;
+    a node for which ``skip`` is true is left out with all below it."""
+    order: list = []
+    seen: set = set()
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # (node,): its children are listed
+            order.append(g[0])
+        elif g not in seen and not (skip and skip(g)):
+            seen.add(g)
+            stack += [(g,), *reversed(_children(g))]
+    return order
+
+
+def transform(f: Node, step, ctx=None) -> Node:
+    """Rewrite f on an explicit stack of generator frames.
+
+    ``step(node, ctx)`` is a generator: it yields (subformula, context)
+    pairs, is sent back the rewrite of each, and returns the rewrite of
+    the node.  Each distinct (node, context) pair is rewritten once, so a
+    DAG costs its distinct nodes, not its tree size."""
+    done: dict = {}
+    frames = [((f, ctx), step(f, ctx))]
+    value = None
+    while frames:
+        key, frame = frames[-1]
+        try:
+            request = frame.send(value)
+        except StopIteration as stop:
+            frames.pop()
+            value = done[key] = stop.value
+            continue
+        value = done.get(request)
+        if value is None:
+            frames.append((request, step(*request)))
+    return value
+
+
+def rebuild(f: Node, ctx, cls=None):
+    """The step part that rewrites f's children under ``ctx`` and builds
+    f again from them, as a ``cls`` node when given; f itself when that
+    changes nothing."""
+    kids = _children(f)
+    new = []
+    for kid in kids:
+        new.append((yield kid, ctx))
+    cls = cls or type(f)
+    if cls is type(f) and all(map(operator.is_, new, kids)):
+        return f
+    return cls(*[getattr(f, name) for name in f._fields[:len(f._fields) - len(kids)]], *new)
+
+
+def rewrite(f: Node, visit: Callable[[Node], Optional[Node]]) -> Node:
+    """Rebuild f bottom-up, calling ``visit`` once on each distinct node,
+    in preorder, left to right.  A node for which ``visit`` returns a
+    formula is replaced by it and not entered; on None the node's
+    children are rewritten and the node is rebuilt with its own type."""
+
+    def step(node, _):
+        replacement = visit(node)
+        if replacement is None:
+            replacement = yield from rebuild(node, None)
+        return replacement
+
+    return transform(f, step)
+
+
+# ---------------------------------------------------------------------------
+# AST: CTL* formulas
+
+
+class Formula(Node):
+    """A CTL* state or path formula."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -182,35 +309,35 @@ FALSE = BoolConst(False)
 
 
 class Not(Formula):
-    __slots__ = _fields = ("sub",)
+    __slots__ = _fields = _kids = ("sub",)
 
 
 class And(Formula):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Or(Formula):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Exists(Formula):
-    __slots__ = _fields = ("sub",)
+    __slots__ = _fields = _kids = ("sub",)
 
 
 class All(Formula):
-    __slots__ = _fields = ("sub",)
+    __slots__ = _fields = _kids = ("sub",)
 
 
 class Next(Formula):
-    __slots__ = _fields = ("sub",)
+    __slots__ = _fields = _kids = ("sub",)
 
 
 class Until(Formula):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Release(Formula):
-    __slots__ = _fields = ("left", "right")
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Constraint(Formula):
@@ -235,53 +362,7 @@ class Constraint(Formula):
         return max(off for off, _ in self.args)
 
 
-_BINARY = (And, Or, Until, Release)
 _UNARY = (Not, Exists, All, Next)
-
-
-# ---------------------------------------------------------------------------
-# Traversal core
-
-
-def _children(f: Formula) -> tuple:
-    if isinstance(f, _UNARY):
-        return (f.sub,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    return ()
-
-
-def subformulas(f: Formula) -> Iterable[Formula]:
-    """Every subformula occurrence in preorder, left to right."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        yield f
-        stack.extend(reversed(_children(f)))
-
-
-def rewrite(f: Formula, visit: Callable[[Formula], Optional[Formula]]) -> Formula:
-    """Rebuild f bottom-up, calling ``visit`` on the nodes in preorder,
-    left to right.  A node for which ``visit`` returns a formula is
-    replaced by it and not entered; on None the node's children are
-    rewritten and the node is rebuilt with its own type."""
-    done: list = []
-    stack: list = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node,): its children are rewritten
-            (node,) = node
-            kids = _children(node)
-            new = done[-len(kids):]
-            del done[-len(kids):]
-            done.append(node if all(map(operator.is_, new, kids)) else type(node)(*new))
-        elif (replacement := visit(node)) is not None:
-            done.append(replacement)
-        elif kids := _children(node):
-            stack += [(node,), *reversed(kids)]
-        else:
-            done.append(node)
-    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +381,6 @@ _INFIX = {
 }
 _PREC = {Or: _PREC_OR, And: _PREC_AND, Until: _PREC_UR, Release: _PREC_UR,
          **dict.fromkeys(_UNARY, _PREC_UNARY)}
-
-
-def _render(f: Formula, pieces) -> str:
-    """Text of f: ``pieces(node, minimum)`` lists strings and
-    (subformula, minimum precedence) items, expanded left to right on a
-    stack."""
-    out = []
-    stack: list = [(f, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        else:
-            stack.extend(reversed(pieces(*item)))
-    return "".join(out)
-
-
-def _repr_pieces(f: Formula, _minimum: int) -> list:
-    parts: list = [f"{type(f).__name__}("]
-    kids = _children(f)
-    for i, name in enumerate(f._fields):
-        parts.append(f"{', ' if i else ''}{name}=")
-        parts.append((kids[i], 0) if kids else repr(getattr(f, name)))
-    parts.append(")")
-    return parts
 
 
 def _term_text(off: int, var: str) -> str:
@@ -645,51 +701,28 @@ def is_snnf(f: Formula) -> bool:
 _DUAL = {And: Or, Or: And, Exists: All, All: Exists, Next: Next, Until: Release, Release: Until}
 
 
-def _nnf(f: Formula, negated: bool) -> Formula:
-    """f, or its negation when ``negated``, with negations pushed to the
-    leaves: one pass that carries the polarity down and builds bottom-up.
-    A stack item (node, polarity) is still to be expanded; (node, cls)
-    builds a cls node from the last results, reusing node when nothing
-    changed."""
-    done: list = []
-    stack: list = [(f, negated)]
-    while stack:
-        node, mark = stack.pop()
-        if mark is True or mark is False:
-            cls = type(node)
-            if cls is Not:
-                stack.append((node.sub, not mark))
-            elif cls in _DUAL:
-                stack.append((node, _DUAL[cls] if mark else cls))
-                if cls in _BINARY:
-                    stack.append((node.right, mark))
-                    stack.append((node.left, mark))
-                else:
-                    stack.append((node.sub, mark))
-            elif cls is BoolConst:
-                done.append((FALSE if node.value else TRUE) if mark else node)
-            elif cls is Prop or cls is Constraint:
-                done.append(Not(node) if mark else node)
-            else:
-                raise TypeError(f"not a formula: {node!r}")
-        elif mark in _BINARY:
-            right = done.pop()
-            left = done.pop()
-            same = mark is type(node) and left is node.left and right is node.right
-            done.append(node if same else mark(left, right))
-        else:
-            sub = done.pop()
-            done.append(node if mark is type(node) and sub is node.sub else mark(sub))
-    return done[0]
+def _nnf_step(f: Formula, negated: bool):
+    """``transform`` step: f, or its negation when ``negated``, with
+    negations pushed to the leaves."""
+    cls = type(f)
+    if cls is Not:
+        return (yield f.sub, not negated)
+    if cls in _DUAL:
+        return (yield from rebuild(f, negated, _DUAL[cls] if negated else cls))
+    if cls is BoolConst:
+        return (FALSE if f.value else TRUE) if negated else f
+    if cls is Prop or cls is Constraint:
+        return Not(f) if negated else f
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def negate(f: Formula) -> Formula:
     """Dual of f with negations pushed to the leaves."""
-    return _nnf(f, True)
+    return transform(f, _nnf_step, True)
 
 
 def to_nnf(f: Formula) -> Formula:
-    return _nnf(f, False)
+    return transform(f, _nnf_step, False)
 
 
 # ---------------------------------------------------------------------------

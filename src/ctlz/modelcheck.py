@@ -72,6 +72,7 @@ from .formulas import (
     is_state_formula,
     max_constraint_depth,
     negate,
+    postorder,
     propositions_of,
     rewrite,
     subformulas,
@@ -392,16 +393,11 @@ def _state_flags(nnf: Formula) -> dict:
     """Each distinct subformula of an NNF formula, children before parents
     and left before right, mapped to whether it is a state formula."""
     state: dict = {}
-    stack = [(nnf, False)]
-    while stack:
-        g, built = stack.pop()
-        if built and isinstance(g, (Not, And, Or)):
+    for g in postorder(nnf):
+        if isinstance(g, (Not, And, Or)):
             state[g] = all(state[kid] for kid in _children(g))
-        elif built:
+        else:
             state[g] = isinstance(g, (Prop, BoolConst, Exists, All))
-        elif g not in state:  # an earlier occurrence is already finished
-            stack.append((g, True))
-            stack.extend((kid, False) for kid in reversed(_children(g)))
     return state
 
 

@@ -8,17 +8,19 @@ sets, bounded paths) and the per-signature sentences characterizing
 homomorphism existence into the integer domains; everything prints to a
 stable parenthesized prefix text that reparses to the same sentence.
 
-Nodes are interned through the table the CTL* formula layer uses:
-building a node whose fields equal those of a live node returns that
-node, so equality is identity, hashing is O(1), and an emitted or parsed
-sentence is a DAG from birth (the sigma0 Z sentence has 26,439 tree nodes
-but 678 distinct ones).  Every pass runs on one traversal core with
-explicit stacks: ``_children``, ``_postorder`` over distinct nodes, the
-free names kept on each node once worked out, and ``rewrite``, which runs
-generator frames and rewrites each distinct (node, context) pair once.
-The printer works out each distinct node's flat width bottom-up and then
-writes the text in one pass; the parser is a stack loop.  No pass
-recurses, so nesting depth is not bounded by Python's recursion limit.
+Nodes are interned on the node core of the CTL* formula layer: building
+a node whose fields equal those of a live node returns that node, so
+equality is identity, hashing is O(1), and an emitted or parsed sentence
+is a DAG from birth (the sigma0 Z sentence has 26,439 tree nodes but 678
+distinct ones).  Each node class is a frozen dataclass whose fields
+annotated ``MsoFormula`` are its subformulas.  The passes here run on
+that core: ``postorder`` over distinct nodes, the free names kept on each
+node once worked out, and ``transform`` steps for substitution,
+relativization and the tree encoding, each rewriting a distinct (node,
+context) pair once.  The printer works out each distinct node's flat
+width bottom-up and then writes the text in one pass; the parser is a
+stack loop.  No pass recurses, so nesting depth is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import partial
 from itertools import product
 from math import gcd
 
-from .formulas import CONSTANT, EQUAL, LESS, MODULO, RelationSymbol, _intern, _render
+from .formulas import CONSTANT, EQUAL, LESS, MODULO, Node, RelationSymbol, _children, _intern, postorder, rebuild, transform
 
 
 class MsoError(ValueError):
@@ -39,24 +41,12 @@ class MsoError(ValueError):
 # AST: interned, immutable nodes
 
 
-class MsoFormula:
-    """Common base of the interned nodes below.
-
-    A node class is a frozen dataclass built from positional field
-    values; equal field values give the very same node.
-    """
+class MsoFormula(Node):
+    """An MSO formula; each node class is a frozen dataclass whose fields
+    annotated ``MsoFormula`` hold its subformulas."""
 
     __slots__ = ()
-    _fields: tuple = ()
     _free = None  # (free first-order names, free set names), see _free_names
-
-    def __new__(cls, *args):
-        if len(args) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._fields)})")
-        return _intern(cls, args, (cls, *args))
-
-    def __repr__(self) -> str:
-        return _render(self, _repr_pieces)
 
     def __str__(self) -> str:
         return to_sexpr(self)
@@ -64,9 +54,10 @@ class MsoFormula:
 
 def _node(cls):
     """A node class: a frozen dataclass whose equality stays identity and
-    whose repr and construction come from MsoFormula."""
+    whose repr and construction come from the node core."""
     cls = dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
     cls._fields = tuple(f.name for f in fields(cls))
+    cls._kids = tuple(f.name for f in fields(cls) if f.type == "MsoFormula")
     return cls
 
 
@@ -189,17 +180,7 @@ def disj_all(parts) -> MsoFormula:
 
 
 # ---------------------------------------------------------------------------
-# Traversal core
-
-
-def _children(f: MsoFormula) -> tuple:
-    if isinstance(f, _QUANT):
-        return (f.body,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, Neg):
-        return (f.sub,)
-    return ()
+# Variable bookkeeping
 
 
 def _names_in(f: MsoFormula) -> tuple:
@@ -208,59 +189,6 @@ def _names_in(f: MsoFormula) -> tuple:
         return f.args
     return tuple(v for v in map(f.__getattribute__, f._fields) if type(v) is str)
 
-
-def _postorder(f: MsoFormula, skip=None) -> list:
-    """The distinct nodes of f, children before parents, left to right;
-    a node for which ``skip`` is true is left out with all below it."""
-    order: list = []
-    seen: set = set()
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:  # (node,): its children are listed
-            order.append(g[0])
-        elif g not in seen and not (skip and skip(g)):
-            seen.add(g)
-            stack += [(g,), *reversed(_children(g))]
-    return order
-
-
-def rewrite(f: MsoFormula, step, ctx=None) -> MsoFormula:
-    """Rewrite f on an explicit stack of generator frames.
-
-    ``step(node, ctx)`` is a generator: it yields (subformula, context)
-    pairs, is sent back the rewrite of each, and returns the rewrite of
-    the node.  Each distinct (node, context) pair is rewritten once, so a
-    DAG costs its distinct nodes, not its tree size."""
-    done: dict = {}
-    frames = [((f, ctx), step(f, ctx))]
-    value = None
-    while frames:
-        key, frame = frames[-1]
-        try:
-            request = frame.send(value)
-        except StopIteration as stop:
-            frames.pop()
-            value = done[key] = stop.value
-            continue
-        value = done.get(request)
-        if value is None:
-            frames.append((request, step(*request)))
-    return value
-
-
-def _rebuilt(f: MsoFormula, ctx):
-    """The step that rewrites f's children under ctx and rebuilds f."""
-    kids = []
-    for c in _children(f):
-        kids.append((yield c, ctx))
-    if not kids:
-        return f
-    return type(f)(f.var, *kids) if isinstance(f, _QUANT) else type(f)(*kids)
-
-
-# ---------------------------------------------------------------------------
-# Variable bookkeeping
 
 _NONE = frozenset()
 
@@ -293,7 +221,7 @@ def _free_names(f: MsoFormula) -> tuple:
     """(free first-order names, free set names) of f; worked out once per
     node and kept on it."""
     if f._free is None:
-        for g in _postorder(f, lambda g: g._free is not None):
+        for g in postorder(f, lambda g: g._free is not None):
             object.__setattr__(g, "_free", _own_free(g))
     return f._free
 
@@ -308,7 +236,7 @@ def set_free(formula: MsoFormula) -> frozenset:
 
 def all_names(formula: MsoFormula) -> set:
     """Every variable name occurring in the formula, free or bound."""
-    return {v for g in _postorder(formula) for v in _names_in(g)}
+    return {v for g in postorder(formula) for v in _names_in(g)}
 
 
 def _fresh(preferred: str, avoid) -> str:
@@ -323,7 +251,7 @@ def _fresh(preferred: str, avoid) -> str:
 def subst_fo(formula: MsoFormula, mapping: dict) -> MsoFormula:
     """Rename free first-order occurrences, renaming binders on capture."""
     mapping = tuple((k, v) for k, v in mapping.items() if k != v)
-    return rewrite(formula, _subst_step, mapping) if mapping else formula
+    return transform(formula, _subst_step, mapping) if mapping else formula
 
 
 def _subst_step(f: MsoFormula, mapping: tuple):
@@ -335,7 +263,7 @@ def _subst_step(f: MsoFormula, mapping: tuple):
     if isinstance(f, In):
         return In(get(f.element, f.element), f.container)
     if not isinstance(f, _FO_QUANT):
-        return (yield from _rebuilt(f, mapping))
+        return (yield from rebuild(f, mapping))
     inner = tuple((k, v) for k, v in mapping if k != f.var)
     if not inner:
         return f
@@ -383,22 +311,12 @@ def _head(f: MsoFormula) -> str:
     return " ".join((_TOKEN[type(f)], *_names_in(f)))
 
 
-def _repr_pieces(f: MsoFormula, _minimum: int) -> list:
-    parts: list = [f"{type(f).__name__}("]
-    for i, name in enumerate(f._fields):
-        value = getattr(f, name)
-        parts.append(f"{', ' if i else ''}{name}=")
-        parts.append((value, 0) if isinstance(value, MsoFormula) else repr(value))
-    parts.append(")")
-    return parts
-
-
 def to_sexpr(formula: MsoFormula, indent: int = 0) -> str:
     """The formula on one line when it fits in the inline width, else its
     head on the first line and each subformula indented below it."""
     heads: dict = {}
     width: dict = {}  # node -> length of its one-line text
-    for g in _postorder(formula):
+    for g in postorder(formula):
         heads[g] = _head(g)
         width[g] = 2 + len(heads[g]) + sum(1 + width[c] for c in _children(g))
     out: list = []
@@ -473,7 +391,7 @@ def parse_sexpr(text: str) -> MsoFormula:
 
 def formula_class(formula: MsoFormula) -> str:
     """One of "MSO", "WMSO+B", "boolean_combination"."""
-    if not any(isinstance(g, BoundSet) for g in _postorder(formula)):
+    if not any(isinstance(g, BoundSet) for g in postorder(formula)):
         return "MSO"
     if isinstance(formula, (Neg,) + _BINARY):
         return "boolean_combination"
@@ -584,13 +502,13 @@ def relativize(formula: MsoFormula, guard: MsoFormula, guard_var: str | None = N
 
     def step(f: MsoFormula, ctx):
         if not isinstance(f, _QUANT):
-            return (yield from _rebuilt(f, ctx))
+            return (yield from rebuild(f, ctx))
         body = yield f.body, ctx
         guarded = guard_at(f.var) if isinstance(f, _FO_QUANT) else set_guard(f.var)
         link = Implies if isinstance(f, (ForallFO, ForallSet)) else Conj
         return type(f)(f.var, link(guarded, body))
 
-    return rewrite(formula, step)
+    return transform(formula, step)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +580,11 @@ def emit_hom_sentence(signature, target: str) -> MsoFormula:
         u, ExistsFO(v, conj_all([phi_sim("x", u), lt(u, v), phi_sim(v, "y")]))
     )
 
-    def ecycle_lt():
-        return _ecycle(phi_lt_edge, "x", "y")
+    no_cycle = Neg(_ecycle(phi_lt_edge, "x", "y"))
+
+    def paths_bounded(outer, inner):
+        """forall outer B Z exists inner: Z is an lt-path between x and y."""
+        return ForallFO(outer, BoundSet("Z", ExistsFO(inner, _path(phi_lt_edge, "x", "y", "x", "y", "Z"))))
 
     def modcon() -> MsoFormula:
         disjuncts = []
@@ -690,15 +611,7 @@ def emit_hom_sentence(signature, target: str) -> MsoFormula:
         return disj_all(disjuncts)
 
     if target in ("N", "negZ"):
-        if target == "N":
-            bounded_paths = ForallFO(
-                "y", BoundSet("Z", ExistsFO("x", _path(phi_lt_edge, "x", "y", "x", "y", "Z")))
-            )
-        else:
-            bounded_paths = ForallFO(
-                "x", BoundSet("Z", ExistsFO("y", _path(phi_lt_edge, "x", "y", "x", "y", "Z")))
-            )
-        parts = [Neg(ecycle_lt()), bounded_paths]
+        parts = [no_cycle, paths_bounded("y", "x") if target == "N" else paths_bounded("x", "y")]
         if mods:
             parts.append(Neg(modcon()))
         return conj_all(parts)
@@ -808,25 +721,13 @@ def emit_hom_sentence(signature, target: str) -> MsoFormula:
         psi = ExistsSet(X(i), psi)
     phi_b = relativize(psi, bounded, "x")
 
-    phi_z_core = Conj(
-        Neg(ecycle_lt()),
-        ForallFO("x", ForallFO("y", _bpaths(phi_lt_edge, "x", "y", "x", "y"))),
-    )
-    phi_n_core = Conj(
-        Neg(ecycle_lt()),
-        ForallFO("y", BoundSet("Z", ExistsFO("x", _path(phi_lt_edge, "x", "y", "x", "y", "Z")))),
-    )
-    phi_negn_core = Conj(
-        Neg(ecycle_lt()),
-        ForallFO("x", BoundSet("Z", ExistsFO("y", _path(phi_lt_edge, "x", "y", "x", "y", "Z")))),
-    )
-
+    phi_z_core = Conj(no_cycle, ForallFO("x", ForallFO("y", _bpaths(phi_lt_edge, "x", "y", "x", "y"))))
     return conj_all(
         [
             phi_b,
             relativize(phi_z_core, free_guard, "x"),
-            relativize(phi_n_core, greater, "x"),
-            relativize(phi_negn_core, smaller, "x"),
+            relativize(Conj(no_cycle, paths_bounded("y", "x")), greater, "x"),
+            relativize(Conj(no_cycle, paths_bounded("x", "y")), smaller, "x"),
             Neg(modcon()),
         ]
     )
@@ -945,6 +846,6 @@ def emit_tree_encoding(alpha: MsoFormula, variables, d: int, table, props=None):
     def step(f: MsoFormula, ctx):
         if isinstance(f, Atom):
             return rewrite_atom(f)
-        return (yield from _rebuilt(f, ctx))
+        return (yield from rebuild(f, ctx))
 
-    return beta, rewrite(relativized, step)
+    return beta, transform(relativized, step)

@@ -3,9 +3,9 @@
 Each sentence is compiled once into a plan: its distinct nodes (MSO nodes
 are interned, so equal subformulas are one object) in postorder, each with
 a kind code, its child indices and its free first-order and set names as
-sorted tuples, taken from the free names the node core keeps.  The peak
-cell count of a node, per structure size and set of assigned names, is
-worked out on first use and kept in the plan.  A few recent plans are
+sorted tuples, taken from the free names ``mso`` keeps on each node.  The
+peak cell count of a node, per structure size and set of assigned names,
+is worked out on first use and kept in the plan.  A few recent plans are
 cached by sentence, so every structure evaluated against a sentence
 reuses its plan.  Every atom is checked against the arity of the
 structure's relation of its name before anything is evaluated.
@@ -56,16 +56,17 @@ only where its operands' free names differ; otherwise the pieces have
 the same axes and splitting only adds nodes.  A quantifier over a name
 its body does not mention is kept, since dropping it is unsound on the
 empty structure, and B nodes are left as they are.  The rewrite is one
-``mso.rewrite`` step keyed by (node, pending quantifier), so it runs on
-explicit frames once per distinct pair.  On small structures the extra
-nodes cost more than the smaller arrays save, so they keep the plain
-plan, as do diagnostics requests, which unfold it.
+``transform`` step of the node core keyed by (node, pending quantifier),
+so it runs on explicit frames once per distinct pair.  On small
+structures the extra nodes cost more than the smaller arrays save, so
+they keep the plain plan, as do diagnostics requests, which unfold it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .formulas import _children, postorder, rebuild, transform
 from .mso import (
     Atom,
     BoundSet,
@@ -83,11 +84,7 @@ from .mso import (
     Neg,
     Subset,
     VarEq,
-    _children,
     _free_names,
-    _postorder,
-    _rebuilt,
-    rewrite,
 )
 from .structures import SigmaStructure
 
@@ -189,7 +186,7 @@ def _plan(sentence: MsoFormula, unfold: bool, scoped: bool = False) -> _Plan:
     """The plan of the sentence: plain, unfolded, or (``scoped``) of the
     sentence with its quantifiers pushed in, built on first use."""
     key = (sentence, unfold, scoped)
-    plan = _RECENT_PLANS.pop(key, None) or _Plan(rewrite(sentence, _scope_step) if scoped else sentence, unfold)
+    plan = _RECENT_PLANS.pop(key, None) or _Plan(transform(sentence, _scope_step) if scoped else sentence, unfold)
     _RECENT_PLANS[key] = plan
     if len(_RECENT_PLANS) > 4:  # callers alternate between a few sentences at most
         del _RECENT_PLANS[next(iter(_RECENT_PLANS))]
@@ -203,7 +200,7 @@ _PUSHED = (ExistsFO, ForallFO, ExistsSet, ForallSet)  # B is left as it is
 
 
 def _scope_step(f: MsoFormula, scope):
-    """``mso.rewrite`` step that pushes quantifiers in.  With scope None it
+    """``transform`` step that pushes quantifiers in.  With scope None it
     returns f with every quantifier pushed in; with scope (quantifier
     class, name) it returns that quantifier applied to f, whose own
     quantifiers are pushed in already, pushed into f's connectives as far
@@ -215,7 +212,7 @@ def _scope_step(f: MsoFormula, scope):
             return (yield body, (type(f), f.var))
         if type(f) is BoundSet:
             return f
-        return (yield from _rebuilt(f, None))
+        return (yield from rebuild(f, None))
     quant, var = scope
     side = quant in (ExistsSet, ForallSet)  # index of the free set names
 
@@ -525,7 +522,7 @@ def eval_finite_slow(
     """Reference evaluator: plain recursion, no arrays, no sharing."""
     if len(structure.elements) > MAX_ELEMENTS:
         raise MsoError("structure too large")
-    _check_arities([g for g in _postorder(formula) if type(g) is Atom], structure)
+    _check_arities([g for g in postorder(formula) if type(g) is Atom], structure)
     n = len(structure.elements)
     index = {e: i for i, e in enumerate(structure.elements)}
     relations = _relation_map(structure, index)

@@ -161,7 +161,7 @@ class SigmaStructure:
         return sorted({r.params[1] for r in self.interpretation if r.kind == MODULO})
 
 
-def validate_structure(structure: SigmaStructure, allow_reserved: bool = False) -> None:
+def validate_structure(structure: SigmaStructure) -> None:
     if len(set(structure.elements)) != len(structure.elements):
         raise StructureError("duplicate elements")
     element_set = set(structure.elements)
@@ -254,7 +254,7 @@ def _content(text: str) -> list:
 _MODEL_SECTIONS = frozenset(("NODES", "EDGES", "LABELS", "REGISTERS"))
 
 
-def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke:
+def model_from_text(text: str) -> ConstraintKripke:
     lines = _content(text)
     if not lines or not lines[0].startswith("SHAPE"):
         raise StructureError("model file must start with a SHAPE line")
@@ -321,7 +321,7 @@ def model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke
         node_set = set(nodes)
         edges = {(n, n + str(i)) for n in nodes for i in range(1, d + 1) if n + str(i) in node_set}
     model = ConstraintKripke(nodes, edges, labels, registers, variables, shape)
-    validate_model(model, allow_reserved=allow_reserved)
+    validate_model(model)
     return model
 
 
@@ -338,7 +338,7 @@ def structure_to_text(structure: SigmaStructure) -> str:
 _WHITESPACE_RE = re.compile(r"\s")
 
 
-def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructure:
+def structure_from_text(text: str) -> SigmaStructure:
     lines = _content(text)
     if not lines or lines[0] != "ELEMENTS":
         raise StructureError("structure file must start with ELEMENTS")
@@ -367,7 +367,7 @@ def structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructu
             fixed[rel.name] = rel
         rows += body
     structure = SigmaStructure(elements, interpretation)
-    validate_structure(structure, allow_reserved=allow_reserved)
+    validate_structure(structure)
     return structure
 
 
@@ -423,7 +423,7 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
     )
 
 
-def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable, variables: list | None = None) -> SigmaStructure:
+def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable) -> SigmaStructure:
     """Read the sigma-structure off a labeled tree.
 
     Elements are (node, variable) pairs; a table proposition p_i at node
@@ -433,9 +433,7 @@ def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable, v
     """
     if not model.is_tree:
         raise StructureError("extract_constraint_graph expects a tree model")
-    if variables is None:
-        variables = list(model.variables)
-    elements = [element_id(n, v) for n in model.nodes for v in variables]
+    elements = [element_id(n, v) for n in model.nodes for v in model.variables]
 
     found: dict = {entry.constraint.relation: {} for entry in table}  # rows in first-seen order
     for entry in table:

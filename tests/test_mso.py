@@ -23,7 +23,7 @@ from ctlz import (
     relativize,
     to_sexpr,
 )
-from ctlz.formulas import TableEntry, AbstractionTable, Constraint
+from ctlz.formulas import TableEntry, AbstractionTable, Constraint, postorder, transform
 from ctlz.mso import (
     Atom,
     BoundSet,
@@ -38,14 +38,13 @@ from ctlz.mso import (
     MSO_TRUE,
     MsoBool,
     MsoError,
+    MsoFormula,
     Neg,
     Subset,
     VarEq,
     _free_names,
-    _postorder,
     conj_all,
     fo_free,
-    rewrite,
     set_free,
 )
 from ctlz import msoeval
@@ -633,12 +632,12 @@ def _scoping_cases():
 def test_scoped_sentence_keeps_the_free_names():
     sentence = emit_hom_sentence(list(SIGMA0), "Z")
     for f in [sentence] + [f for f, _, _ in _scoping_cases()]:
-        assert _free_names(rewrite(f, msoeval._scope_step)) == _free_names(f), to_sexpr(f)
+        assert _free_names(transform(f, msoeval._scope_step)) == _free_names(f), to_sexpr(f)
 
 
 def test_both_plans_match_slow_evaluator_on_five_elements(monkeypatch):
     cases = _scoping_cases()
-    changed = sum(rewrite(f, msoeval._scope_step) is not f for f, _, _ in cases)
+    changed = sum(transform(f, msoeval._scope_step) is not f for f, _, _ in cases)
     assert changed > 100
     for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
         monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
@@ -684,10 +683,28 @@ def test_dropping_a_vacuous_quantifier_fails_on_the_empty_structure(monkeypatch)
 
 def test_scoped_plan_has_one_node_per_distinct_subtree():
     sentence = emit_hom_sentence(list(SIGMA0), "Z")
-    scoped = rewrite(sentence, msoeval._scope_step)
+    scoped = transform(sentence, msoeval._scope_step)
     assert scoped is not sentence
-    assert len(msoeval._plan(sentence, False, scoped=True).nodes) == len(_postorder(scoped))
-    assert len(msoeval._plan(sentence, unfold=False).nodes) == len(_postorder(sentence)) == 678
+    assert len(msoeval._plan(sentence, False, scoped=True).nodes) == len(postorder(scoped))
+    assert len(msoeval._plan(sentence, unfold=False).nodes) == len(postorder(sentence)) == 678
+
+
+def test_node_classes_expose_their_children_as_dataclass_fields():
+    """The benchmark's tracer counts ``mso.sentence_nodes`` by walking
+    ``dataclasses.fields`` of each node as a tree, so every node class
+    must stay a dataclass whose fields hold its subformulas."""
+    classes = (MsoBool, Atom, VarEq, In, Subset, Neg, Conj, Disj, Implies,
+               ExistsFO, ForallFO, ExistsSet, ForallSet, BoundSet)
+    for cls in classes:
+        assert dataclasses.is_dataclass(cls)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == cls._fields
+        assert set(cls._kids) == {f.name for f in dataclasses.fields(cls) if f.type == "MsoFormula"}
+    total, todo = 0, [emit_hom_sentence(list(SIGMA0), "Z")]
+    while todo:
+        node = todo.pop()
+        total += 1
+        todo += [v for f in dataclasses.fields(node) if isinstance(v := getattr(node, f.name), MsoFormula)]
+    assert total == 26_439
 
 
 def test_deep_sentences_evaluate_on_the_scoped_plan(monkeypatch):

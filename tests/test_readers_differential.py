@@ -46,7 +46,7 @@ def _content_lines(text: str):
             yield line
 
 
-def plain_model_from_text(text: str, allow_reserved: bool = False) -> ConstraintKripke:
+def plain_model_from_text(text: str) -> ConstraintKripke:
     lines = list(_content_lines(text))
     if not lines or not lines[0].startswith("SHAPE"):
         raise StructureError("model file must start with a SHAPE line")
@@ -100,11 +100,11 @@ def plain_model_from_text(text: str, allow_reserved: bool = False) -> Constraint
         node_set = set(nodes)
         edges = {(n, n + str(i)) for n in nodes for i in range(1, d + 1) if n + str(i) in node_set}
     model = ConstraintKripke(nodes, edges, labels, registers, variables, shape)
-    validate_model(model, allow_reserved=allow_reserved)
+    validate_model(model)
     return model
 
 
-def plain_structure_from_text(text: str, allow_reserved: bool = False) -> SigmaStructure:
+def plain_structure_from_text(text: str) -> SigmaStructure:
     lines = list(_content_lines(text))
     if not lines or lines[0] != "ELEMENTS":
         raise StructureError("structure file must start with ELEMENTS")
@@ -137,7 +137,7 @@ def plain_structure_from_text(text: str, allow_reserved: bool = False) -> SigmaS
                 arities[current] = len(t)
             interpretation[current].append(t)
     structure = SigmaStructure(elements, interpretation)
-    validate_structure(structure, allow_reserved=allow_reserved)
+    validate_structure(structure)
     return structure
 
 
