@@ -174,7 +174,7 @@ def _reference_ctl_passes(m: pytest.MonkeyPatch) -> None:
         m.setattr(module, "rewrite", plain_rewrite)
     for module in (formulas, modelcheck):
         m.setattr(module, "to_nnf", lambda f: plain_nnf(f, False))
-        m.setattr(module, "negate", lambda f: plain_nnf(f, True))
+    m.setattr(modelcheck, "negate", lambda f: plain_nnf(f, True))
     m.setattr(modelcheck, "_state_flags", plain_state_flags)
 
 
