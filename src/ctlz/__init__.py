@@ -7,6 +7,12 @@ constraints for fresh propositions plus a register-graph side condition,
 decide that side condition as a homomorphism problem, and express it in
 (W)MSO when a logical form is wanted.  Finite-scale model checking and
 model search close the loop for experiments.
+
+Nothing on that pipeline needs numpy; only the finite-structure MSO
+evaluator does.  So ``eval_finite`` and ``eval_finite_slow`` are looked
+up on first access (``__getattr__`` below): that access imports
+``msoeval``, and numpy with it, and binds the name in this package like
+any other.  ``import ctlz`` alone never loads numpy.
 """
 
 from .formulas import (
@@ -101,7 +107,6 @@ from .mso import (
     relativize,
     to_sexpr,
 )
-from .msoeval import eval_finite, eval_finite_slow
 from .modelcheck import (
     BuchiAutomaton,
     ModelCheckError,
@@ -122,6 +127,22 @@ from .satsearch import (
 )
 
 __version__ = "0.1.0"
+
+_FROM_MSOEVAL = ("eval_finite", "eval_finite_slow")
+
+
+def __getattr__(name: str):
+    if name not in _FROM_MSOEVAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import msoeval
+
+    value = globals()[name] = getattr(msoeval, name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_FROM_MSOEVAL})
+
 
 __all__ = [
     "ALLEN_DOMAIN",

@@ -16,7 +16,6 @@ integer constants (with 0) span more than ``MAX_PRINTED_CONSTANT_SPAN``
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -41,12 +40,12 @@ from .formulas import (
 from .homcheck import HomDecision, HomReason, brute_force_hom, decide_hom, verify_hom, witness_bound
 from .modelcheck import ModelCheckError, check_ctlstar
 from .mso import MsoError, emit_hom_sentence, formula_class, parse_sexpr, to_sexpr
-from .msoeval import eval_finite
 from .satsearch import SatSearchError, find_model
 from .structures import (
     StructureError,
     abstract_model,
     extract_constraint_graph,
+    json_text,
     model_from_text,
     model_to_text,
     structure_from_text,
@@ -76,7 +75,7 @@ def _load_structure(path: str):
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload, sort_keys=True))
 
 
 def _print_decision(decision: HomDecision, elements, as_json: bool) -> int:
@@ -213,6 +212,8 @@ def _cmd_emit_mso(args) -> int:
 
 
 def _cmd_eval_mso(args) -> int:
+    from .msoeval import eval_finite  # loads numpy, which no other subcommand needs
+
     structure = _load_structure(args.structure)
     sentence = parse_sexpr(_read_arg(args.formula))
     diagnostics: dict | None = {} if args.json else None  # a sink unfolds the plan, see msoeval

@@ -22,8 +22,11 @@ in preorder), ``postorder`` (every distinct node, children first) and
 rewrites each distinct (node, context) pair once: ``rewrite`` is the step
 without context, negation normal form the step whose context is the
 polarity, and ``mso`` adds substitution, relativization and the tree
-encoding.  The parser is an operator-precedence loop.  No pass recurses,
-so formula nesting depth is not bounded by Python's recursion limit.
+encoding.  A step that ends by rebuilding its node from the rewritten
+children hands that rebuild to the engine, which does it in the step's
+place, so a nesting level keeps at most one frame alive.  The parser is
+an operator-precedence loop.  No pass recurses, so formula nesting depth
+is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -235,37 +238,58 @@ def transform(f: Node, step, ctx=None) -> Node:
 
     ``step(node, ctx)`` is a generator: it yields (subformula, context)
     pairs, is sent back the rewrite of each, and returns the rewrite of
-    the node.  Each distinct (node, context) pair is rewritten once, so a
-    DAG costs its distinct nodes, not its tree size."""
+    the node, or ends with ``return (yield from rebuild(node, ctx))``.
+    Each distinct (node, context) pair is rewritten once, so a DAG costs
+    its distinct nodes, not its tree size.  A rebuild takes the slot of
+    the step that ends with it, so a nesting level holds at most one
+    frame, and none where the step only rebuilds."""
     done: dict = {}
-    frames = [((f, ctx), step(f, ctx))]
+    frames: list = [((f, ctx), step(f, ctx))]
     value = None
     while frames:
         key, frame = frames[-1]
-        try:
-            request = frame.send(value)
-        except StopIteration as stop:
-            frames.pop()
-            value = done[key] = stop.value
+        if type(frame) is not list:
+            try:
+                request = frame.send(value)
+            except StopIteration as stop:
+                frames.pop()
+                value = done[key] = stop.value
+                continue
+            if type(request) is not list:
+                value = done.get(request)
+                if value is None:
+                    frames.append((request, step(*request)))
+                continue
+            # the step ends, and its rebuild takes the slot
+            if next(frame, None) is not None:
+                raise RuntimeError("a step ends with its rebuild")
+            frame = request
+            frame += (_children(frame[0]), [])
+            frames[-1] = (key, frame)
+        else:  # a rebuild: [node, ctx, class, children, their rewrites]
+            frame[4].append(value)
+        node, sub_ctx, cls, kids, new = frame
+        if len(new) < len(kids):
+            request = kids[len(new)], sub_ctx
+            value = done.get(request)
+            if value is None:
+                frames.append((request, step(*request)))
             continue
-        value = done.get(request)
-        if value is None:
-            frames.append((request, step(*request)))
+        frames.pop()
+        if cls is not type(node) or not all(map(operator.is_, new, kids)):
+            node = cls(*[getattr(node, name) for name in node._fields[:len(node._fields) - len(kids)]], *new)
+        value = done[key] = node
     return value
 
 
 def rebuild(f: Node, ctx, cls=None):
-    """The step part that rewrites f's children under ``ctx`` and builds
-    f again from them, as a ``cls`` node when given; f itself when that
-    changes nothing."""
-    kids = _children(f)
-    new = []
-    for kid in kids:
-        new.append((yield kid, ctx))
-    cls = cls or type(f)
-    if cls is type(f) and all(map(operator.is_, new, kids)):
-        return f
-    return cls(*[getattr(f, name) for name in f._fields[:len(f._fields) - len(kids)]], *new)
+    """The end of a step that rewrites f's children under ``ctx`` and
+    builds f again from them, as a ``cls`` node when given; f itself when
+    that changes nothing: ``return (yield from rebuild(f, ctx))``.  It
+    hands ``transform`` one request, a list where other requests are
+    (node, context) pairs, and ``transform`` does the rebuild in the
+    step's place."""
+    yield [f, ctx, cls or type(f)]
 
 
 def rewrite(f: Node, visit: Callable[[Node], Optional[Node]]) -> Node:
@@ -277,7 +301,7 @@ def rewrite(f: Node, visit: Callable[[Node], Optional[Node]]) -> Node:
     def step(node, _):
         replacement = visit(node)
         if replacement is None:
-            replacement = yield from rebuild(node, None)
+            return (yield from rebuild(node, None))
         return replacement
 
     return transform(f, step)

@@ -32,7 +32,6 @@ appears here.
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,7 @@ from math import ceil, floor, gcd, inf, lcm, prod
 
 from .domains import DomainError, domain_by_name
 from .formulas import CONSTANT, EQUAL, LESS, MODULO
-from .structures import SigmaStructure
+from .structures import SigmaStructure, json_text
 
 TARGET_DOMAINS = ("Z", "N", "negZ", "Q")
 
@@ -78,7 +77,7 @@ class HomDecision:
             "verdict": "yes" if self.verdict else "no",
             "witness": witness,
         }
-        return json.dumps(payload, indent=2)
+        return json_text(payload)
 
 
 def _jsonable(value):

@@ -118,6 +118,9 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
     cls = list(range(len(nodes)))
     members = [[index[s] for s in adjacency[v]] for v in nodes]
     for _ in range(depth):
+        # a range of members is read as a slice of one list of ids, so the
+        # windows of one class share the int object of its id
+        ids = list(range(len(windows)))
         grown, grown_cls, extensions = [], [], []
         for w, c in zip(windows, cls):
             start = len(grown)
@@ -126,7 +129,8 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
                 raise ModelCheckError(
                     f"window expansion exceeds {WINDOW_LIMIT} windows; reduce depth or model size"
                 )
-            grown_cls.extend(members[c])
+            m = members[c]
+            grown_cls.extend(m if type(m) is list else ids[m.start:m.stop])
             extensions.append(range(start, len(grown)))
         windows, cls, members = grown, grown_cls, extensions
     return windows, (cls, members)
@@ -177,10 +181,11 @@ class BuchiAutomaton:
     untils: tuple  # one acceptance mark per Until subformula
 
 
-def _expand_obligations(obligations, bit):
-    """Branches of one tableau expansion step, each a tuple (positive
-    literal mask, negative literal mask, next obligations, fulfilled
-    Until subformulas), where ``bit`` maps a proposition to its mask.
+def _expand_obligations(obligations: list, bit):
+    """Branches of one tableau expansion step from a list of obligations,
+    the last one taken first, each a tuple (positive literal mask,
+    negative literal mask, next obligations, fulfilled Until
+    subformulas), where ``bit`` maps a proposition to its mask.
     Pending branches wait on an explicit stack, the left one explored
     first; contradictory branches are dropped."""
     branches: dict = {}  # ordered set
@@ -221,14 +226,18 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
     """Tableau construction for proposition-only path formulas in NNF:
     the states are the obligation sets reachable from {formula}, each
     tableau branch is one edge, and each Until gets one acceptance mark."""
-    for sub in subformulas(formula):
+    # distinct subformulas -> first-occurrence index: obligation sets are
+    # expanded in this order, not in the order of the nodes' addresses, so
+    # that the same formula gives the same automaton in every process
+    rank = {sub: i for i, sub in enumerate(dict.fromkeys(subformulas(formula)))}
+    for sub in rank:
         if isinstance(sub, (Constraint, Exists, All)):
             raise ModelCheckError("tableau input must be over propositions only")
         if isinstance(sub, Not) and not isinstance(sub.sub, Prop):
             raise ModelCheckError("tableau input must be in negation normal form")
     props = tuple(propositions_of(formula))
     bit = {p: 1 << i for i, p in enumerate(props)}
-    untils = tuple(dict.fromkeys(sub for sub in subformulas(formula) if isinstance(sub, Until)))
+    untils = tuple(sub for sub in rank if isinstance(sub, Until))
 
     initial = frozenset([formula])
     transitions: dict = {initial: None}  # states in discovery order
@@ -236,7 +245,7 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
     while todo:
         state = todo.pop()
         edges = []
-        for pos, neg, nexts, fulfilled in _expand_obligations(state, bit):
+        for pos, neg, nexts, fulfilled in _expand_obligations(sorted(state, key=rank.__getitem__), bit):
             marks = sum(1 << j for j, u in enumerate(untils) if u not in nexts or u in fulfilled)
             edges.append((pos, neg, nexts, marks))
             if nexts not in transitions:

@@ -60,6 +60,10 @@ empty structure, and B nodes are left as they are.  The rewrite is one
 so it runs on explicit frames once per distinct pair.  On small
 structures the extra nodes cost more than the smaller arrays save, so
 they keep the plain plan, as do diagnostics requests, which unfold it.
+
+This is the one module that needs numpy.  Nothing else in the package
+imports it: ``ctlz.eval_finite`` and ``ctlz eval-mso`` load it on first
+use, so the rest of the pipeline starts without numpy.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ so the word notation stays unambiguous.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -373,6 +374,31 @@ def structure_from_text(text: str) -> SigmaStructure:
 
 # ---------------------------------------------------------------------------
 # Abstraction of a register tree and extraction of the constraint graph
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def json_text(payload: dict, sort_keys: bool = False) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=sort_keys)`` of a dict
+    with string keys, byte for byte.  With an indent, ``json`` runs its
+    pure-Python encoder; here each value that is a non-empty list or dict
+    of scalars, such as a witness map or a node list, goes through the C
+    encoder instead, its items separated by a comma, a newline and the
+    indentation.  Other values keep the indented encoder."""
+    parts = []
+    for key in sorted(payload) if sort_keys else payload:
+        value = payload[key]
+        kind = type(value)
+        if (kind is list or kind is dict) and value and _SCALARS.issuperset(
+            map(type, value.values() if kind is dict else value)
+        ):
+            text = json.dumps(value, separators=(",\n    ", ": "), sort_keys=sort_keys)
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", "\n  ")
+        parts.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}" if parts else "{}"
 
 
 def element_id(node: str, var: str) -> str:

@@ -412,3 +412,51 @@ def test_importing_the_cli_builds_no_parser():
     at_import, _, _, counts = done.stdout.splitlines()
     first, after = counts.split()
     assert at_import == "0" and int(first) > 0 and after == first
+
+
+def test_no_subcommand_but_eval_mso_loads_numpy(tmp_path, two_model, chain_structure):
+    # the MSO evaluator, and numpy with it, loads on first use: importing
+    # the package and running every other subcommand leaves both unloaded
+    tree = tmp_path / "demo.model"
+    tree.write_text(model_to_text(demo_tree()))
+    formula = "E (lt(x1, X^1 x2) & X eq(x1, x2))"
+    commands = [
+        ["parse", "--formula", "E (a U b)"],
+        ["nnf", "--formula", "~E (a U b)"],
+        ["snnf", "--formula", "~E G lt(x, X^1 y)"],
+        ["abstract", "--formula", formula, "--model", str(tree)],
+        ["extract", "--formula", formula, "--model", str(tree)],
+        ["homcheck", "--structure", chain_structure],
+        ["brutehom", "--structure", chain_structure],
+        ["emit-mso", "--structure", chain_structure],
+        ["mc", "--model", two_model, "--formula", "E X p"],
+        ["sat", "--formula", "E F eqc[2](x)", "--max-nodes", "1"],
+        ["interp", "--formula", "E X ltlex(x, y)", "--interp", "lexZ[2]"],
+        ["selftest"],
+    ]
+    code = (
+        "import argparse, contextlib, io, sys\n"
+        "import ctlz, ctlz.cli\n"
+        f"commands = {commands!r}\n"
+        "for argv in commands:\n"
+        "    for extra in ([], ['--json']):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "            rc = ctlz.cli.run_command(argv + extra)\n"
+        "        assert rc in (0, 1), (argv, rc, err.getvalue())\n"
+        "parser = ctlz.cli._build_parser()\n"
+        "names = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices\n"
+        "assert set(names) - {argv[0] for argv in commands} == {'eval-mso'}\n"
+        "assert set(ctlz.__all__) <= set(dir(ctlz))\n"
+        "print(sorted(m for m in ('numpy', 'ctlz.msoeval') if m in sys.modules))\n"
+        "assert ctlz.eval_finite is ctlz.msoeval.eval_finite\n"
+        "assert ctlz.eval_finite_slow is ctlz.msoeval.eval_finite_slow\n"
+        "namespace = {}\n"
+        "exec('from ctlz import *', namespace)\n"
+        "print(sorted(set(ctlz.__all__) - set(namespace)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ctlz.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded, unbound = done.stdout.splitlines()
+    assert loaded == "[]" and unbound == "[]"

@@ -1,11 +1,15 @@
 """Window expansion, the LTL tableau, and the branching-time checkers."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import ctlz
 from ctlz import (
     All,
     And,
@@ -205,6 +209,39 @@ def test_no_cap_on_tracked_propositions():
             assert found == (start in sat), start
         hits += len(sat)
     assert hits > 0
+
+
+_REBUILT = "A (false U A eqc[0](X^2 y) | p U mod[1,2](X^2 y)) | ~E A E mod[1,2](X^2 y)"
+
+
+def _edge_tables(text: str) -> str:
+    """The compiled automata of a formula, as text: per path quantifier,
+    in the plan's order, its edge table, mark count and tracked inputs."""
+    from ctlz.modelcheck import _compile
+
+    _, _, order, paths = _compile.__wrapped__(parse_formula(text))
+    return repr([(str(f), *paths[f][:2], [str(g) for g in paths[f][2]], sorted(paths[f][3]))
+                 for f in order if f in paths])
+
+
+def test_automata_do_not_depend_on_node_addresses():
+    # the formula's nodes are freed and built again between compiles, at
+    # other addresses; the automata must be the same in every process
+    tables = set()
+    junk = []
+    for i in range(30):
+        tables.add(_edge_tables(_REBUILT))
+        junk.append([parse_path_formula(f"p{j} U q{i}") for j in range(i)])
+    assert len(tables) == 1
+    src = os.path.dirname(os.path.dirname(ctlz.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               PYTHONHASHSEED="random")
+    code = f"import test_modelcheck as t; print(t._edge_tables({_REBUILT!r}))"
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=os.path.dirname(__file__),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == next(iter(tables))
 
 
 # ---------------------------------------------------------------------------

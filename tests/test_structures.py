@@ -1,5 +1,6 @@
 """Models, structures, file formats, abstraction and extraction."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ctlz import (
     TableEntry,
     abstract_model,
     const_rel,
+    decide_hom,
     element_id,
     extract_constraint_graph,
     gamma_map,
@@ -29,6 +31,7 @@ from ctlz import (
     Z_DOMAIN,
 )
 from ctlz.formulas import abstract_constraints, interp_rel, parse_formula, to_snnf
+from ctlz.structures import json_text
 from conftest import random_graph_model, random_tree_model
 
 
@@ -307,6 +310,40 @@ def test_structure_file_errors():
         structure_from_text("REL lt\na b\n")
     with pytest.raises(StructureError):
         structure_from_text("ELEMENTS\na\nREL lt\na b c\n")
+
+
+def _random_json(rng, depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        return rng.choice([
+            None, True, False, 0, -7, 2**70, 0.5, -1e-300, "", "a b", "line\nbreak",
+            "quote \" and \\", "caf\u00e9", ",\n    ", "[", "{}",
+        ])
+    members = [_random_json(rng, depth - 1) for _ in range(rng.choice([0, 1, 2, 5, 40]))]
+    if roll < 0.7:
+        return members
+    return {rng.choice(["a", "b", "x1", "x10", "\u00e9", "k y", str(i)]) + str(i): m for i, m in enumerate(members)}
+
+
+def test_json_text_is_the_indented_json():
+    # flat containers take the C encoder; the text is json.dumps(indent=2)
+    rng = random.Random(41)
+    flat = 0
+    for _ in range(400):
+        payload = {f"k{rng.randint(0, 9)}": _random_json(rng, rng.randint(0, 3)) for _ in range(rng.randint(0, 4))}
+        for sort_keys in (False, True):
+            assert json_text(payload, sort_keys) == json.dumps(payload, indent=2, sort_keys=sort_keys), payload
+        flat += any(type(v) in (list, dict) and v and all(type(m) not in (list, dict) for m in v) for v in payload.values())
+    assert flat >= 100
+    # x0 = 0 < x1 < ... < x9999 = 1 over Q: a witness map of 10^4 fractions
+    elements = [f"x{i}" for i in range(10_000)]
+    chain = SigmaStructure(
+        elements,
+        {LT: list(zip(elements, elements[1:])), const_rel(0): [("x0",)], const_rel(1): [("x9999",)]},
+    )
+    for decision in (decide_hom(chain, "Q"), decide_hom(SigmaStructure(["a", "b"], {LT: [("a", "b"), ("b", "a")]}), "Z")):
+        text = decision.to_json(elements if decision.verdict else ["a", "b"])
+        assert text == json.dumps(json.loads(text), indent=2)
 
 
 # ---------------------------------------------------------------------------
