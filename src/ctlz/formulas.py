@@ -244,7 +244,7 @@ def transform(f: Node, step, ctx=None) -> Node:
     the step that ends with it, so a nesting level holds at most one
     frame, and none where the step only rebuilds."""
     done: dict = {}
-    frames: list = [((f, ctx), step(f, ctx))]
+    frames = [((f, ctx), step(f, ctx))]
     value = None
     while frames:
         key, frame = frames[-1]

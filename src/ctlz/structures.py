@@ -372,10 +372,6 @@ def structure_from_text(text: str) -> SigmaStructure:
     return structure
 
 
-# ---------------------------------------------------------------------------
-# Abstraction of a register tree and extraction of the constraint graph
-
-
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
@@ -399,6 +395,10 @@ def json_text(payload: dict, sort_keys: bool = False) -> str:
             text = json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", "\n  ")
         parts.append(f"{json.dumps(key)}: {text}")
     return "{\n  " + ",\n  ".join(parts) + "\n}" if parts else "{}"
+
+
+# ---------------------------------------------------------------------------
+# Abstraction of a register tree and extraction of the constraint graph
 
 
 def element_id(node: str, var: str) -> str:
