@@ -117,10 +117,11 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
     windows = [(v,) for v in nodes]
     cls = list(range(len(nodes)))
     members = [[index[s] for s in adjacency[v]] for v in nodes]
-    for _ in range(depth):
-        # a range of members is read as a slice of one list of ids, so the
-        # windows of one class share the int object of its id
-        ids = list(range(len(windows)))
+    shared = members  # per class, its members as ints that its windows share
+    for step in range(depth):
+        if step:
+            ids = list(range(len(windows)))
+            shared = [ids[r.start:r.stop] for r in members]
         grown, grown_cls, extensions = [], [], []
         for w, c in zip(windows, cls):
             start = len(grown)
@@ -129,8 +130,7 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
                 raise ModelCheckError(
                     f"window expansion exceeds {WINDOW_LIMIT} windows; reduce depth or model size"
                 )
-            m = members[c]
-            grown_cls.extend(m if type(m) is list else ids[m.start:m.stop])
+            grown_cls.extend(shared[c])
             extensions.append(range(start, len(grown)))
         windows, cls, members = grown, grown_cls, extensions
     return windows, (cls, members)
