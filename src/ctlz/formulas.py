@@ -269,8 +269,9 @@ def transform(f: Node, step, ctx=None) -> Node:
         else:  # a rebuild: [node, ctx, class, children, their rewrites]
             frame[4].append(value)
         node, sub_ctx, cls, kids, new = frame
-        if len(new) < len(kids):
-            request = kids[len(new)], sub_ctx
+        done_kids = len(new)
+        if done_kids < len(kids):
+            request = kids[done_kids], sub_ctx
             value = done.get(request)
             if value is None:
                 frames.append((request, step(*request)))
@@ -289,6 +290,8 @@ def rebuild(f: Node, ctx, cls=None):
     hands ``transform`` one request, a list where other requests are
     (node, context) pairs, and ``transform`` does the rebuild in the
     step's place."""
+    if not f._kids and cls in (None, type(f)):
+        return f  # a leaf: nothing to rewrite, no request
     yield [f, ctx, cls or type(f)]
 
 
