@@ -71,7 +71,11 @@ class HomDecision:
         witness = None
         if self.witness is not None:
             order = element_order if element_order is not None else sorted(self.witness)
-            witness = {e: _jsonable(self.witness[e]) for e in order}
+            values = self.witness
+            if set(map(type, values.values())) <= {int}:  # plain ints need no conversion
+                witness = {e: values[e] for e in order}
+            else:
+                witness = {e: _jsonable(values[e]) for e in order}
         payload = {
             "reason": self.reason.to_json_dict() if self.reason else None,
             "verdict": "yes" if self.verdict else "no",

@@ -139,13 +139,18 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
 def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
     """All length-(depth+1) paths as nodes of a derived graph, each
     labelled with one bit per atomic constraint that holds on its
-    registers.  Once the window limit is met, the domain is asked once
-    per constraint whether it interprets the relation.
+    registers.  A constraint variable the model has no register for is
+    refused first.  Once the window limit is met, the domain is asked
+    once per constraint whether it interprets the relation.
 
     Labelling takes one pass per constraint: a column of register values
     per argument, indexed by window, and the test over their rows."""
     if model.is_tree:
         raise ModelCheckError("model checking runs on graph-shaped models")
+    for c in constraints:
+        for _, var in c.args:
+            if var not in model.variables:
+                raise ModelCheckError(f"constraint variable {var!r} has no register")
     windows, classes = window_skeleton(model.nodes, model.edges, depth)
     tests = [dom.relation_test(c.relation) for c in constraints]
     values: dict = {}  # variable -> node -> register value

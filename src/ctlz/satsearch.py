@@ -9,7 +9,10 @@ built once, and the model checker's state labelling runs once per
 distinct vector of constraint truths on the windows, which is all it
 depends on besides the graph and the labels.  The hit is confirmed by
 check_ctlstar on the returned model, so it is verified by construction.
-A miss only means no model within the bounds.  The consistency harness
+A miss only means no model within the bounds.  Every model of an
+existential formula (ECTL*) embeds in the complete graph, so one sweep
+of it decides a miss; the sweep starts by a ski-rental rule and is
+skipped past WINDOW_LIMIT (see find_model).  The consistency harness
 replays the constraint-abstraction argument on finite trees: concrete
 truth must survive abstraction plus a register homomorphism, and a
 homomorphism witness must convert back into a concrete model.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .domains import ConcreteDomain, Z_DOMAIN
@@ -44,7 +47,7 @@ from .formulas import (
     variables_of,
 )
 from .homcheck import decide_hom, verify_hom
-from .modelcheck import _compile, _label_states, check_ctlstar, window_skeleton
+from .modelcheck import WINDOW_LIMIT, _compile, _label_states, check_ctlstar, window_skeleton
 from .structures import (
     GRAPH_SHAPE,
     ConstraintKripke,
@@ -147,6 +150,45 @@ class _TruthTable(dict):
         return truth
 
 
+def _sweep_graph(plan: tuple, tables: list, pool: list, props: tuple, variables: tuple, nodes: list, edges: set):
+    """The number of windows of one graph, and its first labelling and
+    register assignment in canonical order under which some node
+    satisfies the compiled formula, as (labels, registers, satisfying
+    nodes), or None when there is none."""
+    depth, constraints = plan[0], plan[1]
+    position = {v: i for i, v in enumerate(nodes)}
+    var_index = {x: k for k, x in enumerate(variables)}
+    reg_cells = [(v, x) for v in nodes for x in variables]
+    windows, classes = window_skeleton(nodes, edges, depth)
+    # an atom is one constraint on the register cells of one window
+    atoms: dict = {}
+    window_atoms = []
+    for w in windows:
+        row = []
+        for ci, c in enumerate(constraints):
+            cells = tuple(position[w[off]] * len(variables) + var_index[var] for off, var in c.args)
+            row.append(atoms.setdefault((ci, cells), len(atoms)))
+        window_atoms.append(row)
+    readers = [(tables[ci], itemgetter(*cells)) for ci, cells in atoms]
+    for label_mask in range(1 << (len(nodes) * len(props))):
+        labels = {}
+        for i, v in enumerate(nodes):
+            on = frozenset(p for k, p in enumerate(props) if (label_mask >> (i * len(props) + k)) & 1)
+            if on:
+                labels[v] = on
+        label = {v: labels.get(v, frozenset()) for v in nodes}.__getitem__
+        memo: dict = {}  # truths of the atoms -> satisfying nodes
+        for values in itertools.product(range(len(pool)), repeat=len(reg_cells)):
+            truths = tuple([table[read(values)] for table, read in readers])
+            sat = memo.get(truths)
+            if sat is None:
+                bits = [sum(truths[a] << ci for ci, a in enumerate(row)) for row in window_atoms]
+                sat = memo[truths] = _label_states(plan, nodes, label, windows, classes, bits)
+            if sat:
+                return len(windows), (labels, {cell: pool[j] for cell, j in zip(reg_cells, values)}, sat)
+    return len(windows), None
+
+
 def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int = 3,
                register_range: int = 5, full_sweep: bool = False):
     """First (model, node) in canonical order accepted by check_ctlstar,
@@ -168,6 +210,19 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
     those indices are filled lazily, and the state labelling is computed
     once per distinct vector of truths.  The hit is confirmed by one call
     of check_ctlstar on the returned model, which also picks the node.
+
+    A miss of an existential formula (no A in its NNF) is decided on the
+    complete graph K on max_nodes nodes.  Its truth at a node survives
+    added nodes and edges: paths are only gained, and negation sits on
+    propositions and constraints, which read one path.  So every model
+    within the bounds embeds in K, whatever the added nodes carry, and
+    K has a model among its labellings and pool assignments exactly when
+    some mask has one.  A hit on K changes nothing: the canonical sweep
+    goes on.  By the ski-rental rule, K is swept once the masks swept so
+    far hold as many windows as K, max_nodes ** (depth + 1), so an early
+    hit never pays for it and a miss pays about one mask more.  K is not
+    swept when it has more windows than WINDOW_LIMIT, since a sparser
+    graph within the limit may still hold a model.
     """
     if not is_state_formula(formula):
         raise SatSearchError("satisfiability search expects a state formula")
@@ -181,57 +236,36 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
     if variables and not pool:
         return None
     plan = _compile(formula)
-    depth, constraints = plan[0], plan[1]
-    var_index = {x: k for k, x in enumerate(variables)}
     # a one-node window graph never exceeds the window limit, so asking
     # the domain here raises what the first model check would
-    tables = [_TruthTable(dom.relation_test(c.relation), pool, c.relation.arity) for c in constraints]
-
+    tables = [_TruthTable(dom.relation_test(c.relation), pool, c.relation.arity) for c in plan[1]]
+    sweep = partial(_sweep_graph, plan, tables, pool, props, variables)
+    budget = max_nodes ** (plan[0] + 1)  # the windows of K
+    probe = max_nodes > 1 and budget <= WINDOW_LIMIT and not any(isinstance(f, All) for f in plan[2])
+    swept = 0
     for n in range(1, max_nodes + 1):
         nodes = [f"s{i}" for i in range(n)]
-        position = {v: i for i, v in enumerate(nodes)}
-        reg_cells = [(v, x) for v in nodes for x in variables]
         for mask in _search_masks(n):
+            if probe and swept >= budget:
+                probe = False
+                full = [f"s{i}" for i in range(max_nodes)]
+                if sweep(full, set(itertools.product(full, repeat=2)))[1] is None:
+                    return None
             edges = {
                 (nodes[i], nodes[j])
                 for i in range(n)
                 for j in range(n)
                 if (mask >> (i * n + j)) & 1
             }
-            windows, classes = window_skeleton(nodes, edges, depth)
-            # an atom is one constraint on the register cells of one window
-            atoms: dict = {}
-            window_atoms = []
-            for w in windows:
-                row = []
-                for ci, c in enumerate(constraints):
-                    cells = tuple(position[w[off]] * len(variables) + var_index[var] for off, var in c.args)
-                    row.append(atoms.setdefault((ci, cells), len(atoms)))
-                window_atoms.append(row)
-            readers = [(tables[ci], itemgetter(*cells)) for ci, cells in atoms]
-            for label_mask in range(1 << (n * len(props))):
-                labels = {}
-                for i, v in enumerate(nodes):
-                    on = frozenset(
-                        p for k, p in enumerate(props) if (label_mask >> (i * len(props) + k)) & 1
-                    )
-                    if on:
-                        labels[v] = on
-                label = {v: labels.get(v, frozenset()) for v in nodes}.__getitem__
-                memo: dict = {}  # truths of the atoms -> satisfying nodes
-                for values in itertools.product(range(len(pool)), repeat=len(reg_cells)):
-                    truths = tuple([table[read(values)] for table, read in readers])
-                    sat = memo.get(truths)
-                    if sat is None:
-                        bits = [sum(truths[a] << ci for ci, a in enumerate(row)) for row in window_atoms]
-                        sat = memo[truths] = _label_states(plan, nodes, label, windows, classes, bits)
-                    if sat:
-                        registers = {cell: pool[j] for cell, j in zip(reg_cells, values)}
-                        model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
-                        confirmed = check_ctlstar(model, formula, dom)
-                        if confirmed != sat:
-                            raise RuntimeError(f"check_ctlstar disagrees with the search on {formula}")
-                        return model, next(v for v in nodes if v in confirmed)
+            windows, hit = sweep(nodes, edges)
+            if hit is not None:
+                labels, registers, sat = hit
+                model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
+                confirmed = check_ctlstar(model, formula, dom)
+                if confirmed != sat:
+                    raise RuntimeError(f"check_ctlstar disagrees with the search on {formula}")
+                return model, next(v for v in nodes if v in confirmed)
+            swept += windows
     return None
 
 

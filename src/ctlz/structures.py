@@ -273,7 +273,9 @@ def model_from_text(text: str) -> ConstraintKripke:
 
     if len(lines) < 2 or not lines[1].startswith("VARS"):
         raise StructureError("model file needs a VARS line after SHAPE")
-    variables = lines[1].split()[1:]
+    keyword, *variables = lines[1].split()
+    if keyword != "VARS":
+        raise StructureError(f"bad VARS line {lines[1]!r}")
 
     # each section is read whole; sections go in file order, and each
     # raises on its first malformed line

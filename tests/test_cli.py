@@ -184,6 +184,13 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path):
         2, "", "error: bad relation name 'eqc[1/0]'\n")
 
 
+def test_mc_refuses_a_constraint_variable_without_a_register(capsys, tmp_path):
+    model = tmp_path / "one.model"
+    model.write_text("SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0\nREGISTERS\ns0 x 0\n")
+    assert run(capsys, "mc", "--model", str(model), "--formula", "E X lt(x, X^1 y)") == (
+        2, "", "error: constraint variable 'y' has no register\n")
+
+
 # ---------------------------------------------------------------------------
 # MSO commands
 

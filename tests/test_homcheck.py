@@ -19,6 +19,7 @@ from ctlz import (
     witness_bound,
 )
 import ctlz.homcheck
+from ctlz.structures import json_text
 from ctlz.homcheck import InternalError, build_quotient, crt_pair, partition_bgsr, sim_closure
 from conftest import SIGMA0, random_sigma0_structure
 
@@ -278,6 +279,28 @@ def test_json_shape_and_fraction_rendering():
     s2 = _s("a", eqc2=[("a",)])
     payload2 = json.loads(decide_hom(s2, "Q").to_json())
     assert payload2["witness"] == {"a": 2}  # whole rationals print as integers
+
+
+def test_json_text_is_the_same_with_or_without_the_int_shortcut():
+    # a witness of plain ints skips the per-value conversion; the text must
+    # be that of converting every value
+    def converted(d, order=None):
+        witness = {e: ctlz.homcheck._jsonable(d.witness[e]) for e in order or sorted(d.witness)}
+        return json_text({"reason": None, "verdict": "yes", "witness": witness})
+
+    fraction = SigmaStructure(["x", "y"], {const_rel(Fraction(1, 2)): [("x",)], LT: [("x", "y")]})
+    cases = [(_lt_chain(50), target) for target in ("Z", "N", "negZ", "Q")]
+    cases += [(_lt_chain(50, pinned=True), "Q"), (fraction, "Q"), (_s("a", eqc2=[("a",)]), "Q")]
+    for s, target in cases:
+        d = decide_hom(s, target)
+        assert d.verdict
+        if target != "Q":
+            assert all(type(v) is int for v in d.witness.values())
+        assert d.to_json() == converted(d), target
+        order = sorted(s.elements, reverse=True)
+        assert d.to_json(order) == converted(d, order), target
+    mixed = ctlz.homcheck.HomDecision(True, {"a": 3, "b": Fraction(7, 2), "c": Fraction(4, 1)}, None)
+    assert mixed.to_json() == converted(mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,13 @@ def test_oracle_checks_deep_nesting_on_an_explicit_stack():
         assert check_ctl_oracle(m, f) == check_ctlstar(m, f) == expected
 
 
+def test_checkers_refuse_a_constraint_variable_without_a_register():
+    m = _two_state_model()
+    for check in (check_ctlstar, check_ctl_oracle):
+        with pytest.raises(ModelCheckError, match="^constraint variable 'y' has no register$"):
+            check(m, parse_formula("E X lt(x, X^1 y)"))
+
+
 def test_oracle_rejects_nested_path_operators():
     m = _two_state_model()
     with pytest.raises(ModelCheckError, match="CTL fragment"):

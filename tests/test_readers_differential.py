@@ -10,7 +10,9 @@ trailing spaces, repeated sections and one injected defect.  Two
 declared differences, modelled by ``declared_structure_from_text``: an
 element id with whitespace other than a space in it is refused, and a
 repeated header of an interpreted relation whose arity a row has fixed
-continues that relation.
+continues that relation.  One more, modelled by
+``declared_model_from_text``: a VARS line whose first token is not
+exactly ``VARS`` is refused.
 """
 
 import random
@@ -175,6 +177,21 @@ def declared_structure_from_text(text: str) -> SigmaStructure:
             current = [line]
             sections.append(current)
     return plain_structure_from_text("\n".join(line for section in sections for line in section))
+
+
+def declared_model_from_text(text: str) -> ConstraintKripke:
+    """The plain reader with the declared change: a second line that
+    starts with VARS but whose first token is not exactly VARS is
+    refused, once the SHAPE line has passed its checks."""
+    lines = list(_content_lines(text))
+    if len(lines) > 1 and lines[1].startswith("VARS") and lines[1].split()[0] != "VARS":
+        try:
+            plain_model_from_text(lines[0])
+        except StructureError as exc:
+            if str(exc) != "model file needs a VARS line after SHAPE":
+                raise
+        raise StructureError(f"bad VARS line {lines[1]!r}")
+    return plain_model_from_text(text)
 
 
 def _outcome(read, text):
@@ -343,7 +360,7 @@ def test_model_reader_matches_the_plain_reader(seed):
         if rng.random() < 0.6:
             _model_defect(rng, lines)
         text = _noisy(rng, lines)
-        expected = _outcome(plain_model_from_text, text)
+        expected = _outcome(declared_model_from_text, text)
         assert _outcome(model_from_text, text) == expected, text
         kinds.add(expected[0])
     assert kinds == {"raises", "returns"}

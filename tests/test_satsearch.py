@@ -22,6 +22,7 @@ from ctlz.satsearch import (
     find_model,
     reduction_consistency,
 )
+from ctlz import modelcheck, satsearch
 from ctlz.cli import run_command
 from ctlz.golden import demo_tree
 from conftest import random_tree_model, random_xonly_formula
@@ -100,6 +101,22 @@ def test_unsatisfiable_within_bounds():
     # equality with two different constants never holds
     f = parse_formula("E (eqc[1](x) & eqc[2](x))")
     assert find_model(f) is None
+
+
+def test_complete_graph_over_the_window_limit_is_not_swept(monkeypatch):
+    # the complete graph on 3 nodes has 3^11 windows at depth 10, over the
+    # window limit; the first model is sparse and well within it
+    f = parse_formula("E (eqc[0](x) & X eqc[1](x) & X X eqc[2](x) & lt(x, X^10 x))")
+    model, node = find_model(f, Z_DOMAIN, 3, 5)
+    assert sorted(model.edges) == [("s0", "s1"), ("s1", "s0"), ("s2", "s0")]
+    assert node == "s2"
+    # under a limit of 8 windows the masks swept pass the complete graph's
+    # 9 windows at depth 1 before the first model, 5 edges, turns up
+    for module in (modelcheck, satsearch):
+        monkeypatch.setattr(module, "WINDOW_LIMIT", 8)
+    g = parse_formula("E X eqc[-1](x) & E X eqc[0](x) & E X eqc[1](x) & E lt(x, X^1 x)")
+    model, node = find_model(g, Z_DOMAIN, 3, 1)
+    assert len(model.edges) == 5 and node == "s0"
 
 
 def test_rational_domain_search():

@@ -5,7 +5,9 @@ graphs and skipped isomorphic edge masks: every (edge mask, labelling,
 register assignment) in canonical order becomes a model that
 ``check_ctlstar`` checks on its own.  ``find_model`` must return the same
 first model, or raise the same exception, on seeded random formulas over
-every searchable domain.
+every searchable domain.  Existential formulas get a corpus of their own,
+weighted toward misses, since their misses are decided on the complete
+graph; the embedding argument behind that is checked on its own too.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from ctlz import (
     Release,
     Until,
     check_ctlstar,
+    check_ctl_oracle,
     const_rel,
     domain_by_name,
     is_state_formula,
@@ -172,7 +175,9 @@ def test_search_matches_the_plain_loop():
 
 def test_search_matches_the_plain_loop_at_three_nodes():
     for text in ("E (p U (q & eqc[2](x)))", "A X E F eqc[0](x)", "E (lt(x, X^1 x) & X lt(X^1 x, x))",
-                 "E X X (p & ~q)", "E G lt(x, X^1 x)", "A G (p | X ~p) & E X ~p"):
+                 "E X X (p & ~q)", "E G lt(x, X^1 x)", "A G (p | X ~p) & E X ~p",
+                 # a model on two nodes, none on a complete graph: A loses paths there
+                 "p & A X ~p & E X E X p"):
         f = parse_formula(text)
         assert _outcome(find_model, f, Z_DOMAIN, 3, 2) == _outcome(plain_find_model, f, Z_DOMAIN, 3, 2), text
 
@@ -199,3 +204,107 @@ def test_one_edge_mask_per_isomorphism_class(n, classes):
         # and every kept one is the smallest of its class
         assert (mask in kept) == (smallest == mask)
         assert smallest in kept
+
+
+def _random_existential(rng, domain, variables, props, ctl=False):
+    """A formula whose NNF has no A: E over path formulas of literals,
+    negated propositions and constraints, X, conjunctions (weighted, so
+    that misses are common), U, R and nested E.  With ``ctl`` each E
+    quantifies one X, U or R over state formulas and literals, the shape
+    the fixpoint oracle reads."""
+    relations, _ = RELATIONS[domain]
+
+    def literal():
+        if props and rng.random() < 0.3:
+            p = Prop(rng.choice(props))
+            return Not(p) if rng.random() < 0.3 else p
+        rel = rng.choice(relations)
+        c = Constraint(rel, tuple((rng.randint(0, 1), rng.choice(variables)) for _ in range(rel.arity)))
+        return Not(c) if rng.random() < 0.3 else c
+
+    def path(d):
+        roll = rng.random()
+        if d <= 0 or roll < 0.2:
+            return state(d - 1) if d > 0 and roll < 0.06 else literal()
+        if roll < 0.35:
+            return Next(path(d - 1))
+        if roll < 0.65:
+            return And(path(d - 1), path(d - 1))
+        if roll < 0.72:
+            return Or(path(d - 1), path(d - 1))
+        return (Until if roll < 0.86 else Release)(path(d - 1), path(d - 1))
+
+    def arg(d):
+        return state(d - 1) if d > 0 and rng.random() < 0.3 else literal()
+
+    def state(d):
+        if ctl:
+            op = rng.choice((Next, Until, Release, None))
+            f = Exists(op(arg(d)) if op is Next else op(arg(d), arg(d)) if op else arg(d))
+        else:
+            f = Exists(path(2))
+        if d > 0 and rng.random() < 0.3:
+            return (And if rng.random() < 0.7 else Or)(f, state(d - 1))
+        return f
+
+    return state(1)
+
+
+def _existential_cases():
+    rng = random.Random(1306)
+    for i in range(120):
+        domain = ("Z", "N", "Q", "lexZ[2]", "allenZ")[i % 5]
+        props = ("p",) if rng.random() < 0.3 else ()
+        variables = ("x", "y") if domain in ("Z", "N", "Q") and rng.random() < 0.3 else ("x",)
+        f = _random_existential(rng, domain, variables, props)
+        dom = domain_by_name(domain)
+        max_nodes = 3
+        while max_nodes > 2 and _plain_models(f, dom, max_nodes, 1, False) > 3_000:
+            max_nodes -= 1
+        yield i, f, dom, max_nodes
+
+
+def test_existential_search_matches_the_plain_loop():
+    misses = 0
+    for i, f, dom, max_nodes in _existential_cases():
+        expected = _outcome(plain_find_model, f, dom, max_nodes, 1)
+        assert _outcome(find_model, f, dom, max_nodes, 1) == expected, (i, str(f), dom.name, max_nodes)
+        misses += expected is None
+    assert misses >= 20
+
+
+def _embedded(small, pool, n: int):
+    """The model on the complete graph over n nodes that extends a smaller
+    one: the added nodes carry no labels and pool[0] in every register."""
+    nodes = [f"s{i}" for i in range(n)]
+    registers = {(v, x): pool[0] for v in nodes for x in small.variables} | dict(small.registers)
+    return ConstraintKripke(nodes, set(itertools.product(nodes, repeat=2)), dict(small.labels), registers,
+                            list(small.variables), GRAPH_SHAPE)
+
+
+def test_existential_truth_survives_embedding_in_the_complete_graph():
+    rng = random.Random(1982)
+    checked = {False: 0, True: 0}
+    for i in range(240):
+        domain = ("Z", "N", "Q", "lexZ[2]", "allenZ")[i % 5]
+        ctl = i % 2 == 1
+        props = ("p", "q") if rng.random() < 0.5 else ()
+        variables = ("x", "y") if rng.random() < 0.3 else ("x",)
+        f = _random_existential(rng, domain, variables, props, ctl)
+        dom = domain_by_name(domain)
+        pool = candidate_values(f, 1, dom)
+        n = rng.randint(1, 2)
+        nodes = [f"s{k}" for k in range(n)]
+        edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.5}
+        edges |= {(a, rng.choice(nodes)) for a in nodes if all(e[0] != a for e in edges)}
+        labels = {v: frozenset(p for p in props if rng.random() < 0.5) for v in nodes}
+        registers = {(v, x): rng.choice(pool) for v in nodes for x in variables}
+        small = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
+        big = _embedded(small, pool, 3)
+        checkers = (check_ctlstar, check_ctl_oracle) if ctl else (check_ctlstar,)
+        for check in checkers:
+            sat = check(small, f, dom)
+            assert sat <= check(big, f, dom), (i, str(f), domain, model_to_text(small))
+            checked[check is check_ctl_oracle] += bool(sat)
+    # both checkers see formulas that hold somewhere, so the inclusion says something
+    assert min(checked.values()) >= 20

@@ -202,6 +202,8 @@ _GRAPH_HEAD = "SHAPE graph\nVARS x\nNODES\ns0\nEDGES\ns0 s0\n"
         ("SHAPE tree two 1\nVARS x\n", "bad SHAPE line 'SHAPE tree two 1'"),
         ("SHAPE graph\n", "model file needs a VARS line after SHAPE"),
         ("SHAPE graph\nNODES\ns0\n", "model file needs a VARS line after SHAPE"),
+        ("SHAPE graph\nVARS,x y\nNODES\ns0\n", "bad VARS line 'VARS,x y'"),
+        ("SHAPE graph\nVARSx\nNODES\ns0\n", "bad VARS line 'VARSx'"),
         ("SHAPE graph\nVARS x\ns0\nNODES\ns0\n", "unexpected line 's0' before any section"),
         (_GRAPH_HEAD + "s0 s0 s0\n", "bad edge line 's0 s0 s0'"),
         (_GRAPH_HEAD + "REGISTERS\ns0 x\n", "bad register line 's0 x'"),
