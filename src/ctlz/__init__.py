@@ -49,7 +49,6 @@ from .formulas import (
     parse_path_formula,
     propositions_of,
     relation_from_name,
-    subformulas,
     substitute_props,
     TableEntry,
     to_nnf,
@@ -232,7 +231,6 @@ __all__ = [
     "relativize",
     "structure_from_text",
     "structure_to_text",
-    "subformulas",
     "substitute_props",
     "to_nnf",
     "to_sexpr",

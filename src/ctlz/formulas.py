@@ -13,20 +13,22 @@ The node core serves both syntaxes, the CTL* formulas here and the MSO
 sentences of ``mso``.  Nodes are interned (hash-consed): building a node
 whose fields equal those of a live node returns that node, so structural
 equality is identity, hashing costs O(1) whatever the depth, and a
-formula is a DAG of its distinct subformulas.  Each node class names its
+formula is a DAG of its distinct nodes.  Each node class names its
 fields and, among them, its subformula fields; from those come
-``_children``, the generic ``repr``, ``subformulas`` (every occurrence,
-in preorder), ``postorder`` (every distinct node, children first) and
-``rebuild``.  Every rewriting pass is a step on one engine,
-``transform``, which runs generator frames on an explicit stack and
-rewrites each distinct (node, context) pair once: ``rewrite`` is the step
-without context, negation normal form the step whose context is the
-polarity, and ``mso`` adds substitution, relativization and the tree
-encoding.  A step that ends by rebuilding its node from the rewritten
-children hands that rebuild to the engine, which does it in the step's
-place, so a nesting level keeps at most one frame alive.  The parser is
-an operator-precedence loop.  No pass recurses, so formula nesting depth
-is not bounded by Python's recursion limit.
+``_children``, the generic ``repr``, ``postorder`` (every distinct node,
+children first) and ``rebuild``.  Every structural query reads
+``postorder``, so it costs the distinct nodes, not the occurrences; the
+one state classifier, ``classify_states``, is among them.  Every
+rewriting pass is a step on one engine, ``transform``, which runs
+generator frames on an explicit stack and rewrites each distinct (node,
+context) pair once: ``rewrite`` is the step without context, negation
+normal form the step whose context is the polarity, and ``mso`` adds
+substitution, relativization and the tree encoding.  A step that ends by
+rebuilding its node from the rewritten children hands that rebuild to
+the engine, which does it in the step's place, so a nesting level keeps
+at most one frame alive.  The parser is an operator-precedence loop.  No
+pass recurses, so formula nesting depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 LESS = "less"
 EQUAL = "equal"
@@ -153,7 +155,7 @@ class Node:
     """Common base of the interned nodes, CTL* formulas and MSO sentences.
 
     A node class lists its fields in ``_fields`` and, among them, the
-    fields holding subformulas in ``_kids``; those come last.  Nodes are
+    fields holding child nodes in ``_kids``; those come last.  Nodes are
     built from positional or keyword field values, equal field values
     give the very same node, and fields cannot be reassigned.
     """
@@ -181,15 +183,6 @@ class Node:
 
 def _children(f: Node) -> list:
     return [getattr(f, name) for name in f._kids]
-
-
-def subformulas(f: Node) -> Iterable[Node]:
-    """Every subformula occurrence in preorder, left to right."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        yield f
-        stack.extend(reversed(_children(f)))
 
 
 def _render(f: Node, pieces) -> str:
@@ -229,7 +222,10 @@ def postorder(f: Node, skip=None) -> list:
             order.append(g[0])
         elif g not in seen and not (skip and skip(g)):
             seen.add(g)
-            stack += [(g,), *reversed(_children(g))]
+            if g._kids:
+                stack += [(g,), *[getattr(g, name) for name in reversed(g._kids)]]
+            else:
+                order.append(g)  # a leaf is listed at once
     return order
 
 
@@ -673,21 +669,32 @@ def parse_path_formula(text: str) -> Formula:
 # Structural queries
 
 
+def classify_states(f: Formula, quantifier_ok=None) -> dict:
+    """Each distinct node of f, in ``postorder``, mapped to None when it is a
+    state formula, else to the first node, left operands first, that keeps
+    it from being one, such as a quantifier that ``quantifier_ok`` refuses."""
+    first: dict = {}
+    for g in postorder(f):
+        cls = type(g)
+        if cls is Not:
+            first[g] = first[g.sub]
+        elif cls is And or cls is Or:
+            first[g] = first[g.left] or first[g.right]  # nodes are true, None false
+        elif cls is Exists or cls is All:
+            first[g] = None if quantifier_ok is None or quantifier_ok(g) else g
+        else:
+            first[g] = None if cls is Prop or cls is BoolConst else g
+    return first
+
+
 def is_state_formula(f: Formula) -> bool:
     """Boolean combination of propositions, constants and path quantifiers."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (Not, And, Or)):
-            stack.extend(_children(f))
-        elif not isinstance(f, (Prop, BoolConst, Exists, All)):
-            return False
-    return True
+    return classify_states(f)[f] is None
 
 
 def constraints_of(f: Formula) -> list[Constraint]:
     """Distinct atomic constraints in first-occurrence order."""
-    return list(dict.fromkeys(sub for sub in subformulas(f) if isinstance(sub, Constraint)))
+    return [g for g in postorder(f) if isinstance(g, Constraint)]
 
 
 def variables_of(f: Formula) -> list[str]:
@@ -696,30 +703,29 @@ def variables_of(f: Formula) -> list[str]:
 
 
 def propositions_of(f: Formula) -> list[str]:
-    return list(dict.fromkeys(sub.name for sub in subformulas(f) if isinstance(sub, Prop)))
+    return [g.name for g in postorder(f) if isinstance(g, Prop)]
 
 
 def max_constraint_depth(f: Formula) -> int:
-    depths = [sub.depth for sub in subformulas(f) if isinstance(sub, Constraint)]
-    return max(depths, default=0)
+    return max((c.depth for c in constraints_of(f)), default=0)
 
 
 def constants_of(f: Formula) -> set:
-    return {sub.relation.params[0] for sub in subformulas(f) if isinstance(sub, Constraint) and sub.relation.kind == CONSTANT}
+    return {c.relation.params[0] for c in constraints_of(f) if c.relation.kind == CONSTANT}
 
 
 def moduli_of(f: Formula) -> set[int]:
-    return {sub.relation.params[1] for sub in subformulas(f) if isinstance(sub, Constraint) and sub.relation.kind == MODULO}
+    return {c.relation.params[1] for c in constraints_of(f) if c.relation.kind == MODULO}
 
 
 def is_nnf(f: Formula) -> bool:
     """Negation only in front of propositions and constraints."""
-    return all(isinstance(sub.sub, (Prop, Constraint)) for sub in subformulas(f) if isinstance(sub, Not))
+    return all(isinstance(g.sub, (Prop, Constraint)) for g in postorder(f) if isinstance(g, Not))
 
 
 def is_snnf(f: Formula) -> bool:
     """Negation only in front of propositions."""
-    return all(isinstance(sub.sub, Prop) for sub in subformulas(f) if isinstance(sub, Not))
+    return all(isinstance(g.sub, Prop) for g in postorder(f) if isinstance(g, Not))
 
 
 # ---------------------------------------------------------------------------
@@ -794,18 +800,17 @@ def to_snnf(f: Formula, dom) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Counting E-subformulas and constraint abstraction
+# Counting E nodes and constraint abstraction
 
 
 def count_e(f: Formula) -> tuple[int, int]:
-    """(number of distinct E-subformulas after NNF, that number plus one).
+    """(number of distinct E nodes of the NNF, that number plus one).
 
     The second component is the branching degree d sufficient for tree
     models of the abstracted formula.
     """
-    nnf = to_nnf(f)
-    distinct = {sub for sub in subformulas(nnf) if isinstance(sub, Exists)}
-    return (len(distinct), len(distinct) + 1)
+    n = sum(isinstance(g, Exists) for g in postorder(to_nnf(f)))
+    return (n, n + 1)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ member of the class.  The product is searched in one pass: an iterative
 Tarjan DFS over int product nodes (state index * classes + class) that
 reads each member's letter as a bitmask over the tracked propositions,
 follows the edges whose guards it meets to the class of that member's
-successors, and decides each SCC as it closes.  No adjacency is stored, so memory grows with the product
-nodes reached, not with states x classes.  An accepting sink, a state
-with an unguarded self-loop that carries every mark, is listed next to
-the edge table; when every window has a successor, a node that can step
-into one is good on sight and is not entered.  A window graph with dead
-ends (``validate_model`` rejects them) is searched without this shortcut.
+successors, and decides each SCC as it closes.  No adjacency is stored,
+so memory grows with the product nodes reached, not with states x
+classes.  An accepting sink, a state with an unguarded self-loop that
+carries every mark, is listed next to the edge table; when every window
+has a successor, a node that can step into one is good on sight and is
+not entered.  A window graph with dead ends (``validate_model`` rejects
+them) is searched without this shortcut.
 
 Window expansion has two steps: ``window_skeleton`` builds the windows
 and their successor classes from the nodes, the edges and the depth, in
@@ -39,12 +40,12 @@ The bounded search builds one skeleton per edge mask and computes the
 bits itself.
 
 ``check_ctlstar`` compiles a formula once (the compiled plans sit in one
-LRU cache): NNF, depth and constraints, the distinct state subformulas
-of the NNF in postorder, and for each E psi / A psi the path formula
-with its maximal state subformulas and constraints replaced by
-propositions (negated for A) together with its automaton.  On a model,
-one loop then labels the state subformulas bottom-up (Emerson and Lei's
-per-subformula reduction), without recursion.
+LRU cache): NNF, depth and constraints, the NNF's distinct nodes that
+the state classifier marks in postorder, and for each E psi / A psi the
+path formula with each maximal state subformula and constraint replaced
+by a proposition (negated for A) together with its automaton.  On a
+model, one loop then labels each state subformula bottom-up (Emerson
+and Lei's per-subformula reduction), without recursion.
 """
 
 from __future__ import annotations
@@ -68,17 +69,15 @@ from .formulas import (
     Release,
     Until,
     _children,
+    classify_states,
     constraints_of,
-    is_state_formula,
     max_constraint_depth,
     negate,
     postorder,
-    propositions_of,
     rewrite,
-    subformulas,
     to_nnf,
 )
-from .structures import ConstraintKripke
+from .structures import ConstraintKripke, register_fault
 
 WINDOW_LIMIT = 50_000
 
@@ -139,18 +138,16 @@ def window_skeleton(nodes, edges, depth: int) -> tuple:
 def expand_windows(model: ConstraintKripke, depth: int, constraints=(), dom=Z_DOMAIN) -> WindowModel:
     """All length-(depth+1) paths as nodes of a derived graph, each
     labelled with one bit per atomic constraint that holds on its
-    registers.  A constraint variable the model has no register for is
-    refused first.  Once the window limit is met, the domain is asked
+    registers.  Registers the constraints cannot read (``register_fault``)
+    are refused first.  Once the window limit is met, the domain is asked
     once per constraint whether it interprets the relation.
 
     Labelling takes one pass per constraint: a column of register values
     per argument, indexed by window, and the test over their rows."""
     if model.is_tree:
         raise ModelCheckError("model checking runs on graph-shaped models")
-    for c in constraints:
-        for _, var in c.args:
-            if var not in model.variables:
-                raise ModelCheckError(f"constraint variable {var!r} has no register")
+    if fault := register_fault(model, [var for c in constraints for _, var in c.args], dom):
+        raise ModelCheckError(fault)
     windows, classes = window_skeleton(model.nodes, model.edges, depth)
     tests = [dom.relation_test(c.relation) for c in constraints]
     values: dict = {}  # variable -> node -> register value
@@ -189,10 +186,10 @@ class BuchiAutomaton:
 def _expand_obligations(obligations: list, bit):
     """Branches of one tableau expansion step from a list of obligations,
     the last one taken first, each a tuple (positive literal mask,
-    negative literal mask, next obligations, fulfilled Until
-    subformulas), where ``bit`` maps a proposition to its mask.
-    Pending branches wait on an explicit stack, the left one explored
-    first; contradictory branches are dropped."""
+    negative literal mask, next obligations, fulfilled Untils), where
+    ``bit`` maps a proposition to its mask.  Pending branches wait on an
+    explicit stack, the left one explored first; contradictory branches
+    are dropped."""
     branches: dict = {}  # ordered set
     stack = [(list(obligations), 0, 0, frozenset(), frozenset())]
     while stack:
@@ -231,16 +228,19 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
     """Tableau construction for proposition-only path formulas in NNF:
     the states are the obligation sets reachable from {formula}, each
     tableau branch is one edge, and each Until gets one acceptance mark."""
-    # distinct subformulas -> first-occurrence index: obligation sets are
-    # expanded in this order, not in the order of the nodes' addresses, so
-    # that the same formula gives the same automaton in every process
-    rank = {sub: i for i, sub in enumerate(dict.fromkeys(subformulas(formula)))}
-    for sub in rank:
-        if isinstance(sub, (Constraint, Exists, All)):
-            raise ModelCheckError("tableau input must be over propositions only")
-        if isinstance(sub, Not) and not isinstance(sub.sub, Prop):
-            raise ModelCheckError("tableau input must be in negation normal form")
-    props = tuple(propositions_of(formula))
+    # per node, in postorder, the first node below it (preorder) that the
+    # tableau cannot read; obligation sets are expanded in this order, not
+    # in address order, so a formula gives one automaton in every process
+    unreadable: dict = {}
+    for g in postorder(formula):
+        bad = isinstance(g, (Constraint, Exists, All)) or isinstance(g, Not) and not isinstance(g.sub, Prop)
+        unreadable[g] = g if bad else next(filter(None, map(unreadable.get, _children(g))), None)
+    if isinstance(unreadable[formula], Not):
+        raise ModelCheckError("tableau input must be in negation normal form")
+    if unreadable[formula] is not None:
+        raise ModelCheckError("tableau input must be over propositions only")
+    rank = {sub: i for i, sub in enumerate(unreadable)}
+    props = tuple(g.name for g in rank if isinstance(g, Prop))
     bit = {p: 1 << i for i, p in enumerate(props)}
     untils = tuple(sub for sub in rank if isinstance(sub, Until))
 
@@ -403,48 +403,36 @@ def _accepted_start_windows(classes, edges, n_marks, letters, sinks) -> set:
 # CTL* checking
 
 
-def _state_flags(nnf: Formula) -> dict:
-    """Each distinct subformula of an NNF formula, children before parents
-    and left before right, mapped to whether it is a state formula."""
-    state: dict = {}
-    for g in postorder(nnf):
-        if isinstance(g, (Not, And, Or)):
-            state[g] = all(state[kid] for kid in _children(g))
-        else:
-            state[g] = isinstance(g, (Prop, BoolConst, Exists, All))
-    return state
-
-
 @lru_cache(maxsize=512)
 def _compile(formula: Formula) -> tuple:
     """The model-independent part of check_ctlstar: the window depth, the
-    constraints, the distinct state subformulas of the NNF (children
-    before parents, left before right), and a map from each E/A
-    subformula to its automaton's edge table, its number of acceptance
-    marks, per tracked proposition the state subformula or the index of
-    the constraint that it stands for, and its accepting sinks."""
-    if not is_state_formula(formula):
+    constraints, the NNF's distinct state-formula nodes (children before
+    parents, left before right), and a map from each E/A subformula to
+    its automaton's edge table, its number of acceptance marks, per
+    tracked proposition the state subformula or the index of the
+    constraint that it stands for, and its accepting sinks."""
+    nnf = to_nnf(formula)  # a state formula exactly when its NNF is one
+    state = classify_states(nnf)  # None marks a state subformula
+    if state[nnf] is not None:
         raise ModelCheckError("model checking expects a state formula")
-    nnf = to_nnf(formula)
     depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
     constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}
     constraint_index = {f"__c{i}": i for i in range(len(constraints))}
-    state = _state_flags(nnf)
-    order = tuple(g for g, is_state in state.items() if is_state)
+    order = tuple(g for g, first in state.items() if first is None)
 
     paths: dict = {}
     automata: dict = {}
     for f in order:
         if not isinstance(f, (Exists, All)):
             continue
-        # maximal state subformulas and constraints of the path formula
-        # become propositions; in NNF only constraints are negated there
+        # each maximal state subformula and constraint of the path
+        # formula becomes a proposition; in NNF only constraints are negated there
         names: dict = {}
 
         def visit(g: Formula) -> Optional[Formula]:
             if isinstance(g, BoolConst):
                 return g
-            if state[g]:
+            if state[g] is None:
                 return Prop(names.setdefault(g, f"__s{len(names)}"))
             if isinstance(g, Constraint):
                 return Prop(constraint_prop[g])
@@ -503,7 +491,7 @@ def check_ctlstar(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) -> fr
     NNF first, so negated constraints are fine and never need witnesses.
 
     The formula is compiled once (and cached); on a model, the windows
-    are expanded and labelled, and then the state subformulas."""
+    are expanded and labelled, and then each state subformula."""
     plan = _compile(formula)
     wm = expand_windows(model, plan[0], plan[1], dom)
     return _label_states(plan, model.nodes, model.label, wm.windows, wm.classes, wm.bits)
@@ -521,8 +509,8 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
     depth = max_constraint_depth(formula)
     constraints = constraints_of(formula)
     wm = expand_windows(model, depth, constraints, dom)
-    state = _state_flags(formula)
-    if not state[formula]:
+    state = classify_states(formula)  # None marks a state subformula
+    if state[formula] is not None:
         raise ModelCheckError("model checking expects a state formula")
     nwin = len(wm.windows)
     firsts = [w[0] for w in wm.windows]
@@ -541,7 +529,7 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
         return frozenset(firsts[wi] for wi in S)
 
     def is_arg(f: Formula) -> bool:
-        return state[f] or isinstance(f, Constraint) or (isinstance(f, Not) and isinstance(f.sub, Constraint))
+        return state[f] is None or isinstance(f, Constraint) or (isinstance(f, Not) and isinstance(f.sub, Constraint))
 
     def arg_windows(f: Formula) -> frozenset:
         if isinstance(f, Constraint):
@@ -597,9 +585,7 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
         raise ModelCheckError(f"not in the CTL fragment: {f}")
 
     sat: dict = {}
-    for f, is_state in state.items():
-        if not is_state:
-            continue
+    for f in [g for g, first in state.items() if first is None]:
         if isinstance(f, Prop):
             sat[f] = frozenset(v for v in model.nodes if f.name in model.label(v))
         elif isinstance(f, BoolConst):

@@ -13,7 +13,7 @@ a node whose fields equal those of a live node returns that node, so
 equality is identity, hashing is O(1), and an emitted or parsed sentence
 is a DAG from birth (the sigma0 Z sentence has 26,439 tree nodes but 678
 distinct ones).  Each node class is a frozen dataclass whose fields
-annotated ``MsoFormula`` are its subformulas.  The passes here run on
+annotated ``MsoFormula`` are its child nodes.  The passes here run on
 that core: ``postorder`` over distinct nodes, the free names kept on each
 node once worked out, and ``transform`` steps for substitution,
 relativization and the tree encoding, each rewriting a distinct (node,
@@ -43,7 +43,7 @@ class MsoError(ValueError):
 
 class MsoFormula(Node):
     """An MSO formula; each node class is a frozen dataclass whose fields
-    annotated ``MsoFormula`` hold its subformulas."""
+    annotated ``MsoFormula`` hold its child nodes."""
 
     __slots__ = ()
     _free = None  # (free first-order names, free set names), see _free_names
@@ -303,7 +303,7 @@ _TOKEN = {build: head for head, (_, build) in _FORMS.items() if isinstance(build
 
 
 def _head(f: MsoFormula) -> str:
-    """The node's text up to its subformulas, without the parenthesis."""
+    """The node's text up to its child nodes, without the parenthesis."""
     if isinstance(f, MsoBool):
         return "true" if f.value else "false"
     if isinstance(f, Atom):

@@ -1,7 +1,7 @@
 """Brute-force semantics for the MSO layer on small finite structures.
 
 Each sentence is compiled once into a plan: its distinct nodes (MSO nodes
-are interned, so equal subformulas are one object) in postorder, each with
+are interned, so an equal subformula is one object) in postorder, each with
 a kind code, its child indices and its free first-order and set names as
 sorted tuples, taken from the free names ``mso`` keeps on each node.  The
 peak cell count of a node, per structure size and set of assigned names,
@@ -10,7 +10,7 @@ cached by sentence, so every structure evaluated against a sentence
 reuses its plan.  Every atom is checked against the arity of the
 structure's relation of its name before anything is evaluated.
 
-Per structure, subformulas evaluate to boolean arrays whose axes are
+Per structure, the nodes evaluate to boolean arrays whose axes are
 their unassigned free variables (size n for a first-order axis, 2^n for
 a set axis).  Axes follow one fixed order, ("fo", name) before
 ("set", name) and names ascending, and every array's axes are a
@@ -20,8 +20,8 @@ operands up by inserting length-one axes, never by a transpose, and runs
 as a byte kernel on uint8 views of the bool arrays, which hold only 0 and
 1: bitwise and/or, and <= for implication.  Negation stays on bool arrays, and no array is
 written in place.  Quantifiers are any/all reductions.  Results are
-memoised per (plan node, values of its free names), so equal subformulas
-share them.  Evaluation runs as generator frames on an explicit stack,
+memoised per (plan node, values of its free names), so an equal
+subformula shares them.  Evaluation runs as generator frames on an explicit stack,
 one per inner node being evaluated, so nesting depth is not bounded by
 Python's recursion limit.  A quantifier whose body would exceed the cell
 budget falls back to looping over the quantified variable's values.  A
@@ -132,7 +132,7 @@ class _Plan:
         self.layouts: dict = {}  # (n, axes, axes) -> combine's axes and operand shapes
         _free_names(sentence)
         index: dict = {}  # formula -> node, unless unfolding
-        done: list = []  # nodes of the finished subformulas, in order
+        done: list = []  # nodes of the finished children, in order
         stack: list = [sentence]
         while stack:
             f = stack.pop()

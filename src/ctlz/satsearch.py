@@ -39,10 +39,12 @@ from .formulas import (
     Prop,
     _children,
     abstract_constraints,
+    classify_states,
     constants_of,
     is_snnf,
     is_state_formula,
     moduli_of,
+    postorder,
     propositions_of,
     variables_of,
 )
@@ -286,38 +288,31 @@ class ReductionReport:
         return not self.issues
 
 
-def _path_lookahead(f: Formula) -> int:
-    """How many steps past its start a path formula of X and boolean
-    connectives reads."""
-    need = 0
-    stack = [(f, 0)]
-    while stack:
-        g, steps = stack.pop()
-        if isinstance(g, (Prop, BoolConst)):
-            need = max(need, steps)
-        elif isinstance(g, Constraint):
-            need = max(need, steps + g.depth)
-        elif isinstance(g, Next):
-            stack.append((g.sub, steps + 1))
-        elif isinstance(g, (Not, And, Or)):
-            stack.extend((kid, steps) for kid in _children(g))
+def _lookaheads(f: Formula) -> dict:
+    """Each distinct node of f, in postorder, mapped to how many steps past
+    its start it reads as a path formula of X and boolean connectives, or
+    to None when it is no such formula."""
+    need: dict = {}
+    for g in postorder(f):
+        if isinstance(g, (Next, Not, And, Or)):
+            kids = [need[kid] for kid in _children(g)]
+            need[g] = None if None in kids else max(kids) + isinstance(g, Next)
+        elif isinstance(g, (Prop, BoolConst, Constraint)):
+            need[g] = g.depth if isinstance(g, Constraint) else 0
         else:
-            raise SatSearchError("formula contains U/R/E/A below the top level")
+            need[g] = None
     return need
 
 
 def _check_shape(formula: Formula) -> None:
     if not is_snnf(formula):
         raise SatSearchError("reduction check expects strong negation normal form")
-    stack = [formula]  # left operands first
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (Not, And, Or)):
-            stack.extend(reversed(_children(f)))
-        elif isinstance(f, (Exists, All)):
-            _path_lookahead(f.sub)
-        elif not isinstance(f, (Prop, BoolConst)):
-            raise SatSearchError(f"not a state formula of the supported shape: {f}")
+    need = _lookaheads(formula)
+    first = classify_states(formula, lambda q: need[q.sub] is not None)[formula]
+    if isinstance(first, (Exists, All)):
+        raise SatSearchError("formula contains U/R/E/A below the top level")
+    if first is not None:
+        raise SatSearchError(f"not a state formula of the supported shape: {first}")
 
 
 def _truth(f: Formula, leaf, along_path: bool = False) -> bool:
@@ -376,6 +371,7 @@ def eval_bounded(model: ConstraintKripke, node: str, formula: Formula, dom: Conc
     boolean connectives; path quantifiers range over the descending
     sequences long enough for every lookahead (shorter branches cannot
     carry an infinite path and are ignored)."""
+    need = _lookaheads(formula)
 
     def leaf(g: Formula, _) -> bool:
         if isinstance(g, Prop):
@@ -383,7 +379,9 @@ def eval_bounded(model: ConstraintKripke, node: str, formula: Formula, dom: Conc
         if isinstance(g, BoolConst):
             return g.value
         if isinstance(g, (Exists, All)):
-            paths = _descending_paths(model, node, _path_lookahead(g.sub))
+            if need[g.sub] is None:
+                raise SatSearchError("formula contains U/R/E/A below the top level")
+            paths = _descending_paths(model, node, need[g.sub])
             quantifier = any if isinstance(g, Exists) else all
             return quantifier(_eval_path(model, p, g.sub, dom) for p in paths)
         raise SatSearchError(f"unsupported formula node {g!r}")

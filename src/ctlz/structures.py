@@ -413,6 +413,20 @@ def gamma_map(model: ConstraintKripke) -> dict:
     return {element_id(n, v): model.registers[(n, v)] for n in model.nodes for v in model.variables}
 
 
+def register_fault(model: ConstraintKripke, variables, dom: ConcreteDomain) -> str | None:
+    """Why constraints over ``variables`` cannot read the registers in ``dom``:
+    a variable without one, else the first value outside the domain; or None."""
+    for var in variables:
+        if var not in model.variables:
+            return f"constraint variable {var!r} has no register"
+    values = model.registers.values()
+    # only ints may be checked once per distinct value: 1 == True == Fraction(1)
+    if all(map(dom.check_value, set(values) if set(map(type, values)) == {int} else values)):
+        return None
+    (node, var), value = next(item for item in model.registers.items() if not dom.check_value(item[1]))
+    return f"register value {value!r} of variable {var!r} at node {_node_to_file(node)!r} is not in domain {dom.name}"
+
+
 def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: ConcreteDomain) -> ConstraintKripke:
     """Label each node whose upward window satisfies a constraint.
 
@@ -428,10 +442,8 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
         clash = model.label(node) & table_props
         if clash:
             raise StructureError(f"node {node!r} already carries table proposition {sorted(clash)[0]!r}")
-    for entry in table:
-        for _, var in entry.constraint.args:
-            if var not in model.variables:
-                raise StructureError(f"constraint variable {var!r} has no register")
+    if fault := register_fault(model, [var for entry in table for _, var in entry.constraint.args], dom):
+        raise StructureError(fault)
 
     new_labels = {n: set(model.label(n)) for n in model.nodes}
     for entry in table:

@@ -191,6 +191,30 @@ def test_mc_refuses_a_constraint_variable_without_a_register(capsys, tmp_path):
         2, "", "error: constraint variable 'y' has no register\n")
 
 
+@pytest.mark.parametrize("registers, argv, text", [
+    ("s0 x 1", ["--domain", "allenZ", "--formula", "E X eq(x, X^1 x)"],
+     "register value 1 of variable 'x' at node 's0' is not in domain allenZ"),
+    ("s0 x (1,3)\ns0 y 2", ["--formula", "E X lt(x, y)"],
+     "register value (1, 3) of variable 'x' at node 's0' is not in domain Z"),
+    ("s0 x 1/2", ["--formula", "E X mod[1,2](x)"],
+     "register value Fraction(1, 2) of variable 'x' at node 's0' is not in domain Z"),
+    ("s0 x 1/2", ["--domain", "N", "--formula", "E X lt(x, X^1 x)"],
+     "register value Fraction(1, 2) of variable 'x' at node 's0' is not in domain N"),
+])
+def test_mc_refuses_a_register_value_outside_the_domain(capsys, tmp_path, registers, argv, text):
+    model = tmp_path / "one.model"
+    variables = "x y" if " y " in registers else "x"
+    model.write_text(f"SHAPE graph\nVARS {variables}\nNODES\ns0\nEDGES\ns0 s0\nREGISTERS\n{registers}\n")
+    assert run(capsys, "mc", "--model", str(model), *argv) == (2, "", f"error: {text}\n")
+
+
+def test_abstract_refuses_a_register_value_outside_the_domain(capsys, tmp_path):
+    model = tmp_path / "tree.model"
+    model.write_text("SHAPE tree 1 1\nVARS x y\nNODES\neps\n1\nREGISTERS\neps x (1,3)\neps y 2\n1 x 0\n1 y 0\n")
+    assert run(capsys, "abstract", "--model", str(model), "--formula", "E X lt(x, X^1 y)") == (
+        2, "", "error: register value (1, 3) of variable 'x' at node 'eps' is not in domain Z\n")
+
+
 # ---------------------------------------------------------------------------
 # MSO commands
 

@@ -454,6 +454,32 @@ def test_checkers_refuse_a_constraint_variable_without_a_register():
             check(m, parse_formula("E X lt(x, X^1 y)"))
 
 
+def test_checkers_refuse_a_register_value_outside_the_domain():
+    """The first offending register in register order is named, with its
+    variable and the domain; 1, True and Fraction(1) are equal but only
+    the first is an integer."""
+    from fractions import Fraction
+
+    cases = [  # the second register, the domain, and the value and node named
+        (2, "allenZ", "1 of variable 'x' at node 's0'"),
+        ((1, 3), "Z", "(1, 3) of variable 'x' at node 's1'"),
+        (Fraction(1, 2), "N", "Fraction(1, 2) of variable 'x' at node 's1'"),
+        (True, "Z", "True of variable 'x' at node 's1'"),
+        (Fraction(1), "Z", "Fraction(1, 1) of variable 'x' at node 's1'"),
+        (-1, "N", "-1 of variable 'x' at node 's1'"),
+    ]
+    for second, domain, named in cases:
+        m = _two_state_model()
+        m.registers = {("s0", "x"): 1, ("s1", "x"): second}
+        for check in (check_ctlstar, check_ctl_oracle):
+            with pytest.raises(ModelCheckError) as refused:
+                check(m, parse_formula("E X eq(x, x)"), domain_by_name(domain))
+            assert str(refused.value) == f"register value {named} is not in domain {domain}"
+    m = _two_state_model()
+    m.registers = {("s0", "x"): 1, ("s1", "x"): Fraction(1, 2)}
+    assert check_ctlstar(m, parse_formula("E lt(x, X^1 x)"), domain_by_name("Q")) == frozenset({"s1"})
+
+
 def test_oracle_rejects_nested_path_operators():
     m = _two_state_model()
     with pytest.raises(ModelCheckError, match="CTL fragment"):

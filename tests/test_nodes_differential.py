@@ -7,13 +7,20 @@ subformulas with a walk of its own (``plain_state_flags``).  MSO
 sentences were rewritten by generator frames (``plain_mso_rewrite``)
 whose steps rebuilt a node from its rewritten children
 (``plain_rebuilt``).  Now every pass is a step on one engine,
-``formulas.transform``.  On seeded random formulas, most of them DAGs
-that reuse subformulas:
+``formulas.transform``.  The structural queries walked every occurrence
+(``plain_subformulas`` and the collectors on it), and the state test, the
+lookahead and the shape check of the reduction harness had stack loops
+of their own (``plain_is_state_formula``, ``plain_path_lookahead``,
+``plain_check_shape``); now they all read ``formulas.postorder``.  On
+seeded random formulas, most of them DAGs that reuse subformulas:
 
 - ``to_nnf``, ``negate`` and ``to_snnf`` over Z, N, Q, allenZ and
   lexZ[2], ``abstract_constraints``, ``substitute_props``,
   ``apply_interpretation`` and ``modelcheck._compile`` return the very
   objects the callers return on the reference passes;
+- every collector returns the reference list in the reference order, and
+  the state test, the lookahead and the shape check give the reference
+  answers and raise the reference texts;
 - ``subst_fo`` and ``relativize`` return the very sentences they return
   on the reference MSO engine;
 - ``emit_hom_sentence`` prints, with ``repr`` and ``to_sexpr``, the text
@@ -23,12 +30,14 @@ that reuse subformulas:
 import hashlib
 import operator
 import random
+import time
 
 import pytest
 
 from ctlz import (
     EQ,
     LT,
+    Z_DOMAIN,
     abstract_constraints,
     apply_interpretation,
     const_rel,
@@ -44,7 +53,7 @@ from ctlz import (
     to_snnf,
     to_sexpr,
 )
-from ctlz import domains, formulas, modelcheck, mso
+from ctlz import domains, formulas, modelcheck, mso, satsearch
 from ctlz.formulas import (
     FALSE,
     TRUE,
@@ -61,8 +70,8 @@ from ctlz.formulas import (
     Until,
     _children,
     postorder,
-    subformulas,
 )
+from ctlz.satsearch import SatSearchError
 from ctlz.mso import Atom, Conj, Disj, ExistsFO, ExistsSet, ForallFO, ForallSet, Implies, In, Neg, subst_fo
 
 
@@ -142,6 +151,109 @@ def plain_state_flags(nnf) -> dict:
     return state
 
 
+def plain_classify_states(nnf) -> dict:
+    """``classify_states`` as ``_compile`` reads it: None on the state
+    subformulas of ``plain_state_flags``."""
+    return {g: None if is_state else g for g, is_state in plain_state_flags(nnf).items()}
+
+
+def plain_subformulas(f):
+    """Every subformula occurrence in preorder, left to right."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(_children(f)))
+
+
+def plain_is_state_formula(f) -> bool:
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Not, And, Or)):
+            stack.extend(_children(f))
+        elif not isinstance(f, (Prop, BoolConst, Exists, All)):
+            return False
+    return True
+
+
+def plain_constraints_of(f) -> list:
+    return list(dict.fromkeys(sub for sub in plain_subformulas(f) if isinstance(sub, Constraint)))
+
+
+def plain_collectors(f) -> tuple:
+    """What the structural queries returned on the occurrence walk."""
+    subs = list(plain_subformulas(f))
+    constraints = plain_constraints_of(f)
+    return (
+        constraints,
+        list(dict.fromkeys(var for c in constraints for _, var in c.args)),
+        list(dict.fromkeys(sub.name for sub in subs if isinstance(sub, Prop))),
+        max([sub.depth for sub in subs if isinstance(sub, Constraint)], default=0),
+        {c.relation.params[0] for c in subs if isinstance(c, Constraint) and c.relation.kind == formulas.CONSTANT},
+        {c.relation.params[1] for c in subs if isinstance(c, Constraint) and c.relation.kind == formulas.MODULO},
+        all(isinstance(sub.sub, (Prop, Constraint)) for sub in subs if isinstance(sub, Not)),
+        all(isinstance(sub.sub, Prop) for sub in subs if isinstance(sub, Not)),
+        len({sub for sub in plain_subformulas(to_nnf(f)) if isinstance(sub, Exists)}),
+        plain_is_state_formula(f),
+    )
+
+
+def collectors(f) -> tuple:
+    return (
+        formulas.constraints_of(f),
+        formulas.variables_of(f),
+        formulas.propositions_of(f),
+        formulas.max_constraint_depth(f),
+        formulas.constants_of(f),
+        formulas.moduli_of(f),
+        formulas.is_nnf(f),
+        formulas.is_snnf(f),
+        formulas.count_e(f)[0],
+        formulas.is_state_formula(f),
+    )
+
+
+def plain_path_lookahead(f) -> int:
+    need = 0
+    stack = [(f, 0)]
+    while stack:
+        g, steps = stack.pop()
+        if isinstance(g, (Prop, BoolConst)):
+            need = max(need, steps)
+        elif isinstance(g, Constraint):
+            need = max(need, steps + g.depth)
+        elif isinstance(g, Next):
+            stack.append((g.sub, steps + 1))
+        elif isinstance(g, (Not, And, Or)):
+            stack.extend((kid, steps) for kid in _children(g))
+        else:
+            raise SatSearchError("formula contains U/R/E/A below the top level")
+    return need
+
+
+def plain_check_shape(formula) -> None:
+    if not all(isinstance(sub.sub, Prop) for sub in plain_subformulas(formula) if isinstance(sub, Not)):
+        raise SatSearchError("reduction check expects strong negation normal form")
+    stack = [formula]  # left operands first
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Not, And, Or)):
+            stack.extend(reversed(_children(f)))
+        elif isinstance(f, (Exists, All)):
+            plain_path_lookahead(f.sub)
+        elif not isinstance(f, (Prop, BoolConst)):
+            raise SatSearchError(f"not a state formula of the supported shape: {f}")
+
+
+def _outcome(check, f):
+    """What ``check(f)`` returns, or the type and text of what it raises."""
+    try:
+        return check(f)
+    except SatSearchError as exc:
+        return type(exc), str(exc)
+
+
 def plain_mso_rewrite(f, step, ctx=None):
     done: dict = {}
     frames = [((f, ctx), step(f, ctx))]
@@ -175,7 +287,7 @@ def _reference_ctl_passes(m: pytest.MonkeyPatch) -> None:
     for module in (formulas, modelcheck):
         m.setattr(module, "to_nnf", lambda f: plain_nnf(f, False))
     m.setattr(modelcheck, "negate", lambda f: plain_nnf(f, True))
-    m.setattr(modelcheck, "_state_flags", plain_state_flags)
+    m.setattr(modelcheck, "classify_states", plain_classify_states)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +361,15 @@ def test_normal_forms_and_abstraction_are_the_reference_objects(domain, monkeypa
         assert got[0] is want[0] and got[1] is want[1] and got[3] is want[3], str(f)
         assert got[2] == want[2], str(f)
     # a DAG: many formulas hold some subformula at more than one position
-    assert sum(len(postorder(f)) < len(list(subformulas(f))) for f in cases) >= 40
+    assert sum(len(postorder(f)) < _occurrences(f) for f in cases) >= 40
+
+
+def _occurrences(f) -> int:
+    """The number of subformula occurrences of f, its size as a tree."""
+    size: dict = {}
+    for g in postorder(f):
+        size[g] = 1 + sum(size[kid] for kid in _children(g))
+    return size[f]
 
 
 @pytest.mark.parametrize("name", ["allenZ", "lexZ[2]", "identity"])
@@ -288,6 +408,174 @@ def test_compiled_plans_are_the_reference_plans(monkeypatch):
     for f, got, want in zip(cases, new, reference):
         assert len(got[2]) == len(want[2]) and all(map(operator.is_, got[2], want[2])), str(f)
         assert got == want, str(f)
+
+
+@pytest.mark.parametrize("domain", list(RELATIONS))
+def test_structural_queries_are_the_reference_answers(domain):
+    """Same lists in the same order, and the classifier marks the state
+    subformulas that the reference walk flagged, in the same order."""
+    rng = random.Random(f"queries-{domain}")
+    pool: list = []
+    cases = [_random_formula(rng, RELATIONS[domain], rng.randint(1, 6), pool) for _ in range(150)]
+    cases += [_random_state_formula(rng, RELATIONS[domain], rng.randint(1, 4), pool) for _ in range(100)]
+    for f in cases:
+        assert collectors(f) == plain_collectors(f), str(f)
+        state = formulas.classify_states(f)
+        assert list(state) == list(plain_state_flags(f)), str(f)
+        assert {g: first is None for g, first in state.items()} == plain_state_flags(f), str(f)
+    assert sum(formulas.is_state_formula(f) for f in cases) >= 100
+    assert sum(len(postorder(f)) < _occurrences(f) for f in cases) >= 40
+
+
+def _random_skeleton(rng, depth: int, pool: list):
+    """A formula for the reduction harness's shape check: a boolean
+    skeleton over propositions, quantified X-only bodies, and now and
+    then a body that reads U, R or E, a stray path node, or a negation
+    outside strong negation normal form; a fifth of its parts come from
+    ``pool``."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        kind = rng.random()
+        quant = rng.choice((Exists, All))
+        if kind < 0.2:
+            f = Prop(rng.choice("pq"))
+        elif kind < 0.6:
+            f = quant(_xonly(rng, 3, pool))
+        elif kind < 0.8:
+            body = rng.choice((Until, Release))(_xonly(rng, 1, pool), _xonly(rng, 1, pool))
+            f = quant(rng.choice((body, Next(quant(_xonly(rng, 1, pool))), And(_xonly(rng, 1, pool), body))))
+        elif kind < 0.95:
+            f = rng.choice((Next(Prop("p")), _xonly(rng, 2, pool), Until(Prop("p"), Prop("q"))))
+        else:
+            f = Not(quant(_xonly(rng, 1, pool)))
+    elif roll < 0.4:
+        f = Not(Prop(rng.choice("pq")))
+    else:
+        f = rng.choice((And, Or))(_random_skeleton(rng, depth - 1, pool), _random_skeleton(rng, depth - 1, pool))
+    pool.append(f)
+    return f
+
+
+def _xonly(rng, depth: int, pool: list):
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice((Prop("p"), TRUE, Not(Prop("q")), Constraint(LT, [(rng.randint(0, 2), "x"), (0, "y")])))
+    roll = rng.random()
+    if roll < 0.4:
+        return Next(_xonly(rng, depth - 1, pool))
+    return rng.choice((And, Or))(_xonly(rng, depth - 1, pool), _xonly(rng, depth - 1, pool))
+
+
+def test_lookahead_and_shape_check_are_the_reference_answers():
+    """The same lookahead on every node, None where the reference
+    refuses the node, and the same text, naming the same node, from the
+    shape check."""
+    rng = random.Random(29)
+    pool: list = []
+    cases = [_random_skeleton(rng, rng.randint(0, 5), pool) for _ in range(400)]
+    texts: dict = {}
+    for f in cases:
+        need = satsearch._lookaheads(f)
+        for g in postorder(f):
+            want = _outcome(plain_path_lookahead, g)
+            assert need[g] == (None if type(want) is tuple else want), str(g)
+        got = _outcome(satsearch._check_shape, f)
+        assert got == _outcome(plain_check_shape, f), str(f)
+        key = got[1].split(":")[0] if got else None
+        texts[key] = texts.get(key, 0) + 1
+    # every outcome occurs, the shape refusal among them naming many nodes
+    assert len(texts) == 4 and min(texts.values()) >= 20, texts
+
+
+def plain_ltl_to_buchi(formula):
+    """The tableau with obligations ranked by first occurrence."""
+    rank = {sub: i for i, sub in enumerate(dict.fromkeys(plain_subformulas(formula)))}
+    for sub in rank:
+        if isinstance(sub, (Constraint, Exists, All)):
+            raise modelcheck.ModelCheckError("tableau input must be over propositions only")
+        if isinstance(sub, Not) and not isinstance(sub.sub, Prop):
+            raise modelcheck.ModelCheckError("tableau input must be in negation normal form")
+    props = tuple(formulas.propositions_of(formula))
+    bit = {p: 1 << i for i, p in enumerate(props)}
+    untils = tuple(sub for sub in rank if isinstance(sub, Until))
+    initial = frozenset([formula])
+    transitions: dict = {initial: None}
+    todo = [initial]
+    while todo:
+        state = todo.pop()
+        edges = []
+        for pos, neg, nexts, fulfilled in modelcheck._expand_obligations(sorted(state, key=rank.__getitem__), bit):
+            marks = sum(1 << j for j, u in enumerate(untils) if u not in nexts or u in fulfilled)
+            edges.append((pos, neg, nexts, marks))
+            if nexts not in transitions:
+                transitions[nexts] = None
+                todo.append(nexts)
+        transitions[state] = tuple(edges)
+    return modelcheck.BuchiAutomaton(props, list(transitions), transitions, untils)
+
+
+def _automaton_up_to_numbering(build, f):
+    """The automaton as sets, per state its edges with each mark bit read
+    as its Until, and the order of its states and Untils; or the text of
+    what the tableau raises."""
+    try:
+        aut = build(f)
+    except modelcheck.ModelCheckError as exc:
+        return str(exc), None
+    edges = {}
+    for q, out in aut.transitions.items():
+        edges[q] = {(pos, neg, target, frozenset(u for j, u in enumerate(aut.untils) if marks >> j & 1))
+                    for pos, neg, target, marks in out}
+    return (aut.propositions, aut.states[0], edges, set(aut.untils)), (aut.states, aut.untils)
+
+
+def test_tableau_differs_from_the_first_occurrence_rank_only_in_numbering():
+    """Obligations are ranked by postorder index, so states are found and
+    marks are numbered in another order; the states, their edges and
+    what each mark stands for stay the same, and so does the refusal of
+    an input the tableau cannot read, which names the first offending
+    node in preorder."""
+    rng = random.Random(53)
+    pool: list = []
+    relations = (LT, const_rel(0))
+    cases = [_random_formula(rng, relations, rng.randint(1, 4), pool) for _ in range(800)]
+    readable = moved = 0
+    for f in cases:
+        psi = formulas.rewrite(to_nnf(f), lambda g: Prop("c") if isinstance(g, (Constraint, Exists, All)) else None)
+        for g in (f, to_nnf(f), psi):
+            got, order = _automaton_up_to_numbering(modelcheck.ltl_to_buchi, g)
+            want, plain_order = _automaton_up_to_numbering(plain_ltl_to_buchi, g)
+            assert got == want, str(g)
+            readable += order is not None
+            moved += order != plain_order
+    assert readable >= 600 and moved >= 40, (readable, moved)
+
+
+def test_queries_on_a_doubling_dag_cost_its_distinct_nodes():
+    """Twenty-two levels of g & g over ``E X lt(x, X^1 x)``: 25 distinct
+    nodes and over four million occurrences.  Each call takes about a
+    millisecond; a pass that walked the occurrences took over 5 s."""
+    g = formulas.parse_formula("E X lt(x, X^1 x)")
+    for _ in range(22):
+        g = And(g, g)
+    assert len(postorder(g)) == 25
+    one_node = modelcheck.ConstraintKripke(["s0"], {("s0", "s0")}, {}, {("s0", "x"): 0}, ["x"])
+    calls = {
+        "is_state_formula": lambda: formulas.is_state_formula(g),
+        "constraints_of": lambda: formulas.constraints_of(g),
+        "count_e": lambda: formulas.count_e(g),
+        "abstract_constraints": lambda: abstract_constraints(to_snnf(g, Z_DOMAIN)),
+        "check_ctlstar": lambda: modelcheck.check_ctlstar(one_node, g),
+        "find_model": lambda: satsearch.find_model(g, Z_DOMAIN, 1, 1),
+    }
+    for name, call in calls.items():
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, (name, elapsed)
+        if name == "find_model":
+            assert result is None  # x < x + 1 step on one node reads x < x
 
 
 # ---------------------------------------------------------------------------

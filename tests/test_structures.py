@@ -381,6 +381,14 @@ def test_abstract_model_rejects_graphs_and_unknown_vars():
         abstract_model(t, bad, Z_DOMAIN)
 
 
+def test_abstract_model_refuses_a_register_value_outside_the_domain():
+    for values, named in (({"": 1, "1": (1, 3), "2": 0}, "(1, 3) of variable 'x' at node '1'"),
+                          ({"": Fraction(1, 2), "1": 5, "2": 0}, "Fraction(1, 2) of variable 'x' at node 'eps'")):
+        with pytest.raises(StructureError) as refused:
+            abstract_model(_two_level_tree(values), _lt_step_table(), Z_DOMAIN)
+        assert str(refused.value) == f"register value {named} is not in domain Z"
+
+
 def test_extract_reads_rows_off_labels():
     t = _two_level_tree({"": 1, "1": 5, "2": 0})
     labeled = abstract_model(t, _lt_step_table(), Z_DOMAIN)
