@@ -15,13 +15,17 @@ of it decides a miss; the sweep starts by a ski-rental rule and is
 skipped past WINDOW_LIMIT (see find_model).  The consistency harness
 replays the constraint-abstraction argument on finite trees: concrete
 truth must survive abstraction plus a register homomorphism, and a
-homomorphism witness must convert back into a concrete model.
+homomorphism witness must convert back into a concrete model.  Its
+evaluator, eval_bounded, checks the formula's shape and the registers
+it reads before it reads the tree, then values each distinct node once
+per window of the tree (structures.tree_windows), so a formula that
+reuses subformulas costs its distinct nodes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from operator import itemgetter
 
@@ -57,6 +61,8 @@ from .structures import (
     element_id,
     extract_constraint_graph,
     gamma_map,
+    register_fault,
+    tree_windows,
 )
 
 
@@ -304,101 +310,70 @@ def _lookaheads(f: Formula) -> dict:
     return need
 
 
-def _check_shape(formula: Formula) -> None:
-    if not is_snnf(formula):
-        raise SatSearchError("reduction check expects strong negation normal form")
+def _check_shape(formula: Formula) -> dict:
+    """The lookaheads of a state formula whose path parts use only X and
+    boolean connectives; any other formula is refused."""
     need = _lookaheads(formula)
     first = classify_states(formula, lambda q: need[q.sub] is not None)[formula]
     if isinstance(first, (Exists, All)):
         raise SatSearchError("formula contains U/R/E/A below the top level")
     if first is not None:
         raise SatSearchError(f"not a state formula of the supported shape: {first}")
-
-
-def _truth(f: Formula, leaf, along_path: bool = False) -> bool:
-    """The value of a boolean combination, evaluated on an explicit stack
-    left operand first with short-circuit.  ``leaf(g, i)`` gives the
-    value of any other node g at path position i; along a path, X moves
-    to the next position."""
-    todo = [(f, 0, False)]  # (node, position, are its operands done)
-    value = False
-    while todo:
-        g, i, done = todo.pop()
-        if isinstance(g, Not):
-            if done:
-                value = not value
-            else:
-                todo += ((g, i, True), (g.sub, i, False))
-        elif isinstance(g, (And, Or)):
-            if not done:
-                todo += ((g, i, True), (g.left, i, False))
-            elif value != isinstance(g, Or):  # the left operand did not decide
-                todo.append((g.right, i, False))
-        elif along_path and isinstance(g, Next):
-            todo.append((g.sub, i + 1, False))
-        else:
-            value = leaf(g, i)
-    return value
-
-
-def _eval_path(model: ConstraintKripke, path: tuple, f: Formula, dom) -> bool:
-    def leaf(g: Formula, i: int) -> bool:
-        if isinstance(g, Prop):
-            return g.name in model.label(path[i])
-        if isinstance(g, BoolConst):
-            return g.value
-        if isinstance(g, Constraint):
-            values = tuple(model.gamma(path[i + off], var) for off, var in g.args)
-            return dom.eval_relation(g.relation, values)
-        raise SatSearchError(f"unsupported path formula node {g!r}")
-
-    return _truth(f, leaf, along_path=True)
-
-
-def _descending_paths(model: ConstraintKripke, node: str, length: int):
-    paths = [(node,)]
-    for _ in range(length):
-        grown = []
-        for p in paths:
-            for s in model.successors(p[-1]):
-                grown.append(p + (s,))
-        paths = grown
-    return paths
+    return need
 
 
 def eval_bounded(model: ConstraintKripke, node: str, formula: Formula, dom: ConcreteDomain = Z_DOMAIN) -> bool:
     """Truth at a tree node for formulas whose path parts use only X and
     boolean connectives; path quantifiers range over the descending
     sequences long enough for every lookahead (shorter branches cannot
-    carry an infinite path and are ignored)."""
-    need = _lookaheads(formula)
+    carry an infinite path and are ignored).
 
-    def leaf(g: Formula, _) -> bool:
-        if isinstance(g, Prop):
-            return g.name in model.label(node)
-        if isinstance(g, BoolConst):
-            return g.value
-        if isinstance(g, (Exists, All)):
-            if need[g.sub] is None:
-                raise SatSearchError("formula contains U/R/E/A below the top level")
-            paths = _descending_paths(model, node, need[g.sub])
-            quantifier = any if isinstance(g, Exists) else all
-            return quantifier(_eval_path(model, p, g.sub, dom) for p in paths)
-        raise SatSearchError(f"unsupported formula node {g!r}")
+    The tree, the shape, the registers the formula reads and the
+    domain's relations are checked up front, so a refusal does not
+    depend on where the node that causes it sits.  Each distinct node is
+    then valued on a window, in one postorder pass, as the bits of its
+    truths at the positions it can read, bit i for position i: X drops
+    the first position, and a constraint of depth k reads k positions
+    fewer.  Bits past those positions are left unspecified, and no step
+    moves them down into one.  The state level is the window of the node
+    alone, and a quantifier's body is valued once per window of its
+    lookahead that starts at the node.
+    """
+    if not model.is_tree:
+        raise SatSearchError("reduction check expects a tree-shaped model")
+    need = _check_shape(formula)
+    if fault := register_fault(model, variables_of(formula), dom):
+        raise SatSearchError(fault)
+    order = postorder(formula)
+    tests = {g: dom.relation_test(g.relation) for g in order if isinstance(g, Constraint)}
 
-    return _truth(formula, leaf)
+    def holds(window: tuple, nodes: list) -> bool:
+        bits: dict = {}
+        for g in nodes:
+            cls = type(g)
+            if cls is Prop:
+                bits[g] = sum(1 << i for i, v in enumerate(window) if g.name in model.label(v))
+            elif cls is BoolConst:
+                bits[g] = -g.value  # all ones or none
+            elif cls is Constraint:
+                reads = (tuple(model.registers[(window[i + off], var)] for off, var in g.args)
+                         for i in range(len(window) - g.depth))
+                bits[g] = sum(1 << i for i, values in enumerate(reads) if tests[g](values))
+            elif cls is Next:
+                bits[g] = bits[g.sub] >> 1
+            elif cls is Not:
+                bits[g] = ~bits[g.sub]
+            elif cls is And:
+                bits[g] = bits[g.left] & bits[g.right]
+            elif cls is Or:
+                bits[g] = bits[g.left] | bits[g.right]
+            else:  # a quantifier, at the node
+                body = postorder(g.sub)
+                truths = (holds(w, body) for w in tree_windows(model, need[g.sub]) if w[0] == node)
+                bits[g] = -(any(truths) if cls is Exists else all(truths))
+        return bool(bits[nodes[-1]] & 1)
 
-
-def _strip_table_props(model: ConstraintKripke, table) -> ConstraintKripke:
-    table_props = {entry.prop for entry in table}
-    labels = {}
-    for v in model.nodes:
-        kept = model.label(v) - table_props
-        if kept:
-            labels[v] = kept
-    return ConstraintKripke(
-        list(model.nodes), set(model.edges), labels, dict(model.registers), list(model.variables), model.shape
-    )
+    return holds((node,), order)
 
 
 def reduction_consistency(model: ConstraintKripke, formula: Formula, dom: ConcreteDomain = Z_DOMAIN) -> ReductionReport:
@@ -412,6 +387,8 @@ def reduction_consistency(model: ConstraintKripke, formula: Formula, dom: Concre
     """
     if not model.is_tree:
         raise SatSearchError("reduction check expects a tree-shaped model")
+    if not is_snnf(formula):
+        raise SatSearchError("reduction check expects strong negation normal form")
     _check_shape(formula)
     if dom.name not in ("Z", "N", "negZ", "Q"):
         raise SatSearchError(f"no homomorphism target for domain {dom.name!r}")
@@ -442,12 +419,7 @@ def reduction_consistency(model: ConstraintKripke, formula: Formula, dom: Concre
                 for v in model.nodes
                 for x in model.variables
             }
-            stripped = _strip_table_props(abstracted, table)
-            rebuilt = ConstraintKripke(
-                list(model.nodes), set(model.edges), dict(stripped.labels), registers,
-                list(model.variables), model.shape,
-            )
-            if not eval_bounded(rebuilt, "", formula, dom):
+            if not eval_bounded(replace(model, registers=registers), "", formula, dom):
                 issues.append("homomorphism witness installed as registers fails the formula")
         elif holds:
             issues.append("homomorphism decision is negative although the concrete registers form one")

@@ -427,6 +427,14 @@ def register_fault(model: ConstraintKripke, variables, dom: ConcreteDomain) -> s
     return f"register value {value!r} of variable {var!r} at node {_node_to_file(node)!r} is not in domain {dom.name}"
 
 
+def tree_windows(model: ConstraintKripke, depth: int) -> list:
+    """The upward windows of depth d of a tree: for each node at least d
+    deep, in node order, the d + 1 nodes from its ancestor d levels up
+    down to the node."""
+    ups = range(-depth, 1)
+    return [tuple([v[: len(v) + up] for up in ups]) for v in model.nodes if len(v) >= depth]
+
+
 def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: ConcreteDomain) -> ConstraintKripke:
     """Label each node whose upward window satisfies a constraint.
 
@@ -447,16 +455,12 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
 
     new_labels = {n: set(model.label(n)) for n in model.nodes}
     for entry in table:
-        d_i = entry.depth
-        rel = entry.constraint.relation
-        for v in model.nodes:
-            if len(v) < d_i:
-                continue
-            s = v[: len(v) - d_i]
-            u = v[len(v) - d_i:]
-            values = tuple(model.registers[(s + u[:off], var)] for off, var in entry.constraint.args)
-            if dom.eval_relation(rel, values):
-                new_labels[v].add(entry.prop)
+        windows = tree_windows(model, entry.depth)
+        # asked only when a window reads it, so a tree too shallow for the constraint is not refused
+        holds = windows and dom.relation_test(entry.constraint.relation)
+        for w in windows:
+            if holds(tuple(model.registers[(w[off], var)] for off, var in entry.constraint.args)):
+                new_labels[w[-1]].add(entry.prop)
     labels = {n: frozenset(ps) for n, ps in new_labels.items() if ps}
     return ConstraintKripke(
         list(model.nodes), set(model.edges), labels, dict(model.registers), list(model.variables), model.shape
@@ -477,16 +481,11 @@ def extract_constraint_graph(model: ConstraintKripke, table: AbstractionTable) -
 
     found: dict = {entry.constraint.relation: {} for entry in table}  # rows in first-seen order
     for entry in table:
-        d_i = entry.depth
+        if short := [v for v in model.nodes if len(v) < entry.depth and entry.prop in model.label(v)]:
+            where = f"at node {_node_to_file(short[0])!r} needs {entry.depth} ancestors"
+            raise StructureError(f"proposition {entry.prop!r} {where}")
         rows = found[entry.constraint.relation]
-        for v in model.nodes:
-            if entry.prop not in model.label(v):
-                continue
-            if len(v) < d_i:
-                raise StructureError(
-                    f"proposition {entry.prop!r} at node {_node_to_file(v)!r} needs {d_i} ancestors"
-                )
-            s = v[: len(v) - d_i]
-            u = v[len(v) - d_i:]
-            rows[tuple(element_id(s + u[:off], var) for off, var in entry.constraint.args)] = None
+        for w in tree_windows(model, entry.depth):
+            if entry.prop in model.label(w[-1]):
+                rows[tuple(element_id(w[off], var) for off, var in entry.constraint.args)] = None
     return SigmaStructure(elements, {rel: list(rows) for rel, rows in found.items()})

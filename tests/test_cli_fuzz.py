@@ -1,22 +1,44 @@
-"""A seeded fuzz slice of the command line: generated and mutated model,
-structure and formula files fed to ``mc``, ``abstract --model``,
-``extract``, ``sat``, ``homcheck`` and ``brutehom`` over every domain.
+"""A seeded fuzz slice of the command line: all 13 subcommands on
+generated and mutated inputs over every domain.  Model, structure and
+formula files go to ``mc``, ``abstract`` (with a tree model and
+without), ``extract``, ``sat``, ``homcheck``, ``brutehom`` and
+``emit-mso``; formula text alone to ``parse``, ``nnf``, ``snnf`` and
+``interp``; ``eval-mso`` reads the ``emit-mso`` sentence of a small
+structure, mutated, on that structure or a mutated one; ``selftest``
+takes no input.  A third of the runs ask for ``--json``.
 
 Every run must end in a verdict or an input error (exit 0, 1 or 2) and
 never in ``internal error`` (exit 3, a defect).  The generators mix
 well-formed inputs with register values of every domain's kind, so most
 runs reach the checkers, and the mutations (a character dropped, doubled
-or replaced, a line dropped or doubled) exercise the readers.  For a
+or replaced, a line dropped or doubled) exercise the readers.  The Z
+sentence is about 2 MB of text, so ``eval-mso`` and ``selftest`` get a
+small share of the runs and ``eval-mso`` a small share of Z.  For a
 longer search, raise ``RUNS`` or add seeds.
 """
 
+import os
 import random
+import tempfile
 
 import pytest
 
+from ctlz import emit_hom_sentence, structure_from_text, to_sexpr
 from ctlz.cli import run_command
 
-RUNS = 3000
+RUNS = 4500
+# per run, the subcommands other than eval-mso and selftest
+COMMANDS = ("mc", "mc", "abstract", "abstract", "extract", "sat", "homcheck", "brutehom",
+            "emit-mso", "parse", "nnf", "snnf", "interp")
+MSO_TARGETS = ("Z_order_only", "N", "negZ", "Z")
+# per MSO target the relations it supports; lt is always there
+MSO_RELATIONS = {
+    "Z_order_only": (),
+    "N": ("eq", "mod[1,2]"),
+    "negZ": ("eq", "mod[0,3]"),
+    "Z": ("eq", "eqc[0]", "eqc[2]", "mod[1,2]"),
+}
+INTERPRETATIONS = ("identity", "lexZ[1]", "lexZ[2]", "allenZ", "lexZ[0]", "allen")
 DOMAINS = ("Z", "N", "negZ", "Q", "allenZ", "lexZ[1]", "lexZ[2]")
 TARGETS = ("Z", "N", "negZ", "Q")
 # per domain the relations it interprets, most of them
@@ -131,36 +153,84 @@ def _mutate(rng, text: str, rate: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _file(tmp_path, text: str) -> str:
+    """A fresh file holding the text; rewriting one file in place can
+    cost far more than a new one on some file systems."""
+    fd, path = tempfile.mkstemp(dir=tmp_path)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def _mso_structure(rng) -> tuple:
+    """A small structure and an MSO target that supports it."""
+    target = rng.choices(MSO_TARGETS, weights=(4, 4, 4, 1))[0]
+    elements = ["a", "b", "c"][: rng.randint(1, 3)]
+    lines = ["ELEMENTS", *elements, "REL lt"]
+    lines += [f"{rng.choice(elements)} {rng.choice(elements)}" for _ in range(rng.randint(0, 2))]
+    for rel in rng.sample(MSO_RELATIONS[target], rng.randint(0, len(MSO_RELATIONS[target]))):
+        lines.append(f"REL {rel}")
+        arity = 2 if rel == "eq" else 1
+        lines += [" ".join(rng.choices(elements, k=arity)) for _ in range(rng.randint(0, 2))]
+    return "\n".join(lines) + "\n", target
+
+
 def _argv(rng, tmp_path) -> list:
-    command = rng.choice(("mc", "mc", "abstract", "extract", "sat", "homcheck", "brutehom"))
-    if command in ("homcheck", "brutehom"):
-        path = tmp_path / "fuzz.structure"
-        path.write_text(_mutate(rng, _structure(rng), 0.3))
-        argv = [command, "--structure", str(path), "--target", rng.choice(TARGETS)]
+    roll = rng.random()
+    command = "selftest" if roll < 0.002 else "eval-mso" if roll < 0.02 else rng.choice(COMMANDS)
+    json = ["--json"] if rng.random() < 0.3 else []
+    if command == "selftest":
+        return ["selftest", *json]
+    if command == "eval-mso":
+        structure, target = _mso_structure(rng)
+        sentence = to_sexpr(emit_hom_sentence(structure_from_text(structure), target))
+        if rng.random() < 0.3:
+            structure = _mso_structure(rng)[0]
+        path = _file(tmp_path, _mutate(rng, structure, 0.3))
+        return ["eval-mso", "--structure", path, f"--formula={_mutate(rng, sentence, 0.5)}", *json]
+    if command in ("homcheck", "brutehom", "emit-mso"):
+        if command == "emit-mso" and rng.random() < 0.5:
+            structure, target = _mso_structure(rng)
+            target = target if rng.random() < 0.8 else rng.choice(MSO_TARGETS)
+        else:
+            structure, target = _structure(rng), rng.choice(TARGETS if command != "emit-mso" else MSO_TARGETS)
+        argv = [command, "--structure", _file(tmp_path, _mutate(rng, structure, 0.3)), "--target", target, *json]
         if command == "brutehom":
             argv += ["--bound", str(rng.randint(0, 2))]
         return argv
     domain = rng.choice(DOMAINS)
-    formula = _mutate(rng, f"{rng.choice('EA')} {_formula(rng, rng.randint(0, 3), domain)}", 0.1)
+    formula = _formula(rng, rng.randint(0, 3), domain)
+    if command in ("parse", "nnf", "snnf", "interp") or command == "abstract" and rng.random() < 0.5:
+        # formula text alone: path formulas too, and quantified ones
+        formula = _mutate(rng, f"{rng.choice(('E ', 'A ', ''))}{formula}", 0.1)
+        argv = [command, f"--formula={formula}", *json]
+        if command == "interp":
+            return argv + ["--interp", rng.choice(INTERPRETATIONS)]
+        return argv if command in ("parse", "nnf") else argv + ["--domain", domain]
+    formula = _mutate(rng, f"{rng.choice('EA')} {formula}", 0.1)
     if command == "sat":
-        return ["sat", "--formula", formula, "--domain", domain,
-                "--max-nodes", str(rng.randint(1, 2)), "--range", str(rng.randint(0, 1))]
-    path = tmp_path / "fuzz.model"
+        return ["sat", f"--formula={formula}", "--domain", domain,
+                "--max-nodes", str(rng.randint(1, 2)), "--range", str(rng.randint(0, 1)), *json]
     # mc reads graphs, abstract and extract trees; a few get the other shape
     shape = "graph" if (command == "mc") != (rng.random() < 0.1) else "tree"
-    path.write_text(_mutate(rng, _model(rng, shape, domain), 0.3))
-    return [command, "--model", str(path), "--formula", formula, "--domain", domain]
+    path = _file(tmp_path, _mutate(rng, _model(rng, shape, domain), 0.3))
+    return [command, "--model", path, f"--formula={formula}", "--domain", domain, *json]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_no_input_ends_in_an_internal_error(seed, tmp_path, capsys):
     rng = random.Random(f"cli-fuzz-{seed}")
     exits = {0: 0, 1: 0, 2: 0}
+    commands: dict = {}
     for _ in range(RUNS // 3):
         argv = _argv(rng, tmp_path)
         code = run_command(argv)
         err = capsys.readouterr().err
-        assert code in exits and "internal error" not in err, (argv, code, err)
+        assert code in exits and "internal error" not in err, ([a[:200] for a in argv], code, err)
         exits[code] += 1
+        commands.setdefault(argv[0], set()).add(code)
     # verdicts both ways, and refusals, so the inputs reach the checkers
     assert min(exits.values()) >= 10, exits
+    # every subcommand runs, and the deciders answer both ways
+    assert len(commands) == 13, sorted(commands)
+    assert all({0, 1} <= commands[name] for name in ("mc", "sat", "homcheck", "brutehom", "eval-mso")), commands

@@ -11,8 +11,15 @@ whose steps rebuilt a node from its rewritten children
 (``plain_subformulas`` and the collectors on it), and the state test, the
 lookahead and the shape check of the reduction harness had stack loops
 of their own (``plain_is_state_formula``, ``plain_path_lookahead``,
-``plain_check_shape``); now they all read ``formulas.postorder``.  On
-seeded random formulas, most of them DAGs that reuse subformulas:
+``plain_check_shape``); now they all read ``formulas.postorder``.  The
+harness's evaluator walked every occurrence with a left-first short
+circuit and read each quantifier body along every descending path
+(``plain_eval_bounded``), and ``abstract_model`` and
+``extract_constraint_graph`` sliced each node's window by hand
+(``plain_abstract_labels``, ``plain_extract_rows``); now the evaluator
+values each distinct node once per window, and all three read
+``structures.tree_windows``.  On seeded random formulas, most of them
+DAGs that reuse subformulas:
 
 - ``to_nnf``, ``negate`` and ``to_snnf`` over Z, N, Q, allenZ and
   lexZ[2], ``abstract_constraints``, ``substitute_props``,
@@ -21,6 +28,12 @@ seeded random formulas, most of them DAGs that reuse subformulas:
 - every collector returns the reference list in the reference order, and
   the state test, the lookahead and the shape check give the reference
   answers and raise the reference texts;
+- on random trees, ``eval_bounded`` gives the reference verdicts at the
+  root and at inner nodes, and refuses every ill-shaped formula the
+  reference refused (and, since it checks before it evaluates, those
+  whose bad part the short circuit skipped); ``abstract_model`` places
+  the reference labels, and ``extract_constraint_graph`` gives the
+  reference rows in their order or the reference refusal;
 - ``subst_fo`` and ``relativize`` return the very sentences they return
   on the reference MSO engine;
 - ``emit_hom_sentence`` prints, with ``repr`` and ``to_sexpr``, the text
@@ -31,6 +44,7 @@ import hashlib
 import operator
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -53,7 +67,7 @@ from ctlz import (
     to_snnf,
     to_sexpr,
 )
-from ctlz import domains, formulas, modelcheck, mso, satsearch
+from ctlz import domains, formulas, modelcheck, mso, satsearch, structures
 from ctlz.formulas import (
     FALSE,
     TRUE,
@@ -72,7 +86,9 @@ from ctlz.formulas import (
     postorder,
 )
 from ctlz.satsearch import SatSearchError
+from ctlz.structures import StructureError, element_id
 from ctlz.mso import Atom, Conj, Disj, ExistsFO, ExistsSet, ForallFO, ForallSet, Implies, In, Neg, subst_fo
+from conftest import random_tree_model, random_xonly_formula
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +268,11 @@ def _outcome(check, f):
         return check(f)
     except SatSearchError as exc:
         return type(exc), str(exc)
+
+
+def _refusal(outcome):
+    """The type and text of a refusal, or None for any other outcome."""
+    return outcome if type(outcome) is tuple else None
 
 
 def plain_mso_rewrite(f, step, ctx=None):
@@ -470,8 +491,10 @@ def _xonly(rng, depth: int, pool: list):
 def test_lookahead_and_shape_check_are_the_reference_answers():
     """The same lookahead on every node, None where the reference
     refuses the node, and the same text, naming the same node, from the
-    shape check."""
+    harness's checks; the evaluator refuses with the same texts, but
+    takes formulas outside strong negation normal form."""
     rng = random.Random(29)
+    tree = random_tree_model(random.Random(2), depth=2, k=2, variables=("x", "y"), props=("p", "q"))
     pool: list = []
     cases = [_random_skeleton(rng, rng.randint(0, 5), pool) for _ in range(400)]
     texts: dict = {}
@@ -480,8 +503,10 @@ def test_lookahead_and_shape_check_are_the_reference_answers():
         for g in postorder(f):
             want = _outcome(plain_path_lookahead, g)
             assert need[g] == (None if type(want) is tuple else want), str(g)
-        got = _outcome(satsearch._check_shape, f)
+        got = _refusal(_outcome(partial(satsearch.reduction_consistency, tree), f))
         assert got == _outcome(plain_check_shape, f), str(f)
+        if got is None or "normal form" not in got[1]:
+            assert _refusal(_outcome(partial(satsearch.eval_bounded, tree, ""), f)) == got, str(f)
         key = got[1].split(":")[0] if got else None
         texts[key] = texts.get(key, 0) + 1
     # every outcome occurs, the shape refusal among them naming many nodes
@@ -561,6 +586,7 @@ def test_queries_on_a_doubling_dag_cost_its_distinct_nodes():
         g = And(g, g)
     assert len(postorder(g)) == 25
     one_node = modelcheck.ConstraintKripke(["s0"], {("s0", "s0")}, {}, {("s0", "x"): 0}, ["x"])
+    tree = random_tree_model(random.Random(5), depth=2, k=2)  # seven nodes over x
     calls = {
         "is_state_formula": lambda: formulas.is_state_formula(g),
         "constraints_of": lambda: formulas.constraints_of(g),
@@ -568,6 +594,8 @@ def test_queries_on_a_doubling_dag_cost_its_distinct_nodes():
         "abstract_constraints": lambda: abstract_constraints(to_snnf(g, Z_DOMAIN)),
         "check_ctlstar": lambda: modelcheck.check_ctlstar(one_node, g),
         "find_model": lambda: satsearch.find_model(g, Z_DOMAIN, 1, 1),
+        "eval_bounded": lambda: satsearch.eval_bounded(tree, "", g),
+        "reduction_consistency": lambda: satsearch.reduction_consistency(tree, g),
     }
     for name, call in calls.items():
         start = time.perf_counter()
@@ -576,6 +604,216 @@ def test_queries_on_a_doubling_dag_cost_its_distinct_nodes():
         assert elapsed < 0.5, (name, elapsed)
         if name == "find_model":
             assert result is None  # x < x + 1 step on one node reads x < x
+        if name == "reduction_consistency":
+            assert result.ok and result.holds_concrete == calls["eval_bounded"](), result
+
+
+# ---------------------------------------------------------------------------
+# The reduction harness's evaluator and the tree windows
+
+
+def plain_truth(f, leaf, along_path: bool = False) -> bool:
+    """A boolean combination evaluated on an explicit stack, left operand
+    first with short circuit; ``leaf(g, i)`` values any other node g at
+    path position i, and along a path X moves to the next position."""
+    todo = [(f, 0, False)]  # (node, position, are its operands done)
+    value = False
+    while todo:
+        g, i, done = todo.pop()
+        if isinstance(g, Not):
+            if done:
+                value = not value
+            else:
+                todo += ((g, i, True), (g.sub, i, False))
+        elif isinstance(g, (And, Or)):
+            if not done:
+                todo += ((g, i, True), (g.left, i, False))
+            elif value != isinstance(g, Or):  # the left operand did not decide
+                todo.append((g.right, i, False))
+        elif along_path and isinstance(g, Next):
+            todo.append((g.sub, i + 1, False))
+        else:
+            value = leaf(g, i)
+    return value
+
+
+def plain_eval_path(model, path: tuple, f, dom) -> bool:
+    def leaf(g, i: int) -> bool:
+        if isinstance(g, Prop):
+            return g.name in model.label(path[i])
+        if isinstance(g, BoolConst):
+            return g.value
+        if isinstance(g, Constraint):
+            values = tuple(model.gamma(path[i + off], var) for off, var in g.args)
+            return dom.eval_relation(g.relation, values)
+        raise SatSearchError(f"unsupported path formula node {g!r}")
+
+    return plain_truth(f, leaf, along_path=True)
+
+
+def plain_descending_paths(model, node: str, length: int) -> list:
+    paths = [(node,)]
+    for _ in range(length):
+        paths = [p + (s,) for p in paths for s in model.successors(p[-1])]
+    return paths
+
+
+def plain_eval_bounded(model, node: str, formula, dom=Z_DOMAIN) -> bool:
+    """The evaluator that walked every occurrence and read each quantifier
+    body along every descending path."""
+    need = satsearch._lookaheads(formula)
+
+    def leaf(g, _) -> bool:
+        if isinstance(g, Prop):
+            return g.name in model.label(node)
+        if isinstance(g, BoolConst):
+            return g.value
+        if isinstance(g, (Exists, All)):
+            if need[g.sub] is None:
+                raise SatSearchError("formula contains U/R/E/A below the top level")
+            paths = plain_descending_paths(model, node, need[g.sub])
+            quantifier = any if isinstance(g, Exists) else all
+            return quantifier(plain_eval_path(model, p, g.sub, dom) for p in paths)
+        raise SatSearchError(f"unsupported formula node {g!r}")
+
+    return plain_truth(formula, leaf)
+
+
+def plain_abstract_labels(model, table, dom) -> dict:
+    """``abstract_model``'s labels, each window sliced by hand."""
+    new_labels = {n: set(model.label(n)) for n in model.nodes}
+    for entry in table:
+        d_i = entry.depth
+        for v in model.nodes:
+            if len(v) < d_i:
+                continue
+            s, u = v[: len(v) - d_i], v[len(v) - d_i:]
+            values = tuple(model.registers[(s + u[:off], var)] for off, var in entry.constraint.args)
+            if dom.eval_relation(entry.constraint.relation, values):
+                new_labels[v].add(entry.prop)
+    return {n: frozenset(ps) for n, ps in new_labels.items() if ps}
+
+
+def plain_extract_rows(model, table) -> dict:
+    """``extract_constraint_graph``'s rows, each window sliced by hand."""
+    found: dict = {entry.constraint.relation: {} for entry in table}
+    for entry in table:
+        d_i = entry.depth
+        rows = found[entry.constraint.relation]
+        for v in model.nodes:
+            if entry.prop not in model.label(v):
+                continue
+            if len(v) < d_i:
+                raise StructureError(
+                    f"proposition {entry.prop!r} at node {structures._node_to_file(v)!r} needs {d_i} ancestors"
+                )
+            s, u = v[: len(v) - d_i], v[len(v) - d_i:]
+            rows[tuple(element_id(s + u[:off], var) for off, var in entry.constraint.args)] = None
+    return {rel: list(rows) for rel, rows in found.items()}
+
+
+def _random_tree(rng):
+    """A full tree of branching 1-3 and depth 0-3 over x and y, p and q."""
+    return random_tree_model(rng, rng.randint(0, 3), rng.randint(1, 3), ("x", "y"), props=("p", "q"))
+
+
+def _harness_formula(rng, pool: list):
+    """A formula of the harness's shape, with negated constraints in half
+    of them; two in five also reuse earlier formulas and their bodies."""
+    f = random_xonly_formula(rng, ("x", "y"), ("p", "q"), rng.randint(0, 3), negate_constraints=rng.random() < 0.5)
+    if pool and rng.random() < 0.4:
+        old = rng.choice(pool)
+        if rng.random() < 0.5:
+            f = rng.choice((And, Or))(f, old)
+        else:
+            first, second = (rng.choice([g.sub for g in postorder(h) if isinstance(g, (Exists, All))]) for h in (f, old))
+            f = rng.choice((Exists, All))(rng.choice((And, Or))(first, Next(rng.choice((first, second)))))
+    pool.append(f)
+    return f
+
+
+def test_bounded_evaluation_gives_the_reference_verdicts():
+    """The same verdict as the occurrence walk, at the root and at inner
+    nodes, on random trees and formulas of the harness's shape, many of
+    them reusing subformulas."""
+    rng = random.Random(23)
+    pool: list = []
+    verdicts = {True: 0, False: 0}
+    shared = 0
+    for _ in range(600):
+        tree = _random_tree(rng)
+        f = _harness_formula(rng, pool)
+        shared += len(postorder(f)) < _occurrences(f)
+        for node in ("", rng.choice(tree.nodes)):
+            got = satsearch.eval_bounded(tree, node, f)
+            assert got == plain_eval_bounded(tree, node, f), (str(f), node)
+            verdicts[got] += 1
+    assert min(verdicts.values()) >= 200 and shared >= 100, (verdicts, shared)
+
+
+def test_bounded_evaluation_refuses_where_the_reference_refused():
+    """On ill-shaped formulas the evaluator refuses wherever the short
+    circuit of the reference reached a refusal, and also where it did not;
+    where it answers, it answers as the reference."""
+    rng = random.Random(31)
+    pool: list = []
+    outcomes = {"both refuse": 0, "only the new refuses": 0, "same verdict": 0}
+    for _ in range(400):
+        tree = _random_tree(rng)
+        f = _random_skeleton(rng, rng.randint(0, 5), pool)
+        got = _outcome(partial(satsearch.eval_bounded, tree, ""), f)
+        want = _outcome(partial(plain_eval_bounded, tree, ""), f)
+        if type(want) is tuple:
+            assert type(got) is tuple, str(f)
+            outcomes["both refuse"] += 1
+        elif type(got) is tuple:
+            outcomes["only the new refuses"] += 1
+        else:
+            assert got == want, str(f)
+            outcomes["same verdict"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def _random_table(rng):
+    """An abstraction table of constraints over x and y of depth 0-3."""
+    relations = RELATIONS["Z"]
+    body = TRUE
+    for _ in range(rng.randint(1, 4)):
+        rel = rng.choice(relations)
+        depth = rng.randint(0, 3)
+        args = [(depth, rng.choice("xy"))] + [(rng.randint(0, depth), rng.choice("xy")) for _ in range(rel.arity - 1)]
+        body = And(body, Constraint(rel, rng.sample(args, len(args))))
+    return abstract_constraints(Exists(body))[1]
+
+
+def test_tree_windows_label_and_extract_as_the_hand_slicing():
+    """``abstract_model``'s labels, ``extract_constraint_graph``'s rows in
+    their order, and its refusal of a proposition too close to the root,
+    as the slicing of each window by hand gave them."""
+    rng = random.Random(37)
+    refused = 0
+    for _ in range(300):
+        tree = _random_tree(rng)
+        table = _random_table(rng)
+        labeled = structures.abstract_model(tree, table, Z_DOMAIN)
+        assert labeled.labels == plain_abstract_labels(tree, table, Z_DOMAIN)
+        graph = structures.extract_constraint_graph(labeled, table)
+        assert graph.interpretation == plain_extract_rows(labeled, table)
+        # table propositions strewn at random, near the root among them
+        strewn = dict(tree.labels)
+        for v in rng.sample(tree.nodes, rng.randint(0, len(tree.nodes))):
+            strewn[v] = strewn.get(v, frozenset()) | {rng.choice(list(table)).prop}
+        tree.labels = strewn
+        try:
+            want = plain_extract_rows(tree, table)
+        except StructureError as exc:
+            with pytest.raises(StructureError) as got:
+                structures.extract_constraint_graph(tree, table)
+            assert str(got.value) == str(exc)
+            refused += 1
+        else:
+            assert structures.extract_constraint_graph(tree, table).interpretation == want
+    assert 50 <= refused <= 250, refused
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Bounded model search and the abstraction round-trip checker."""
 
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from ctlz import (
     ConstraintKripke,
+    DomainError,
     Q_DOMAIN,
     Z_DOMAIN,
     check_ctlstar,
@@ -179,6 +182,8 @@ def test_reduction_consistency_rejects_graphs_and_until():
     g = ConstraintKripke(("a",), (("a", "a"),), {"a": frozenset()}, {("a", "x"): 0}, ("x",))
     with pytest.raises(SatSearchError, match="tree-shaped"):
         reduction_consistency(g, parse_formula("E X true"))
+    with pytest.raises(SatSearchError, match="tree-shaped"):
+        eval_bounded(g, "a", parse_formula("E X true"))
     with pytest.raises(SatSearchError, match="below the top level"):
         reduction_consistency(demo_tree(), parse_formula("E (p U q)"))
 
@@ -216,16 +221,38 @@ def test_bounded_evaluation_has_no_depth_limit():
     assert eval_bounded(t, "", parse_formula("~" * depth + "E X p")) == eval_bounded(t, "", parse_formula("E X p"))
 
 
-def test_bounded_evaluation_short_circuits_left_to_right():
+def test_bounded_evaluation_refuses_before_evaluating():
     t = demo_tree()
-    # the right operands are never evaluated, so their shape is not refused
-    assert not eval_bounded(t, "", parse_path_formula("false & (p U q)"))
-    assert eval_bounded(t, "", parse_path_formula("true | X p"))
-    with pytest.raises(SatSearchError, match="unsupported formula node Next"):
+    # the shape is checked up front, so no short circuit hides a right operand
+    with pytest.raises(SatSearchError, match="supported shape: p U q$"):
+        eval_bounded(t, "", parse_path_formula("false & (p U q)"))
+    with pytest.raises(SatSearchError, match="supported shape: X p$"):
+        eval_bounded(t, "", parse_path_formula("true | X p"))
+    with pytest.raises(SatSearchError, match="supported shape: X p$"):
         eval_bounded(t, "", parse_path_formula("true & X p"))
     # the shape check reports the leftmost offending node
     with pytest.raises(SatSearchError, match="supported shape: p U q$"):
         reduction_consistency(t, parse_path_formula("E X p & (p U q) & X q"))
+
+
+def test_registers_the_harness_cannot_read_are_refused():
+    # a variable the tree has no register for, with the text of abstract --model
+    with pytest.raises(SatSearchError, match="^constraint variable 'x' has no register$"):
+        reduction_consistency(demo_tree(), parse_formula("E X lt(x, X^1 x)"))
+    with pytest.raises(SatSearchError, match="^constraint variable 'x' has no register$"):
+        eval_bounded(demo_tree(), "", parse_formula("false & E X lt(x, X^1 x)"))
+    # a value outside the domain, refused before any verdict
+    t = random_tree_model(random.Random(3), depth=2, k=2)
+    t.registers[("12", "x")] = Fraction(1, 2)
+    for check in (partial(eval_bounded, t, ""), partial(reduction_consistency, t)):
+        with pytest.raises(SatSearchError, match="register value Fraction.* at node '12' is not in domain Z"):
+            check(parse_formula("E X mod[1,2](x)"))
+    # the value is in Q, where the relations are checked before any window is read
+    steps = [(v, v + c) for v in ("1", "2") for c in "12"]
+    expected = any(t.registers[(v, "x")] < t.registers[(w, "x")] for v, w in steps)
+    assert eval_bounded(t, "", parse_formula("E X lt(x, X^1 x)"), Q_DOMAIN) == expected
+    with pytest.raises(DomainError, match="Q does not interpret mod"):
+        eval_bounded(t, "", parse_formula("true | E X mod[1,2](x)"), Q_DOMAIN)
 
 
 def test_a_hit_the_checker_rejects_is_an_internal_error(monkeypatch, capsys):
