@@ -114,7 +114,6 @@ class ConcreteDomain:
     """A named structure: element universe plus relation evaluators."""
 
     name: str
-    element_kind: str
     width = 1  # components per element; tuple-valued domains override
 
     def supports(self, rel: RelationSymbol) -> bool:
@@ -223,7 +222,6 @@ class _NumericDomain(ConcreteDomain):
 
 class ZDomain(_NumericDomain):
     name = "Z"
-    element_kind = "integer"
 
     def check_value(self, value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
@@ -231,7 +229,6 @@ class ZDomain(_NumericDomain):
 
 class NDomain(_NumericDomain):
     name = "N"
-    element_kind = "nonnegative integer"
 
     def check_value(self, value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0
@@ -243,7 +240,6 @@ class NDomain(_NumericDomain):
 
 class NegZDomain(_NumericDomain):
     name = "negZ"
-    element_kind = "negative integer"
 
     def check_value(self, value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool) and value < 0
@@ -254,7 +250,6 @@ class NegZDomain(_NumericDomain):
 
 class QDomain(_NumericDomain):
     name = "Q"
-    element_kind = "rational"
     allow_modulo = False
 
     def check_value(self, value) -> bool:
@@ -316,7 +311,6 @@ class AllenDomain(ConcreteDomain):
     every complement is a positive disjunction of the other twelve."""
 
     name = "allenZ"
-    element_kind = "interval"
     width = 2
 
     def supports(self, rel: RelationSymbol) -> bool:
@@ -355,7 +349,6 @@ class LexDomain(ConcreteDomain):
             raise DomainError("lexZ needs width >= 1")
         self.width = width
         self.name = f"lexZ[{width}]"
-        self.element_kind = f"integer {width}-tuple"
 
     def supports(self, rel: RelationSymbol) -> bool:
         return rel.kind == INTERPRETED and rel.name in ("ltlex", "eqlex") and rel.arity == 2

@@ -710,14 +710,6 @@ def max_constraint_depth(f: Formula) -> int:
     return max((c.depth for c in constraints_of(f)), default=0)
 
 
-def constants_of(f: Formula) -> set:
-    return {c.relation.params[0] for c in constraints_of(f) if c.relation.kind == CONSTANT}
-
-
-def moduli_of(f: Formula) -> set[int]:
-    return {c.relation.params[1] for c in constraints_of(f) if c.relation.kind == MODULO}
-
-
 def is_nnf(f: Formula) -> bool:
     """Negation only in front of propositions and constraints."""
     return all(isinstance(g.sub, (Prop, Constraint)) for g in postorder(f) if isinstance(g, Not))

@@ -39,13 +39,14 @@ pass per constraint over columns of register values indexed by window.
 The bounded search builds one skeleton per edge mask and computes the
 bits itself.
 
-``check_ctlstar`` compiles a formula once (the compiled plans sit in one
-LRU cache): NNF, depth and constraints, the NNF's distinct nodes that
-the state classifier marks in postorder, and for each E psi / A psi the
-path formula with each maximal state subformula and constraint replaced
-by a proposition (negated for A) together with its automaton.  On a
-model, one loop then labels each state subformula bottom-up (Emerson
-and Lei's per-subformula reduction), without recursion.
+``check_ctlstar`` compiles a formula once (an LRU cache of plans): the
+NNF's distinct nodes as the state classifier marks them in postorder,
+the constraints among them and their depth, and for each E psi / A psi
+the path formula with each maximal state subformula and constraint
+replaced by a numbered proposition (negated for A) and its automaton,
+cached per path formula, so formulas share the automata of equal path
+shapes.  On a model, one loop then labels each state subformula
+bottom-up (Emerson and Lei's per-subformula reduction), no recursion.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ from .formulas import (
     Until,
     _children,
     classify_states,
-    constraints_of,
-    max_constraint_depth,
     negate,
     postorder,
     rewrite,
@@ -404,6 +403,15 @@ def _accepted_start_windows(classes, edges, n_marks, letters, sinks) -> set:
 
 
 @lru_cache(maxsize=512)
+def _automaton(psi: Formula) -> tuple:
+    """The automaton of a proposition-only path formula as the product reads
+    it: edge table, number of acceptance marks, propositions and sinks."""
+    aut = ltl_to_buchi(psi)
+    edges = _edge_table(aut)
+    return edges, len(aut.untils), aut.propositions, _sinks(edges, len(aut.untils))
+
+
+@lru_cache(maxsize=512)
 def _compile(formula: Formula) -> tuple:
     """The model-independent part of check_ctlstar: the window depth, the
     constraints, the NNF's distinct state-formula nodes (children before
@@ -415,13 +423,13 @@ def _compile(formula: Formula) -> tuple:
     state = classify_states(nnf)  # None marks a state subformula
     if state[nnf] is not None:
         raise ModelCheckError("model checking expects a state formula")
-    depth, constraints = max_constraint_depth(nnf), tuple(constraints_of(nnf))
+    constraints = tuple(g for g in state if isinstance(g, Constraint))  # in postorder
+    depth = max((c.depth for c in constraints), default=0)
     constraint_prop = {c: f"__c{i}" for i, c in enumerate(constraints)}
     constraint_index = {f"__c{i}": i for i in range(len(constraints))}
     order = tuple(g for g, first in state.items() if first is None)
 
     paths: dict = {}
-    automata: dict = {}
     for f in order:
         if not isinstance(f, (Exists, All)):
             continue
@@ -443,13 +451,9 @@ def _compile(formula: Formula) -> tuple:
         psi = rewrite(f.sub, visit)
         if isinstance(f, All):
             psi = negate(psi)  # A psi holds where E ~psi fails
-        if psi not in automata:
-            aut = ltl_to_buchi(psi)
-            edges = _edge_table(aut)
-            automata[psi] = (aut, edges, _sinks(edges, len(aut.untils)))
-        aut, edges, sinks = automata[psi]
+        edges, n_marks, props, sinks = _automaton(psi)
         source = {name: g for g, name in names.items()} | constraint_index
-        paths[f] = (edges, len(aut.untils), tuple(source[p] for p in aut.propositions), sinks)
+        paths[f] = (edges, n_marks, tuple(source[p] for p in props), sinks)
     return depth, constraints, order, paths
 
 
@@ -506,10 +510,9 @@ def check_ctl_oracle(model: ConstraintKripke, formula: Formula, dom=Z_DOMAIN) ->
     free of the tableau machinery so the two checkers can disagree.  One
     loop fills the node set of every state subformula, children first."""
     formula = to_nnf(formula)
-    depth = max_constraint_depth(formula)
-    constraints = constraints_of(formula)
-    wm = expand_windows(model, depth, constraints, dom)
     state = classify_states(formula)  # None marks a state subformula
+    constraints = [g for g in state if isinstance(g, Constraint)]
+    wm = expand_windows(model, max((c.depth for c in constraints), default=0), constraints, dom)
     if state[formula] is not None:
         raise ModelCheckError("model checking expects a state formula")
     nwin = len(wm.windows)

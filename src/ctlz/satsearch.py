@@ -18,8 +18,8 @@ truth must survive abstraction plus a register homomorphism, and a
 homomorphism witness must convert back into a concrete model.  Its
 evaluator, eval_bounded, checks the formula's shape and the registers
 it reads before it reads the tree, then values each distinct node once
-per window of the tree (structures.tree_windows), so a formula that
-reuses subformulas costs its distinct nodes.
+per window that starts at the evaluated node, so a formula that reuses
+subformulas costs its distinct nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from operator import itemgetter
 
 from .domains import ConcreteDomain, Z_DOMAIN
 from .formulas import (
+    CONSTANT,
+    MODULO,
     All,
     And,
     BoolConst,
@@ -44,12 +46,10 @@ from .formulas import (
     _children,
     abstract_constraints,
     classify_states,
-    constants_of,
+    constraints_of,
     is_snnf,
     is_state_formula,
-    moduli_of,
     postorder,
-    propositions_of,
     variables_of,
 )
 from .homcheck import decide_hom, verify_hom
@@ -62,7 +62,6 @@ from .structures import (
     extract_constraint_graph,
     gamma_map,
     register_fault,
-    tree_windows,
 )
 
 
@@ -91,18 +90,16 @@ def candidate_values(formula: Formula, register_range: int, dom: ConcreteDomain 
             return [v for v in range(-r, r + 1) if dom.check_value(v)]
         full = itertools.product(range(-r, r + 1), repeat=dom.width)
         return [t for t in full if dom.check_value(t)]
-    pool = {v for v in (-r, 0, r)}
-    for c in constants_of(formula):
+    relations = [c.relation for c in constraints_of(formula)]
+    pool = {-r, 0, r}
+    for c in {rel.params[0] for rel in relations if rel.kind == CONSTANT}:
         for comp in c if isinstance(c, tuple) else (c,):
             if -r <= comp <= r and comp == int(comp):
                 pool.add(int(comp))
-    for b in moduli_of(formula):
-        for a in range(b):
-            for k in range(r + 1):
-                hit = next((v for v in (k, -k) if -r <= v <= r and v % b == a), None)
-                if hit is not None:
-                    pool.add(hit)
-                    break
+    # per residue class its value nearest 0, the positive one on a tie, is written last
+    inward = sorted(range(-r, r + 1), key=lambda v: (abs(v), v < 0), reverse=True)
+    for b in {rel.params[1] for rel in relations if rel.kind == MODULO}:
+        pool.update({v % b: v for v in inward}.values())
     if dom.width == 1:
         return sorted(v for v in pool if dom.check_value(v))
     # tuple-valued domains range each component over the scalar pool, so a
@@ -238,12 +235,13 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
         raise SatSearchError("max_nodes must be at least 1")
     if register_range < 0:
         raise SatSearchError("register_range must be nonnegative")
-    variables = variables_of(formula)
-    props = propositions_of(formula)
+    plan = _compile(formula)
+    # NNF keeps each leaf in place: the formula's variables and propositions in order
+    variables = list(dict.fromkeys(var for c in plan[1] for _, var in c.args))
+    props = [f.name for f in plan[2] if isinstance(f, Prop)]
     pool = candidate_values(formula, register_range, dom, full_sweep)
     if variables and not pool:
         return None
-    plan = _compile(formula)
     # a one-node window graph never exceeds the window limit, so asking
     # the domain here raises what the first model check would
     tables = [_TruthTable(dom.relation_test(c.relation), pool, c.relation.arity) for c in plan[1]]
@@ -367,9 +365,10 @@ def eval_bounded(model: ConstraintKripke, node: str, formula: Formula, dom: Conc
                 bits[g] = bits[g.left] & bits[g.right]
             elif cls is Or:
                 bits[g] = bits[g.left] | bits[g.right]
-            else:  # a quantifier, at the node
-                body = postorder(g.sub)
-                truths = (holds(w, body) for w in tree_windows(model, need[g.sub]) if w[0] == node)
+            else:  # a quantifier, at the node: its descendants d below end the windows
+                d, body = need[g.sub], postorder(g.sub)
+                ends = (v for v in model.nodes if len(v) == len(node) + d and v.startswith(node))
+                truths = (holds(tuple([v[: len(node) + i] for i in range(d + 1)]), body) for v in ends)
                 bits[g] = -(any(truths) if cls is Exists else all(truths))
         return bool(bits[nodes[-1]] & 1)
 

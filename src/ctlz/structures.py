@@ -442,6 +442,7 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
     the proposition p_i is placed on node s.u (|u| = d_i) exactly when
     (gamma(s.u[:j1], x1), ..., gamma(s.u[:jk], xk)) is in I(r).  Nodes
     closer than d_i to the root carry no p_i: their window is truncated.
+    A relation the domain lacks is refused up front, however deep the tree.
     """
     if not model.is_tree:
         raise StructureError("abstract_model expects a tree model")
@@ -452,13 +453,11 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
             raise StructureError(f"node {node!r} already carries table proposition {sorted(clash)[0]!r}")
     if fault := register_fault(model, [var for entry in table for _, var in entry.constraint.args], dom):
         raise StructureError(fault)
+    tests = [dom.relation_test(entry.constraint.relation) for entry in table]
 
     new_labels = {n: set(model.label(n)) for n in model.nodes}
-    for entry in table:
-        windows = tree_windows(model, entry.depth)
-        # asked only when a window reads it, so a tree too shallow for the constraint is not refused
-        holds = windows and dom.relation_test(entry.constraint.relation)
-        for w in windows:
+    for entry, holds in zip(table, tests):
+        for w in tree_windows(model, entry.depth):
             if holds(tuple(model.registers[(w[off], var)] for off, var in entry.constraint.args)):
                 new_labels[w[-1]].add(entry.prop)
     labels = {n: frozenset(ps) for n, ps in new_labels.items() if ps}

@@ -215,6 +215,19 @@ def test_abstract_refuses_a_register_value_outside_the_domain(capsys, tmp_path):
         2, "", "error: register value (1, 3) of variable 'x' at node 'eps' is not in domain Z\n")
 
 
+@pytest.mark.parametrize("command", ["abstract", "extract"])
+@pytest.mark.parametrize("levels", [2, 4])
+def test_a_relation_the_domain_lacks_is_refused_at_any_tree_depth(capsys, tmp_path, command, levels):
+    # the constraint reads three levels down: the two-level tree has no
+    # window for it, and is refused all the same
+    nodes = ["eps", "1", "11", "111"][:levels]
+    model = tmp_path / "chain.model"
+    registers = "".join(f"{n} x {i}\n" for i, n in enumerate(nodes))
+    model.write_text(f"SHAPE tree 1 {levels - 1}\nVARS x\nNODES\n" + "\n".join(nodes) + f"\nREGISTERS\n{registers}")
+    argv = [command, "--model", str(model), "--formula", "E X mod[1,2](X^3 x)", "--domain", "Q"]
+    assert run(capsys, *argv) == (2, "", "error: Q does not interpret mod[1,2]\n")
+
+
 # ---------------------------------------------------------------------------
 # MSO commands
 

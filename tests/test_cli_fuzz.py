@@ -13,13 +13,23 @@ well-formed inputs with register values of every domain's kind, so most
 runs reach the checkers, and the mutations (a character dropped, doubled
 or replaced, a line dropped or doubled) exercise the readers.  The Z
 sentence is about 2 MB of text, so ``eval-mso`` and ``selftest`` get a
-small share of the runs and ``eval-mso`` a small share of Z.  For a
-longer search, raise ``RUNS`` or add seeds.
+small share of the runs and ``eval-mso`` a small share of Z.
+
+For a longer search outside pytest, run the same generators for a set
+time: ``PYTHONPATH=src python tests/test_cli_fuzz.py --seconds 600 --seed
+N`` prints the runs per subcommand and the argv, with the files it
+names, of every run that ends in an internal error, and exits 1 if any
+did.  Seeds 0-2 start with the runs of the tier-1 slice.
 """
 
+import argparse
+import contextlib
+import io
 import os
 import random
+import sys
 import tempfile
+import time
 
 import pytest
 
@@ -234,3 +244,35 @@ def test_no_input_ends_in_an_internal_error(seed, tmp_path, capsys):
     # every subcommand runs, and the deciders answer both ways
     assert len(commands) == 13, sorted(commands)
     assert all({0, 1} <= commands[name] for name in ("mc", "sat", "homcheck", "brutehom", "eval-mso")), commands
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Fuzz the ctlz command line for a set time.")
+    parser.add_argument("--seconds", type=float, default=600.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    rng = random.Random(f"cli-fuzz-{args.seed}")
+    runs: dict = {}
+    crashes = 0
+    deadline = time.monotonic() + args.seconds
+    while time.monotonic() < deadline:
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = _argv(rng, tmp)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(argv)
+            runs[argv[0]] = runs.get(argv[0], 0) + 1
+            if code not in (0, 1, 2) or "internal error" in err.getvalue():
+                crashes += 1
+                print(f"exit {code}: {argv}\n{err.getvalue()}", end="")
+                for path in (a for a in argv if a.startswith(tmp)):
+                    with open(path) as fh:
+                        print(f"--- {path}\n{fh.read()}", end="")
+    for command in sorted(runs):
+        print(f"{command}: {runs[command]} runs")
+    print(f"{sum(runs.values())} runs, {crashes} internal errors")
+    return 1 if crashes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

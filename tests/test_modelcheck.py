@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 import ctlz
+import ctlz.modelcheck as modelcheck
 from ctlz import (
     All,
     And,
@@ -241,6 +242,17 @@ def test_automata_do_not_depend_on_node_addresses():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == next(iter(tables))
+
+
+def test_formulas_of_one_path_shape_share_one_automaton(monkeypatch):
+    built = []
+    tableau = modelcheck.ltl_to_buchi
+    monkeypatch.setattr(modelcheck, "ltl_to_buchi", lambda psi: built.append(psi) or tableau(psi))
+    _compile.cache_clear()
+    modelcheck._automaton.cache_clear()
+    _compile(parse_formula("E (lt(x, y) U eq(y, z))"))
+    _compile(parse_formula("E (lt(u, v) U eq(v, w))"))
+    assert [str(psi) for psi in built] == ["__c0 U __c1"]
 
 
 # ---------------------------------------------------------------------------
