@@ -158,9 +158,10 @@ def _cmd_extract(args) -> int:
     dom = domain_by_name(args.domain)
     f = to_snnf(parse_formula(_read_arg(args.formula)), dom)
     _, table = abstract_constraints(f, prop_prefix="ap")
+    model = _load_model(args.model)
     for entry in table:
         dom.relation_test(entry.constraint.relation)  # refuses a relation the domain lacks
-    graph = extract_constraint_graph(_load_model(args.model), table)
+    graph = extract_constraint_graph(model, table)
     text = structure_to_text(graph)
     if args.json:
         relations = {

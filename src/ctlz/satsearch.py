@@ -96,10 +96,9 @@ def candidate_values(formula: Formula, register_range: int, dom: ConcreteDomain 
         for comp in c if isinstance(c, tuple) else (c,):
             if -r <= comp <= r and comp == int(comp):
                 pool.add(int(comp))
-    # per residue class its value nearest 0, the positive one on a tie, is written last
-    inward = sorted(range(-r, r + 1), key=lambda v: (abs(v), v < 0), reverse=True)
     for b in {rel.params[1] for rel in relations if rel.kind == MODULO}:
-        pool.update({v % b: v for v in inward}.values())
+        # residue a's value nearest 0 is a or a - b, the positive one on a tie
+        pool.update(v for v in (a if 2 * a <= b else a - b for a in range(b)) if -r <= v <= r)
     if dom.width == 1:
         return sorted(v for v in pool if dom.check_value(v))
     # tuple-valued domains range each component over the scalar pool, so a

@@ -442,8 +442,9 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
     the proposition p_i is placed on node s.u (|u| = d_i) exactly when
     (gamma(s.u[:j1], x1), ..., gamma(s.u[:jk], xk)) is in I(r).  Nodes
     closer than d_i to the root carry no p_i: their window is truncated.
-    A relation the domain lacks is refused up front, however deep the tree.
+    A relation the domain lacks is refused first, however deep the tree.
     """
+    tests = [dom.relation_test(entry.constraint.relation) for entry in table]
     if not model.is_tree:
         raise StructureError("abstract_model expects a tree model")
     table_props = {entry.prop for entry in table}
@@ -453,7 +454,6 @@ def abstract_model(model: ConstraintKripke, table: AbstractionTable, dom: Concre
             raise StructureError(f"node {node!r} already carries table proposition {sorted(clash)[0]!r}")
     if fault := register_fault(model, [var for entry in table for _, var in entry.constraint.args], dom):
         raise StructureError(fault)
-    tests = [dom.relation_test(entry.constraint.relation) for entry in table]
 
     new_labels = {n: set(model.label(n)) for n in model.nodes}
     for entry, holds in zip(table, tests):

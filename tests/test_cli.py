@@ -228,6 +228,16 @@ def test_a_relation_the_domain_lacks_is_refused_at_any_tree_depth(capsys, tmp_pa
     assert run(capsys, *argv) == (2, "", "error: Q does not interpret mod[1,2]\n")
 
 
+@pytest.mark.parametrize("command", ["abstract", "extract"])
+def test_a_relation_the_domain_lacks_is_refused_before_the_model_checks(capsys, tmp_path, command):
+    # the tree has no register for x, which `abstract --model` refuses too;
+    # both commands name the relation first
+    model = tmp_path / "noreg.model"
+    model.write_text("SHAPE tree 1 1\nVARS y\nNODES\neps\n1\nREGISTERS\neps y 0\n1 y 1\n")
+    argv = [command, "--model", str(model), "--formula", "E X mod[1,2](X^3 x)", "--domain", "Q"]
+    assert run(capsys, *argv) == (2, "", "error: Q does not interpret mod[1,2]\n")
+
+
 # ---------------------------------------------------------------------------
 # MSO commands
 

@@ -218,7 +218,9 @@ _REBUILT = "A (false U A eqc[0](X^2 y) | p U mod[1,2](X^2 y)) | ~E A E mod[1,2](
 
 def _edge_tables(text: str) -> str:
     """The compiled automata of a formula, as text: per path quantifier,
-    in the plan's order, its edge table, mark count and tracked inputs."""
+    in the plan's order, its edge table, mark count and tracked inputs.
+    The automaton cache is cleared first, so every call builds them anew."""
+    modelcheck._automaton.cache_clear()
     _, _, order, paths = _compile.__wrapped__(parse_formula(text))
     return repr([(str(f), *paths[f][:2], [str(g) for g in paths[f][2]], sorted(paths[f][3]))
                  for f in order if f in paths])

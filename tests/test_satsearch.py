@@ -45,6 +45,14 @@ def test_pool_contains_boundaries_constants_and_residues():
     assert candidate_values(g, 5) == [-5, -1, 0, 1, 5]
 
 
+def test_pool_for_a_large_range_holds_one_value_per_residue():
+    # each residue class is read near 0, so a wide range costs no more than a narrow one
+    r = 10**6
+    assert candidate_values(parse_formula("E F p"), r) == [-r, 0, r]
+    g = parse_formula("E (mod[1,3](x) U mod[0,4](X^1 x))")
+    assert candidate_values(g, r) == [-r, -1, 0, 1, 2, r]
+
+
 def test_full_sweep_pool():
     g = parse_formula("E (lt(x, X^1 x) & mod[1,3](x))")
     assert candidate_values(g, 5, full_sweep=True) == list(range(-5, 6))
