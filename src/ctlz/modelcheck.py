@@ -457,10 +457,19 @@ def _compile(formula: Formula) -> tuple:
     return depth, constraints, order, paths
 
 
-def _label_states(plan: tuple, nodes, label, windows, classes, bits) -> frozenset:
+def _label_states(plan: tuple, nodes, label, windows, classes, bits, unknown=None) -> frozenset:
     """The nodes that satisfy a compiled formula, given the windows, their
     successor classes from ``window_skeleton``, the node labels and each
-    window's constraint bits: one loop fills every state subformula's node set, children first."""
+    window's constraint bits: one loop fills every state subformula's node set, children first.
+
+    With ``unknown``, per window the constraints whose truth is not fixed
+    yet (their bits are 0), the node sets are upper bounds: a node left
+    out satisfies its subformula under no truth of the unknown ones.  The
+    NNF negates only literals, so it is monotone in them and in its state
+    subformulas.  Under E an unknown constraint meets both a positive and
+    a negative guard; A psi is the complement of E ~psi, which needs a
+    lower bound, so there it meets neither.  Each letter then carries its
+    bits twice, and the positive guards move up to read the upper copy."""
     _, _, order, paths = plan
     all_nodes = frozenset(nodes)
     firsts = [w[0] for w in windows]
@@ -485,6 +494,16 @@ def _label_states(plan: tuple, nodes, label, windows, classes, bits) -> frozense
                 else:
                     holds = sat[g]
                     letters = [letter | (v in holds) << i for letter, v in zip(letters, firsts)]
+            if unknown is not None:  # unknown constraints: on in the upper copy for E, in the lower for A
+                shift = len(tracked)
+                moves = [(g, i) for i, g in enumerate(tracked) if type(g) is int]
+                open_bits = [sum((u >> g & 1) << i for g, i in moves) for u in unknown]
+                if isinstance(f, Exists):
+                    letters = [(letter | x) << shift | letter for letter, x in zip(letters, open_bits)]
+                else:
+                    letters = [letter << shift | letter | x for letter, x in zip(letters, open_bits)]
+                edges = tuple(tuple((pos << shift, neg, target, marks) for pos, neg, target, marks in out)
+                              for out in edges)
             found = frozenset(firsts[wi] for wi in _accepted_start_windows(classes, edges, n_marks, letters, sinks))
             sat[f] = found if isinstance(f, Exists) else all_nodes - found
     return sat[order[-1]]

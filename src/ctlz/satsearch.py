@@ -7,12 +7,16 @@ which cannot move the first model (a renamed copy of it at a smaller
 mask would have been found first).  Per edge mask the window graph is
 built once, and the model checker's state labelling runs once per
 distinct vector of constraint truths on the windows, which is all it
-depends on besides the graph and the labels.  The hit is confirmed by
-check_ctlstar on the returned model, so it is verified by construction.
-A miss only means no model within the bounds.  Every model of an
-existential formula (ECTL*) embeds in the complete graph, so one sweep
-of it decides a miss; the sweep starts by a ski-rental rule and is
-skipped past WINDOW_LIMIT (see find_model).  The consistency harness
+depends on besides the graph and the labels.  Register cells are set
+in stages, in the same lexicographic order; at the end of a stage, one
+labelling with the constraints not yet valued left open bounds the
+nodes any completion can satisfy, and a prefix whose bound is empty is
+skipped whole (see find_model).  The hit is confirmed by check_ctlstar
+on the returned model, so it is verified by construction.  A miss only
+means no model within the bounds.  Every model of an existential
+formula (ECTL*) embeds in the complete graph, so one sweep of it decides
+a miss; the sweep starts by a ski-rental rule and is skipped past
+WINDOW_LIMIT (see find_model).  The consistency harness
 replays the constraint-abstraction argument on finite trees: concrete
 truth must survive abstraction plus a register homomorphism, and a
 homomorphism witness must convert back into a concrete model.  Its
@@ -79,23 +83,20 @@ def candidate_values(formula: Formula, register_range: int, dom: ConcreteDomain 
 
     Order/equality/modulo constraints cannot tell apart values that agree
     on the mentioned constants and residue classes, so boundary values,
-    mentioned constants, and one minimum-magnitude hit per residue class
-    cover the search space.  The same pool comes out for a formula and
+    mentioned constants (a fraction where the domain holds it, as Q
+    does), and one minimum-magnitude hit per residue class cover the
+    search space.  The same pool comes out for a formula and
     its witness-normalized form because the pool depends only on the
-    constant and modulus sets, which normalization preserves.
+    constant and modulus sets, which normalization preserves.  The full
+    sweep takes every integer in [-r, r] and the constants.
     """
     r = register_range
-    if full_sweep:
-        if dom.width == 1:
-            return [v for v in range(-r, r + 1) if dom.check_value(v)]
-        full = itertools.product(range(-r, r + 1), repeat=dom.width)
-        return [t for t in full if dom.check_value(t)]
     relations = [c.relation for c in constraints_of(formula)]
-    pool = {-r, 0, r}
+    pool = set(range(-r, r + 1)) if full_sweep else {-r, 0, r}
     for c in {rel.params[0] for rel in relations if rel.kind == CONSTANT}:
         for comp in c if isinstance(c, tuple) else (c,):
-            if -r <= comp <= r and comp == int(comp):
-                pool.add(int(comp))
+            if -r <= comp <= r:  # the domain's check below drops a fraction it lacks
+                pool.add(int(comp) if comp == int(comp) else comp)
     for b in {rel.params[1] for rel in relations if rel.kind == MODULO}:
         # residue a's value nearest 0 is a or a - b, the positive one on a tie
         pool.update(v for v in (a if 2 * a <= b else a - b for a in range(b)) if -r <= v <= r)
@@ -154,18 +155,58 @@ class _TruthTable(dict):
         return truth
 
 
+def _cuts(plan: tuple, n_values: int, atoms, n_cells: int, n_windows: int) -> list:
+    """The prefix lengths, in register cells, at which the search checks
+    its bound: those where some atom has just become known and some is
+    still unknown, and whose completions, ``n_values`` for each of the
+    cells left, are at least the passes of one bound call over the
+    ``n_windows`` windows, once per tracked proposition of each path
+    formula and once more in the product (a ski-rental rule)."""
+    if n_cells < 2:
+        return []
+    cost = n_windows * (1 + sum(len(path[2]) for path in plan[3].values()))
+    levels = sorted({max(cells) for _, cells in atoms})  # the highest cells the atoms read
+    return [level + 1 for level in levels[:-1] if n_values ** (n_cells - level - 1) >= cost]
+
+
+def _first_hit(search: tuple, k: int, prefix: tuple, truth: int):
+    """The first hit among the completions of a prefix of pool indices
+    that ends where stage k starts, as (pool indices, satisfying nodes),
+    or None.  ``search`` is (stages, the pool's indices, per window its
+    atoms' bits, memo, state labelling); a stage is (where it ends, its
+    atoms, the tag of its memo keys, the constraints still unknown at its
+    end, or None in the last stage, which values them all)."""
+    stages, indices, rows, memo, label_states = search
+    end, readers, tag, unknown = stages[k]
+    for rest in itertools.product(indices, repeat=end - len(prefix)):
+        values = prefix + rest
+        t = sum([bit for bit, table, read in readers if table[read(values)]], truth)
+        sat = memo.get(t | tag)
+        if sat is None:
+            bits = [sum((t >> a & 1) << ci for ci, a in enumerate(row)) for row in rows]
+            sat = memo[t | tag] = label_states(bits, unknown)
+        if sat:
+            if unknown is None:
+                return values, sat
+            hit = _first_hit(search, k + 1, values, t)
+            if hit:
+                return hit
+    return None
+
+
 def _sweep_graph(plan: tuple, tables: list, pool: list, props: tuple, variables: tuple, nodes: list, edges: set):
     """The number of windows of one graph, and its first labelling and
     register assignment in canonical order under which some node
     satisfies the compiled formula, as (labels, registers, satisfying
-    nodes), or None when there is none."""
+    nodes), or None when there is none.  The register cells are set in
+    stages split at the cuts (``_cuts``), with a bound call between
+    stages (see find_model)."""
     depth, constraints = plan[0], plan[1]
     position = {v: i for i, v in enumerate(nodes)}
     var_index = {x: k for k, x in enumerate(variables)}
     reg_cells = [(v, x) for v in nodes for x in variables]
     windows, classes = window_skeleton(nodes, edges, depth)
-    # an atom is one constraint on the register cells of one window
-    atoms: dict = {}
+    atoms: dict = {}  # (constraint index, cells read) -> bit position
     window_atoms = []
     for w in windows:
         row = []
@@ -173,7 +214,18 @@ def _sweep_graph(plan: tuple, tables: list, pool: list, props: tuple, variables:
             cells = tuple(position[w[off]] * len(variables) + var_index[var] for off, var in c.args)
             row.append(atoms.setdefault((ci, cells), len(atoms)))
         window_atoms.append(row)
-    readers = [(tables[ci], itemgetter(*cells)) for ci, cells in atoms]
+    cuts = _cuts(plan, len(pool), atoms, len(reg_cells), len(windows))
+    readers = [(1 << a, tables[ci], itemgetter(*cells)) for a, (ci, cells) in enumerate(atoms)]
+    stages = []
+    if cuts:  # per stage, the atoms whose highest cell it sets
+        levels = [max(cells) for _, cells in atoms]
+        for k, (start, end) in enumerate(zip([0] + cuts, cuts)):
+            mine = [r for r, level in zip(readers, levels) if start <= level < end]
+            # a bit above the atoms tags the cut's memo keys
+            unknown = [sum(1 << ci for ci, a in enumerate(row) if levels[a] >= end) for row in window_atoms]
+            stages.append((end, mine, 1 << (len(atoms) + k), unknown))
+        readers = [r for r, level in zip(readers, levels) if level >= cuts[-1]]
+    stages.append((len(reg_cells), readers, 0, None))
     for label_mask in range(1 << (len(nodes) * len(props))):
         labels = {}
         for i, v in enumerate(nodes):
@@ -181,15 +233,11 @@ def _sweep_graph(plan: tuple, tables: list, pool: list, props: tuple, variables:
             if on:
                 labels[v] = on
         label = {v: labels.get(v, frozenset()) for v in nodes}.__getitem__
-        memo: dict = {}  # truths of the atoms -> satisfying nodes
-        for values in itertools.product(range(len(pool)), repeat=len(reg_cells)):
-            truths = tuple([table[read(values)] for table, read in readers])
-            sat = memo.get(truths)
-            if sat is None:
-                bits = [sum(truths[a] << ci for ci, a in enumerate(row)) for row in window_atoms]
-                sat = memo[truths] = _label_states(plan, nodes, label, windows, classes, bits)
-            if sat:
-                return len(windows), (labels, {cell: pool[j] for cell, j in zip(reg_cells, values)}, sat)
+        label_states = partial(_label_states, plan, nodes, label, windows, classes)
+        hit = _first_hit((stages, range(len(pool)), window_atoms, {}, label_states), 0, (), 0)
+        if hit:
+            values, sat = hit
+            return len(windows), (labels, {cell: pool[j] for cell, j in zip(reg_cells, values)}, sat)
     return len(windows), None
 
 
@@ -214,6 +262,24 @@ def find_model(formula: Formula, dom: ConcreteDomain = Z_DOMAIN, max_nodes: int 
     those indices are filled lazily, and the state labelling is computed
     once per distinct vector of truths.  The hit is confirmed by one call
     of check_ctlstar on the returned model, which also picks the node.
+
+    Register cells are ordered node-major, the last cell changing
+    fastest.  An atom, one constraint on the cells of one window, is
+    valued when the highest cell it reads is set, into one bit of a
+    truth int that keys the memo.  At a prefix the atoms above it are
+    unknown, and one bound call of the state labelling says which nodes
+    some completion can satisfy.  The NNF negates only literals, so it
+    is monotone in them: under E an unknown literal meets both a
+    positive and a negative guard; A psi is decided as the complement of
+    E ~psi, whose lower bound lets an unknown literal meet neither; state
+    subformulas read their own bounds.  When no node is in the bound, no
+    completion is a model, so skipping them leaves the visited
+    assignments in order and cannot move the first model.  A check costs
+    one labelling, which passes over the windows once per tracked
+    proposition and once more in the product, so a prefix is checked only
+    where its completions are at least those passes (a ski-rental rule; the
+    empty prefix is never checked), and the cells past the deepest check
+    are walked one assignment at a time.
 
     A miss of an existential formula (no A in its NNF) is decided on the
     complete graph K on max_nodes nodes.  Its truth at a node survives

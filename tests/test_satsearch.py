@@ -138,6 +138,22 @@ def test_rational_domain_search():
         find_model(g, Q_DOMAIN)
 
 
+def test_rational_constants_enter_the_pool_over_q(capsys):
+    f = parse_formula("E F eqc[1/2](x)")
+    assert candidate_values(f, 1, Q_DOMAIN) == [-1, 0, Fraction(1, 2), 1]
+    assert candidate_values(f, 1, Q_DOMAIN, full_sweep=True) == [-1, 0, Fraction(1, 2), 1]
+    model, node = find_model(f, Q_DOMAIN, 1, 1)
+    assert model.registers[(node, "x")] == Fraction(1, 2)
+    assert run_command(["sat", "--formula", "E F eqc[1/2](x)", "--domain", "Q", "--range", "1"]) == 0
+    assert "s0 x 1/2" in capsys.readouterr().out
+    # the integer domains hold no fraction, and Z does not interpret the relation
+    assert candidate_values(f, 1, Z_DOMAIN) == [-1, 0, 1]
+    with pytest.raises(DomainError):
+        find_model(f, Z_DOMAIN, 1, 1)
+    # an integral fraction enters as its int, as before
+    assert candidate_values(parse_formula("E eqc[2/2](x)"), 1, Q_DOMAIN) == [-1, 0, 1]
+
+
 def test_labels_only_enumerated_when_needed():
     model, node = find_model(parse_formula("E X p"))
     assert "p" in model.label(sorted(model.nodes)[0]) or any(

@@ -8,6 +8,8 @@ first model, or raise the same exception, on seeded random formulas over
 every searchable domain.  Existential formulas get a corpus of their own,
 weighted toward misses, since their misses are decided on the complete
 graph; the embedding argument behind that is checked on its own too.
+So is the bound the search checks on prefixes of a register assignment:
+it must name every node that some completion satisfies.
 """
 
 import itertools
@@ -45,6 +47,8 @@ from ctlz import (
     relation_from_name,
     variables_of,
 )
+from ctlz import satsearch
+from ctlz.modelcheck import _compile, _label_states, window_skeleton
 from ctlz.satsearch import SatSearchError, _search_masks, candidate_values, find_model
 
 
@@ -308,3 +312,107 @@ def test_existential_truth_survives_embedding_in_the_complete_graph():
             checked[check is check_ctl_oracle] += bool(sat)
     # both checkers see formulas that hold somewhere, so the inclusion says something
     assert min(checked.values()) >= 20
+
+
+def _random_nested(rng, variables, props):
+    """A state formula mixing E and A, with quantifiers nested in path
+    formulas, U and R, and negated literals; its constants are 0 and 1,
+    so a pool over [-1, 1] or wider can tell every literal apart."""
+
+    def literal():
+        if props and rng.random() < 0.2:
+            p = Prop(rng.choice(props))
+            return Not(p) if rng.random() < 0.3 else p
+        rel = rng.choice((LT, EQ, const_rel(0), const_rel(1)))
+        c = Constraint(rel, tuple((rng.randint(0, 1), rng.choice(variables)) for _ in range(rel.arity)))
+        return Not(c) if rng.random() < 0.3 else c
+
+    def path(d, nest):
+        roll = rng.random()
+        if d <= 0 or roll < 0.25:
+            return state(nest - 1) if nest > 0 and roll < 0.1 else literal()
+        if roll < 0.4:
+            return Next(path(d - 1, nest))
+        if roll < 0.6:
+            return And(path(d - 1, nest), path(d - 1, nest))
+        if roll < 0.7:
+            return Or(path(d - 1, nest), path(d - 1, nest))
+        return (Until if roll < 0.85 else Release)(path(d - 1, nest), path(d - 1, nest))
+
+    def state(nest):
+        f = (Exists if rng.random() < 0.5 else All)(path(2, nest))
+        if nest > 0 and rng.random() < 0.3:
+            return (And if rng.random() < 0.6 else Or)(f, state(nest - 1))
+        return f
+
+    return state(2)
+
+
+def test_bound_holds_every_completion():
+    """The search's bound call on a prefix of a register assignment names
+    every node that some completion of the prefix satisfies."""
+    rng = random.Random(2006)
+    pool = [-1, 0, 1]
+    kinds, cut = set(), 0
+    for i in range(80):
+        variables = ("x", "y") if rng.random() < 0.6 else ("x",)
+        props = ("p",) if rng.random() < 0.3 else ()
+        f = _random_nested(rng, variables, props)
+        depth, constraints, order, _ = plan = _compile(f)
+        kinds |= {type(g) for g in order}
+        n = rng.randint(1, 2)
+        nodes = [f"s{k}" for k in range(n)]
+        edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.6}
+        edges |= {(a, rng.choice(nodes)) for a in nodes if all(e[0] != a for e in edges)}
+        labels = {v: frozenset(p for p in props if rng.random() < 0.5) for v in nodes}
+        windows, classes = window_skeleton(nodes, edges, depth)
+        cells = [(v, x) for v in nodes for x in variables]
+        # per window and constraint, the last register cell it reads
+        last = [[max(cells.index((w[off], var)) for off, var in c.args) for c in constraints] for w in windows]
+        values = [rng.choice(pool) for _ in cells]
+        for d in range(len(cells) + 1):
+            bits, unknown = [], []
+            for w, row in zip(windows, last):
+                reads = [tuple(values[cells.index((w[off], var))] for off, var in c.args) for c in constraints]
+                holds = [high < d and Z_DOMAIN.eval_relation(c.relation, args)
+                         for c, args, high in zip(constraints, reads, row)]
+                bits.append(sum(h << ci for ci, h in enumerate(holds)))
+                unknown.append(sum((high >= d) << ci for ci, high in enumerate(row)))
+            bound = _label_states(plan, nodes, labels.__getitem__, windows, classes, bits, unknown)
+            for rest in itertools.product(pool, repeat=len(cells) - d):
+                registers = dict(zip(cells, values[:d] + list(rest)))
+                model = ConstraintKripke(nodes, edges, labels, registers, list(variables), GRAPH_SHAPE)
+                sat = check_ctlstar(model, f)
+                assert sat <= bound, (i, str(f), d, model_to_text(model))
+            cut += any(unknown) and len(bound) < n
+    assert {Exists, All} <= kinds
+    # the bound leaves nodes out while some constraints are unknown, so the inclusion says something
+    assert cut >= 30
+
+
+def test_search_matches_the_plain_loop_where_the_bound_prunes(monkeypatch):
+    """Two variables on up to two nodes give four register cells or more,
+    enough for the search to check its bound on prefixes; the first models
+    stay those of the plain loop, and some searches do skip prefixes."""
+    skipped = 0
+
+    def counted(*args):
+        nonlocal skipped
+        sat = _label_states(*args)
+        skipped += len(args) > 6 and args[6] is not None and not sat
+        return sat
+
+    monkeypatch.setattr(satsearch, "_label_states", counted)
+    rng = random.Random(1994)
+    pruned = found = 0
+    for i in range(60):
+        # conjunctions, so that misses are common
+        f = And(_random_nested(rng, ("x", "y"), ()), _random_nested(rng, ("x", "y"), ()))
+        register_range = rng.choice((1, 2))
+        before = skipped
+        expected = _outcome(plain_find_model, f, Z_DOMAIN, 2, register_range)
+        assert _outcome(find_model, f, Z_DOMAIN, 2, register_range) == expected, (i, str(f))
+        pruned += skipped > before
+        found += expected is not None
+    # the prune fires on part of the corpus, and both hits and misses occur
+    assert pruned >= 15 and 10 <= found <= 50
