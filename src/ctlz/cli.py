@@ -219,7 +219,7 @@ def _cmd_eval_mso(args) -> int:
 
     structure = _load_structure(args.structure)
     sentence = parse_sexpr(_read_arg(args.formula))
-    diagnostics: dict | None = {} if args.json else None  # a sink unfolds the plan, see msoeval
+    diagnostics: dict | None = {} if args.json else None  # a sink makes each B sweep its subsets, see msoeval
     value = eval_finite(sentence, structure, diagnostics=diagnostics)
     if args.json:
         _print_json({"diagnostics": diagnostics, "value": bool(value)})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .domains import N_DOMAIN
 from .formulas import EQ, LT, AbstractionTable, Constraint, TableEntry
-from .structures import ConstraintKripke, element_id, tree_shape
+from .structures import ConstraintKripke, element_id, tree_edges, tree_shape
 
 DEMO_R1 = Constraint(LT, ((0, "x1"), (1, "x2")))
 DEMO_R2 = Constraint(EQ, ((1, "x1"), (1, "x2")))
@@ -73,9 +73,8 @@ def demo_table() -> AbstractionTable:
 
 def demo_tree() -> ConstraintKripke:
     nodes = sorted(_REGISTERS, key=lambda v: (len(v), v))
-    edges = {(v, v + c) for v in nodes for c in "12" if v + c in _REGISTERS}
     registers = {}
     for v, (a, b) in _REGISTERS.items():
         registers[(v, "x1")] = a
         registers[(v, "x2")] = b
-    return ConstraintKripke(nodes, edges, {}, registers, ["x1", "x2"], tree_shape(2, 3))
+    return ConstraintKripke(nodes, tree_edges(nodes, 2), {}, registers, ["x1", "x2"], tree_shape(2, 3))

@@ -108,11 +108,10 @@ def _no(kind: str, **details) -> HomDecision:
 class Quotient:
     classes: list  # list[list[element]], each in declaration order
     class_of: dict  # element -> class index
-    edges: set  # lifted I(<) as (ci, cj)
     constants: list  # per class: sorted constant parameters
     modulos: list  # per class: sorted (a, b) pairs
-    succs: list  # per class: ascending successor classes along the edges
-    preds: list  # per class: ascending predecessor classes along the edges
+    succs: list  # per class: ascending successor classes along lifted I(<)
+    preds: list  # per class: ascending predecessor classes along lifted I(<)
 
 
 def sim_closure(structure: SigmaStructure) -> dict:
@@ -177,7 +176,6 @@ def build_quotient(structure: SigmaStructure) -> Quotient:
     return Quotient(
         classes,
         class_of,
-        edges,
         [sorted(constants[ci], key=lambda v: (Fraction(v), str(v))) if ci in constants else []
          for ci in range(len(classes))],
         [sorted(modulos[ci]) if ci in modulos else [] for ci in range(len(classes))],
@@ -297,10 +295,11 @@ def partition_bgsr(quotient: Quotient):
     reaching B, R the rest.  With no constants everything lands in R.
     """
     pinned = [ci for ci, cs in enumerate(quotient.constants) if cs]
-    bounded = _reach(pinned, quotient.succs) & _reach(pinned, quotient.preds)
-    greater = _reach(bounded, quotient.succs) - bounded
-    smaller = _reach(bounded, quotient.preds) - bounded
-    rest = set(range(len(quotient.classes))) - bounded - greater - smaller
+    above, below = _reach(pinned, quotient.succs), _reach(pinned, quotient.preds)
+    bounded = above & below
+    # B holds every pinned class, so what B reaches is what they reach
+    greater, smaller = above - bounded, below - bounded
+    rest = set(range(len(quotient.classes))) - above - below
     return bounded, greater, smaller, rest
 
 

@@ -311,7 +311,7 @@ def _head(f: MsoFormula) -> str:
     return " ".join((_TOKEN[type(f)], *_names_in(f)))
 
 
-def to_sexpr(formula: MsoFormula, indent: int = 0) -> str:
+def to_sexpr(formula: MsoFormula) -> str:
     """The formula on one line when it fits in the inline width, else its
     head on the first line and each subformula indented below it."""
     heads: dict = {}
@@ -320,7 +320,7 @@ def to_sexpr(formula: MsoFormula, indent: int = 0) -> str:
         heads[g] = _head(g)
         width[g] = 2 + len(heads[g]) + sum(1 + width[c] for c in _children(g))
     out: list = []
-    stack: list = [(formula, indent)]
+    stack: list = [(formula, 0)]
     while stack:
         item = stack.pop()
         if type(item) is str:

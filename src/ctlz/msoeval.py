@@ -1,8 +1,9 @@
 """Brute-force semantics for the MSO layer on small finite structures.
 
 Each sentence is compiled once into a plan: its distinct nodes (MSO nodes
-are interned, so an equal subformula is one object) in postorder, each with
-a kind code, its child indices and its free first-order and set names as
+are interned, so an equal subformula is one object; a node with a B at or
+below it is kept per tree position, see below) in postorder, each with a
+kind code, its child indices and its free first-order and set names as
 sorted tuples, taken from the free names ``mso`` keeps on each node.  The
 peak cell count of a node, per structure size and set of assigned names,
 is worked out on first use and kept in the plan.  A few recent plans are
@@ -28,8 +29,7 @@ budget falls back to looping over the quantified variable's values.  A
 quantifier hides any outer value of the name it binds.  The bounding
 quantifier is constantly true here: a finite structure has only finitely
 many subsets, so a bound always exists; the evaluator still reports the
-largest satisfying set when asked, and then the plan unfolds into one
-node per tree position, so that every B occurrence reports separately.
+largest satisfying set of each B occurrence when asked.
 A first-order quantifier on the empty structure is false (exists) or
 true (forall), whatever its body.
 
@@ -59,7 +59,8 @@ empty structure, and B nodes are left as they are.  The rewrite is one
 ``transform`` step of the node core keyed by (node, pending quantifier),
 so it runs on explicit frames once per distinct pair.  On small
 structures the extra nodes cost more than the smaller arrays save, so
-they keep the plain plan, as do diagnostics requests, which unfold it.
+they keep the plain plan, as do diagnostics requests: miniscoping changes
+which quantifiers loop, and with them the reported sets.
 
 This is the one module that needs numpy.  Nothing else in the package
 imports it: ``ctlz.eval_finite`` and ``ctlz eval-mso`` load it on first
@@ -67,6 +68,8 @@ use, so the rest of the pipeline starts without numpy.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -115,13 +118,14 @@ def _check_arities(atoms, structure: SigmaStructure) -> None:
 
 
 class _Plan:
-    """A sentence compiled for evaluation: one node per distinct subformula
-    (per tree position when ``unfold``), children before parents.  Node i
-    is described by ``nodes[i]``, the formula read for its scalar fields,
-    its kind code ``kind[i]``, ``kids[i]``, and its sorted free first-order
-    names ``fo[i]``, set names ``so[i]`` and both together ``names[i]``."""
+    """A sentence compiled for evaluation, children before parents: one
+    node per distinct subformula, or per tree position for one with a B at
+    or below it.  Node i is described by ``nodes[i]``, the formula read for
+    its scalar fields, its kind code ``kind[i]``, ``kids[i]``, and its
+    sorted free first-order names ``fo[i]``, set names ``so[i]`` and both
+    together ``names[i]``."""
 
-    def __init__(self, sentence: MsoFormula, unfold: bool):
+    def __init__(self, sentence: MsoFormula):
         self.nodes: list = []
         self.kind: list = []
         self.kids: list = []
@@ -131,7 +135,7 @@ class _Plan:
         self.peaks: dict = {}  # (node, n, assigned names) -> peak cells
         self.layouts: dict = {}  # (n, axes, axes) -> combine's axes and operand shapes
         _free_names(sentence)
-        index: dict = {}  # formula -> node, unless unfolding
+        index: dict = {}  # formula -> node, for those without a B at or below them
         done: list = []  # nodes of the finished children, in order
         stack: list = [sentence]
         while stack:
@@ -149,7 +153,7 @@ class _Plan:
                 self.fo.append(tuple(sorted(fo)))
                 self.so.append(tuple(sorted(so)))
                 self.names.append(tuple(sorted(fo | so)))
-                if not unfold:
+                if type(f) is not BoundSet and all(c in index for c in _children(f)):
                     index[f] = i
                 done.append(i)
             elif f in index:
@@ -183,18 +187,13 @@ class _Plan:
         return peaks[(i, n, assigned)]
 
 
-_RECENT_PLANS: dict = {}  # (sentence, unfold, scoped) -> plan, least recently used first
-
-
-def _plan(sentence: MsoFormula, unfold: bool, scoped: bool = False) -> _Plan:
-    """The plan of the sentence: plain, unfolded, or (``scoped``) of the
-    sentence with its quantifiers pushed in, built on first use."""
-    key = (sentence, unfold, scoped)
-    plan = _RECENT_PLANS.pop(key, None) or _Plan(transform(sentence, _scope_step) if scoped else sentence, unfold)
-    _RECENT_PLANS[key] = plan
-    if len(_RECENT_PLANS) > 4:  # callers alternate between a few sentences at most
-        del _RECENT_PLANS[next(iter(_RECENT_PLANS))]
-    return plan
+@functools.lru_cache(maxsize=4)  # callers alternate between a few sentences at most
+def _plan(sentence: MsoFormula, scoped: bool = False) -> _Plan:
+    """The plan of the sentence, or (``scoped``) of the sentence with its
+    quantifiers pushed in, built on first use.  Callers write the plain
+    plan as ``_plan(f)`` and the scoped one as ``_plan(f, scoped=True)``:
+    other spellings would be other cache keys."""
+    return _Plan(transform(sentence, _scope_step) if scoped else sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +513,9 @@ def eval_finite(
     element ids, set values are iterables of element ids."""
     ev = _Evaluator(structure, diagnostics)
     env = _convert_assignment(assignment, ev.index)
-    plan = _plan(formula, diagnostics is not None)
+    plan = _plan(formula)
     if diagnostics is None and not ev.bounded(plan):
-        plan = _plan(formula, False, scoped=True)
+        plan = _plan(formula, scoped=True)
     return ev.run(plan, env)
 
 

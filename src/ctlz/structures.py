@@ -41,6 +41,12 @@ def tree_shape(d: int, k: int) -> tuple:
     return ("tree", d, k)
 
 
+def tree_edges(nodes, d: int) -> set:
+    """The parent-child pairs among the tree nodes, words over 1..d."""
+    node_set = set(nodes)
+    return {(n, n + str(i)) for n in nodes for i in range(1, d + 1) if n + str(i) in node_set}
+
+
 @dataclass
 class ConstraintKripke:
     nodes: list
@@ -119,8 +125,7 @@ def validate_model(model: ConstraintKripke, allow_reserved: bool = False) -> Non
                 raise StructureError(f"tree nodes must be prefix closed; {node!r} lacks its parent")
         if "" not in node_set:
             raise StructureError("tree is missing its root")
-        derived = {(n, n + str(i)) for n in model.nodes for i in range(1, d + 1) if n + str(i) in node_set}
-        if model.edges and set(model.edges) != derived:
+        if model.edges and set(model.edges) != tree_edges(model.nodes, d):
             raise StructureError("tree edges must be exactly the parent-child pairs")
     else:
         raise StructureError(f"unknown shape {model.shape!r}")
@@ -149,9 +154,6 @@ class SigmaStructure:
     @property
     def signature(self) -> list:
         return list(self.interpretation.keys())
-
-    def tuples(self, rel: RelationSymbol) -> list:
-        return self.interpretation.get(rel, [])
 
     def constants(self) -> list:
         """Constant parameters declared in the signature, sorted."""
@@ -320,9 +322,7 @@ def model_from_text(text: str) -> ConstraintKripke:
                 registers[node, var] = parsed
 
     if is_tree and not edges:
-        d = shape[1]
-        node_set = set(nodes)
-        edges = {(n, n + str(i)) for n in nodes for i in range(1, d + 1) if n + str(i) in node_set}
+        edges = tree_edges(nodes, shape[1])
     model = ConstraintKripke(nodes, edges, labels, registers, variables, shape)
     validate_model(model)
     return model

@@ -23,7 +23,7 @@ from ctlz import (
     relativize,
     to_sexpr,
 )
-from ctlz.formulas import TableEntry, AbstractionTable, Constraint, postorder, transform
+from ctlz.formulas import CONSTANT, TableEntry, AbstractionTable, Constraint, _children, postorder, transform
 from ctlz.mso import (
     Atom,
     BoundSet,
@@ -430,12 +430,12 @@ def test_plans_are_never_mixed_between_sentences():
 
 def test_plan_has_one_node_per_distinct_subtree():
     sentence = emit_hom_sentence(list(SIGMA0), "Z")
-    assert len(msoeval._plan(sentence, unfold=False).nodes) <= 678
+    assert len(msoeval._plan(sentence).nodes) <= 678
     body = ExistsFO("x", In("x", "X"))
     f = Conj(BoundSet("X", body), BoundSet("X", parse_sexpr(to_sexpr(body))))
-    assert len(msoeval._plan(f, unfold=False).nodes) == 4
-    # a diagnostics sink unfolds the plan into one node per tree position
-    assert len(msoeval._plan(f, unfold=True).nodes) == 7
+    # a node with a B at or below it keeps one node per tree position, so
+    # each B occurrence reports on its own: Conj, two B nodes, one body
+    assert len(msoeval._plan(f).nodes) == 5
 
 
 def test_assignment_forms():
@@ -508,7 +508,7 @@ def test_descending_leaves_match_slow_evaluator(monkeypatch):
         for f, s in cases:
             want = eval_finite_slow(f, s)
             assert eval_finite(f, s) == want, (limit, to_sexpr(f))
-            # a diagnostics sink evaluates the unfolded plan
+            # a diagnostics sink makes each B evaluate its body
             assert eval_finite(f, s, diagnostics={}) == want, (limit, to_sexpr(f))
 
 
@@ -584,7 +584,8 @@ def _run_plan(f, s, env, scoped):
     """f evaluated on s under env on its plain or its scoped plan, whatever
     the structure's size."""
     ev = msoeval._Evaluator(s, None)
-    return ev.run(msoeval._plan(f, False, scoped), msoeval._convert_assignment(env, ev.index))
+    plan = msoeval._plan(f, scoped=True) if scoped else msoeval._plan(f)
+    return ev.run(plan, msoeval._convert_assignment(env, ev.index))
 
 
 def _scoping_mso(rng, depth):
@@ -660,7 +661,7 @@ def test_first_order_quantifiers_on_the_empty_structure():
     assert eval_finite(parse_sexpr("(forall x (false))"), EMPTY)
 
 
-def test_dropping_a_vacuous_quantifier_fails_on_the_empty_structure(monkeypatch):
+def test_dropping_a_vacuous_quantifier_fails_on_the_empty_structure(monkeypatch, request):
     # the rewrite keeps a quantifier over a name its body does not mention:
     # dropping it is sound on every structure but the empty one
     def dropping_step(f, scope):
@@ -669,11 +670,12 @@ def test_dropping_a_vacuous_quantifier_fails_on_the_empty_structure(monkeypatch)
         return (yield from scope_step(f, scope))
 
     def mismatches(s):
-        monkeypatch.setattr(msoeval, "_RECENT_PLANS", {})
+        msoeval._plan.cache_clear()
         sentences = map(parse_sexpr, EMPTY_SENTENCES)
         return [to_sexpr(f) for f in sentences if _run_plan(f, s, {}, True) != eval_finite_slow(f, s)]
 
     scope_step = msoeval._scope_step
+    request.addfinalizer(msoeval._plan.cache_clear)  # drop the plans the broken rewrite built
     one = SigmaStructure(["a"], {LT: [("a", "a")]})
     assert mismatches(EMPTY) == mismatches(one) == []
     monkeypatch.setattr(msoeval, "_scope_step", dropping_step)
@@ -685,8 +687,8 @@ def test_scoped_plan_has_one_node_per_distinct_subtree():
     sentence = emit_hom_sentence(list(SIGMA0), "Z")
     scoped = transform(sentence, msoeval._scope_step)
     assert scoped is not sentence
-    assert len(msoeval._plan(sentence, False, scoped=True).nodes) == len(postorder(scoped))
-    assert len(msoeval._plan(sentence, unfold=False).nodes) == len(postorder(sentence)) == 678
+    assert len(msoeval._plan(sentence, scoped=True).nodes) == len(postorder(scoped)) == 859
+    assert len(msoeval._plan(sentence).nodes) == len(postorder(sentence)) == 678
 
 
 def test_node_classes_expose_their_children_as_dataclass_fields():
@@ -716,7 +718,7 @@ def test_deep_sentences_evaluate_on_the_scoped_plan(monkeypatch):
     # so forall y splits the chain down to its last link
     links = [Atom("lt", ("x", "x")), Atom("lt", ("y", "y"))]
     chain = ForallFO("x", ForallFO("y", conj_all([links[i % 2] for i in range(depth - 1)] + [Atom("lt", ("x", "y"))])))
-    plan = msoeval._plan(chain, False, scoped=True)
+    plan = msoeval._plan(chain, scoped=True)
     assert type(plan.nodes[plan.root].body) is Conj
     atoms = [Atom(f"r{i % 7}", ("x",)) if i % 3 else Atom("lt", ("x", "x")) for i in range(depth)]
     sentences = [
@@ -728,4 +730,77 @@ def test_deep_sentences_evaluate_on_the_scoped_plan(monkeypatch):
     monkeypatch.setattr(msoeval, "CELL_LIMIT", 4)  # five elements outgrow it: the scoped plan runs
     for f, want in sentences:
         assert eval_finite(f, s) == want
-        assert (f, False, True) in msoeval._RECENT_PLANS
+        hits = msoeval._plan.cache_info().hits
+        msoeval._plan(f, scoped=True)  # eval_finite built it: a cache hit
+        assert msoeval._plan.cache_info().hits == hits + 1
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: B-free nodes are shared, and every B occurrence still
+# reports as on a plan with one node per tree position
+
+
+class _PerPositionPlan:
+    """The plan that diagnostics requests used to run on, kept here as the
+    reference: one node per tree position, nothing shared."""
+
+    peak = msoeval._Plan.peak
+
+    def __init__(self, sentence):
+        self.nodes, self.kind, self.kids, self.fo, self.so, self.names = [], [], [], [], [], []
+        self.peaks, self.layouts = {}, {}
+        self.root = self._add(sentence)
+        self.atoms = {f for f in self.nodes if type(f) is Atom}
+        self.widest = (max(map(len, self.fo)), max(map(len, self.so)))
+
+    def _add(self, f):
+        kids = tuple(self._add(c) for c in _children(f))
+        fo, so = _free_names(f)
+        self.nodes.append(f)
+        self.kind.append(msoeval._KINDS.index(type(f)))
+        self.kids.append(kids)
+        self.fo.append(tuple(sorted(fo)))
+        self.so.append(tuple(sorted(so)))
+        self.names.append(tuple(sorted(fo | so)))
+        return len(self.nodes) - 1
+
+
+def _diagnostics_cases():
+    """(sentence, structure, assignment) triples on 0-6 elements: the
+    sentences emitted for every target the sigma0 signature allows, and
+    random formulas with repeated and nested B."""
+    rng = random.Random(43)
+    unpinned = [r for r in SIGMA0 if r.kind != CONSTANT]
+    emitted = [emit_hom_sentence(list(SIGMA0), "Z"), emit_hom_sentence([LT], "Z_order_only"),
+               emit_hom_sentence(unpinned, "N"), emit_hom_sentence(unpinned, "negZ")]
+    cases = [(f, random_sigma0_structure(rng, n, 0.2, 0.2), {}) for f in emitted for n in range(7)]
+    formulas = [_random_reusing_mso(rng, 5, []) for _ in range(100)] + [_scoping_mso(rng, 3) for _ in range(100)]
+    for f in formulas:
+        if rng.random() < 0.5:  # f again, under a binder of one of its names
+            f = rng.choice([Conj, Disj, Implies])(f, rng.choice([ExistsFO, ForallFO])(rng.choice("xyz"), f))
+        s = random_sigma0_structure(rng, rng.randint(1 if fo_free(f) else 0, 6), 0.3, 0.4)
+        env = {v: rng.choice(s.elements) for v in "xyz" if s.elements}
+        env.update({v: [e for e in s.elements if rng.random() < 0.5] for v in "XY"})
+        cases.append((f, s, env))
+    return cases
+
+
+def test_diagnostics_match_the_per_position_plan(monkeypatch):
+    cases = _diagnostics_cases()
+    references = {f: _PerPositionPlan(f) for f, _, _ in cases}
+    # some B occurrence repeats: a plan sharing it would report it once
+    assert sum(len(msoeval._plan(f).nodes) > len(postorder(f)) for f in references) > 10
+    heavy = emit_hom_sentence(list(SIGMA0), "Z")
+    reported = 0
+    for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s, env in cases:
+            if limit == 1 and f is heavy and len(s.elements) == 6:
+                continue  # about 18 s on either plan
+            ev = msoeval._Evaluator(s, {})
+            want = ev.run(references[f], msoeval._convert_assignment(env, ev.index)), ev.diagnostics
+            diagnostics = {}
+            got = eval_finite(f, s, env, diagnostics=diagnostics), diagnostics
+            assert got == want, (limit, to_sexpr(f), s.elements, env)
+            reported += len(want[1].get("bounded_sets", []))
+    assert reported > 100
