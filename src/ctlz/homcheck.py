@@ -117,6 +117,9 @@ class Quotient:
 def sim_closure(structure: SigmaStructure) -> dict:
     """Union-find roots for the equivalence closure of I(=)."""
     parent = {e: e for e in structure.elements}
+    pairs = [t for rel, tuples in structure.interpretation.items() if rel.kind == EQUAL for t in tuples]
+    if not pairs:
+        return parent
 
     def find(x):
         while parent[x] != x:
@@ -125,35 +128,32 @@ def sim_closure(structure: SigmaStructure) -> dict:
         return x
 
     index = {e: i for i, e in enumerate(structure.elements)}
-    for rel, tuples in structure.interpretation.items():
-        if rel.kind != EQUAL:
-            continue
-        for a, b in tuples:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # keep the earliest-declared element as representative
-                if index[ra] > index[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-    return {e: find(e) for e in structure.elements}
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # keep the earliest-declared element as representative
+            if index[ra] > index[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+    # every parent is declared before its child: one pass in declaration
+    # order leaves each element's root
+    for e in structure.elements:
+        parent[e] = parent[parent[e]]
+    return parent
 
 
 def build_quotient(structure: SigmaStructure) -> Quotient:
     roots = sim_closure(structure)
-    order: list = []
-    members: dict = {}
+    classes: list = []
+    number: dict = {}  # root -> class index, in order of first member
     for e in structure.elements:
-        r = roots[e]
-        if r not in members:
-            members[r] = []
-            order.append(r)
-        members[r].append(e)
-    class_of = {}
-    classes = []
-    for i, r in enumerate(order):
-        classes.append(members[r])
-        for e in members[r]:
-            class_of[e] = i
+        ci = number.get(roots[e])
+        if ci is None:
+            number[roots[e]] = len(classes)
+            classes.append([e])
+        else:
+            classes[ci].append(e)
+    class_of = {e: ci for ci, members in enumerate(classes) for e in members}
 
     edges = set()
     constants: dict = {}  # class -> set, only for classes that have some
@@ -173,11 +173,12 @@ def build_quotient(structure: SigmaStructure) -> Quotient:
     for a, b in sorted(edges):
         succs[a].append(b)
         preds[b].append(a)
+    # ints and Fractions compare natively, and numerically equal constants
+    # are one relation symbol, so a plain sort orders each class's pins
     return Quotient(
         classes,
         class_of,
-        [sorted(constants[ci], key=lambda v: (Fraction(v), str(v))) if ci in constants else []
-         for ci in range(len(classes))],
+        [sorted(constants[ci]) if ci in constants else [] for ci in range(len(classes))],
         [sorted(modulos[ci]) if ci in modulos else [] for ci in range(len(classes))],
         succs,
         preds,
@@ -346,15 +347,14 @@ def _potentials(quotient: Quotient, order: list, members: set, upward: bool) -> 
     return g
 
 
-def _values_z(structure: SigmaStructure, quotient: Quotient, order: list, parts: tuple, scale: int = 1):
+def _values_z(quotient: Quotient, order: list, parts: tuple, window: tuple, scale: int = 1):
     """Class values for target Z, or a negative decision when the bounded
-    part does not fit the constant window; every constant c counts as
-    ``scale * c``, in a window widened to integers."""
+    part does not fit the constant window; ``window`` is the structure's
+    ``_window``, and every constant c counts as ``scale * c``, in a window
+    widened to integers."""
     residues = [class_residue(quotient, ci) for ci in range(len(quotient.classes))]
-    delta = prod(structure.moduli())
-    constants = [scale * c for c in structure.constants()]
-    m = floor(min([0] + constants))
-    M = ceil(max([0] + constants))
+    delta, low, high = window
+    m, M = floor(scale * low), ceil(scale * high)
     bounded, greater, smaller, rest = parts
 
     values, stuck = _solve_bounded(quotient, bounded, residues, m, M, scale)
@@ -399,7 +399,7 @@ def _order_constant_conflict(quotient: Quotient, order: list, denominator: int):
     return None
 
 
-def _values_q(structure: SigmaStructure, quotient: Quotient, order: list, denominator: int):
+def _values_q(quotient: Quotient, order: list, denominator: int, window: tuple):
     """Q values: the Z values with every constant scaled by K, divided by
     K.  K = D * max(1, L) for D the least common ``denominator`` of the
     pins and L the longest strict path in B; pins p < q on a path have
@@ -407,7 +407,7 @@ def _values_q(structure: SigmaStructure, quotient: Quotient, order: list, denomi
     parts = partition_bgsr(quotient)
     longest = max(_potentials(quotient, order, parts[0], upward=True).values(), default=0)
     scale = denominator * max(1, longest)
-    values = _values_z(structure, quotient, order, parts, scale)
+    values = _values_z(quotient, order, parts, window, scale)
     if isinstance(values, HomDecision):
         raise InternalError("scaled Q constants left a bounded class without a value")
     return {ci: Fraction(v, scale) for ci, v in values.items()}
@@ -451,16 +451,31 @@ def verify_hom(structure: SigmaStructure, h: dict, target: str, explain: bool = 
     return (True, None) if explain else True
 
 
+def _window(structure: SigmaStructure) -> tuple:
+    """(delta, low, high) from one pass over the signature: the product
+    of the distinct moduli it declares, and the constant window
+    [min(0, c), max(0, c)] over the constants c it declares."""
+    moduli = set()
+    low = high = 0
+    for rel in structure.interpretation:
+        if rel.kind == CONSTANT:
+            c = rel.params[0]
+            if c < low:
+                low = c
+            elif c > high:
+                high = c
+        elif rel.kind == MODULO:
+            moduli.add(rel.params[1])
+    return prod(moduli), low, high
+
+
 def witness_bound(structure: SigmaStructure) -> int:
     """Magnitude bound delta * (n + |m| + |M| + 3) that a synthesized
-    witness never exceeds; also the sweep radius for the brute-force
-    oracle to be a complete refutation."""
-    moduli = structure.moduli()
-    delta = prod(moduli) if moduli else 1
-    consts = structure.constants()
-    m = min(0, floor(min(consts))) if consts else 0
-    M = max(0, ceil(max(consts))) if consts else 0
-    return delta * (len(structure.elements) + abs(m) + abs(M) + 3)
+    witness never exceeds, for [m, M] the constant window widened to
+    integers; also the sweep radius for the brute-force oracle to be a
+    complete refutation."""
+    delta, low, high = _window(structure)
+    return delta * (len(structure.elements) - floor(low) + ceil(high) + 3)
 
 
 def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
@@ -483,15 +498,15 @@ def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
         return _no("cycle", elements=[quotient.classes[ci][0] for ci in cycle])
 
     order = _topological_order(quotient, range(len(quotient.classes)))
+    window = _window(structure)
     if target == "negZ":
         g = _potentials(quotient, order, set(order), upward=False)
-        delta = prod(structure.moduli())
-        values = {ci: delta * g[ci] + class_residue(quotient, ci)[0] for ci in order}
+        values = {ci: window[0] * g[ci] + class_residue(quotient, ci)[0] for ci in order}
     elif target == "Q":
         lcd = lcm(*(cs[0].denominator for cs in quotient.constants if cs))
-        values = _order_constant_conflict(quotient, order, lcd) or _values_q(structure, quotient, order, lcd)
+        values = _order_constant_conflict(quotient, order, lcd) or _values_q(quotient, order, lcd, window)
     else:
-        values = _values_z(structure, quotient, order, partition_bgsr(quotient))
+        values = _values_z(quotient, order, partition_bgsr(quotient), window)
     if isinstance(values, HomDecision):
         return values
     h = {e: values[quotient.class_of[e]] for e in structure.elements}
@@ -532,31 +547,38 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
             x = parent[x]
         return x
 
+    less: list = []  # the I(<) pairs, in declaration order
+    unary: list = []  # (relation, tuples) of the constants and congruences
     for rel, tuples in structure.interpretation.items():
         if rel.kind == EQUAL:
             for a, b in tuples:
                 ra, rb = find(index[a]), find(index[b])
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
+        elif rel.kind == LESS:
+            less += tuples
+        else:
+            unary.append((rel, tuples))
     number: dict = {}  # root -> class index, in order of first member
-    cls = {e: number.setdefault(find(i), len(number)) for i, e in enumerate(elements)}
+    cls = {}
+    for i, e in enumerate(elements):
+        parent[i] = root = parent[parent[i]]  # every parent precedes its child
+        cls[e] = number.setdefault(root, len(number))
     k = len(number)
-    edges: set = set()
+    # the cycle test reads only the order edges, so it runs before the
+    # unaries are gathered
+    succs, order = _kahn_order(k, {(cls[a], cls[b]) for a, b in less})
+    if len(order) < k:
+        return None  # a strict-order cycle
     consts = [set() for _ in range(k)]
     mods = [set() for _ in range(k)]
-    for rel, tuples in structure.interpretation.items():
-        if rel.kind == LESS:
-            edges.update((cls[a], cls[b]) for a, b in tuples)
-        elif rel.kind == CONSTANT:
+    for rel, tuples in unary:
+        if rel.kind == CONSTANT:
             for (a,) in tuples:
                 consts[cls[a]].add(rel.params[0])
         elif rel.kind == MODULO:
             for (a,) in tuples:
                 mods[cls[a]].add(rel.params)
-
-    succs, order = _kahn_order(k, edges)
-    if len(order) < k:
-        return None  # a strict-order cycle
     if target == "Q":
         candidates = _rational_candidates(n, bound, k, consts)
     else:

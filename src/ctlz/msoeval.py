@@ -17,10 +17,24 @@ a set axis).  Axes follow one fixed order, ("fo", name) before
 ("set", name) and names ascending, and every array's axes are a
 subsequence of it: the leaves sort theirs, and connectives (the sorted
 union) and quantifier reductions keep it.  So a connective lines its
-operands up by inserting length-one axes, never by a transpose, and runs
-as a byte kernel on uint8 views of the bool arrays, which hold only 0 and
-1: bitwise and/or, and <= for implication.  Negation stays on bool arrays, and no array is
-written in place.  Quantifiers are any/all reductions.  Results are
+operands up by inserting length-one axes, never by a transpose.  It runs
+as bitwise and/or, or <= for implication, on one of two kernels chosen
+by the size of its result.  Up to ``SMALL_CELLS`` (4,096) cells it is
+the bool ufunc, or numpy's scalar operator on two scalars: on tiny
+arrays numpy's per-call overhead is the cost, and the bool ufunc has
+the least.  Above that it is a byte kernel on uint8 views of the bool
+arrays, which hold only 0 and 1 and run faster as bytes.  Both kernels
+are needed: with bool ufuncs on every array, criterion 03 of the tests,
+which reaches eight elements, took 5.1-6.0 s against 4.1-4.2 s with the
+split or with byte kernels throughout, and on the one- to four-element
+structures of the hom-oracles benchmark the split takes 4-17% less time
+than byte kernels throughout.
+The connectives' short-circuit tests count nonzero cells up to the same
+size and call any/all above it.  Negation stays on bool arrays, and no
+array is written in place.  Quantifiers are any/all reductions; a large
+array whose reduced axis is its last and holds 32 or 64 cells is reduced
+by packing that axis into one machine word per row, since numpy reduces
+a short innermost axis slowly.  Results are
 memoised per (plan node, values of its free names), so an equal
 subformula shares them.  Evaluation runs as generator frames on an explicit stack,
 one per inner node being evaluated, so nesting depth is not bounded by
@@ -70,6 +84,8 @@ use, so the rest of the pipeline starts without numpy.
 from __future__ import annotations
 
 import functools
+import operator
+from math import prod
 
 import numpy as np
 
@@ -98,6 +114,7 @@ from .structures import SigmaStructure
 MAX_ELEMENTS = 12
 CELL_LIMIT = 1 << 24
 MEMO_CELL_LIMIT = 1 << 18
+SMALL_CELLS = 1 << 12  # at or below: plain bool kernels, see the module docstring
 
 # node kinds, as kept on the plan: leaves first, then the inner nodes
 _KINDS = (MsoBool, Atom, VarEq, In, Subset, Neg, Conj, Disj, Implies, BoundSet,
@@ -133,7 +150,7 @@ class _Plan:
         self.so: list = []
         self.names: list = []
         self.peaks: dict = {}  # (node, n, assigned names) -> peak cells
-        self.layouts: dict = {}  # (n, axes, axes) -> combine's axes and operand shapes
+        self.layouts: dict = {}  # (n, axes, axes) -> combine's axes, operand shapes and cells
         _free_names(sentence)
         index: dict = {}  # formula -> node, for those without a B at or below them
         done: list = []  # nodes of the finished children, in order
@@ -292,17 +309,23 @@ class _Evaluator:
 
     def combine(self, left, right, op):
         """op (bitwise and/or, or <= for implication) of two values on the
-        sorted union of their axes, run on uint8 views: on cells of 0 or 1
-        it is the logical op.  Each operand gets length-one axes for those
-        of the union it lacks; the layout is kept on the plan."""
+        sorted union of their axes.  Each operand gets length-one axes for
+        those of the union it lacks; the layout and the result's cell
+        count are kept on the plan.  A result of at most ``SMALL_CELLS``
+        cells is computed on the bool arrays, a larger one on uint8 views:
+        on cells of 0 or 1 the byte op is the logical op."""
         (la, laxes), (ra, raxes) = left, right
+        if not laxes and not raxes:  # numpy's scalar operators skip the ufunc machinery
+            return op(la, ra), ()
         key = (self.n, laxes, raxes)
         if key not in self.plan.layouts:
             axes = tuple(sorted({*laxes, *raxes}))
             sizes = [self.n if kind == "fo" else self.nsets for kind, _ in axes]
             shapes = ([s if ax in part else 1 for s, ax in zip(sizes, axes)] for part in (laxes, raxes))
-            self.plan.layouts[key] = (axes, *shapes)
-        axes, lshape, rshape = self.plan.layouts[key]
+            self.plan.layouts[key] = (axes, *shapes, prod(sizes))
+        axes, lshape, rshape, cells = self.plan.layouts[key]
+        if cells <= SMALL_CELLS:
+            return op(la.reshape(lshape), ra.reshape(rshape)), axes
         return op(la.reshape(lshape).view(np.uint8), ra.reshape(rshape).view(np.uint8)).view(bool), axes
 
     # -- evaluation
@@ -320,7 +343,7 @@ class _Evaluator:
         while True:
             if request is not None:
                 j, env = request
-                key = (j, tuple(map(env.get, names[j])))
+                key = (j, tuple(map(env.get, names[j]))) if env else j
                 value = self.memo.get(key)
                 if value is None and kind[j] < NEG:  # a leaf's array is small or kept anyway
                     value = self.memo[key] = self._leaf(j, env)
@@ -385,19 +408,19 @@ class _Evaluator:
         # connective without touching the right subtree.
         if kind == CONJ:
             la, laxes = yield kids[0], env
-            if not la.any():
+            if not _any(la):
                 return la, laxes
-            return self.combine((la, laxes), (yield kids[1], env), np.bitwise_and)
+            return self.combine((la, laxes), (yield kids[1], env), operator.and_)
         if kind == DISJ:
             la, laxes = yield kids[0], env
-            if la.all():
+            if _all(la):
                 return la, laxes
-            return self.combine((la, laxes), (yield kids[1], env), np.bitwise_or)
+            return self.combine((la, laxes), (yield kids[1], env), operator.or_)
         if kind == IMPLIES:
             la, laxes = yield kids[0], env
-            if not la.any():
+            if not _any(la):
                 return ~la, laxes
-            return self.combine((la, laxes), (yield kids[1], env), np.less_equal)  # a <= b: a implies b
+            return self.combine((la, laxes), (yield kids[1], env), operator.le)  # a <= b: a implies b
         if kind == BOUND:
             return (yield from self._bound(i, kids[0], env))
         return (yield from self._quantifier(i, kids[0], env))
@@ -426,8 +449,7 @@ class _Evaluator:
                     return np.full(arr.shape, not existential), axes
                 return arr, axes
             k = axes.index(axis)
-            reduced = arr.any(axis=k) if existential else arr.all(axis=k)
-            return reduced, axes[:k] + axes[k + 1:]
+            return _reduce(arr, k, existential), axes[:k] + axes[k + 1:]
         # body too large to vectorize: loop over the quantified values
         acc = acc_axes = None
         inner = dict(env)
@@ -438,9 +460,9 @@ class _Evaluator:
                 acc, acc_axes = arr, axes
             else:
                 acc, acc_axes = self.combine(
-                    (acc, acc_axes), (arr, axes), np.bitwise_or if existential else np.bitwise_and
+                    (acc, acc_axes), (arr, axes), operator.or_ if existential else operator.and_
                 )
-            if acc.all() if existential else not acc.any():
+            if _all(acc) if existential else not _any(acc):
                 break  # every cell decided, further values cannot change it
         return acc, acc_axes
 
@@ -463,7 +485,7 @@ class _Evaluator:
                 witness = arr.any(axis=other) if other else arr
                 sizes = [bin(s).count("1") for s in np.nonzero(witness)[0]]
                 max_size = max(sizes) if sizes else None
-            elif arr.any():  # the body does not read the set, so every subset satisfies it
+            elif _any(arr):  # the body does not read the set, so every subset satisfies it
                 max_size = self.n
             remaining = tuple(ax for ax in axes if ax != axis)
         else:
@@ -474,7 +496,7 @@ class _Evaluator:
                 arr, axes = yield body, inner
                 if remaining is None:
                     remaining = axes
-                if arr.any():
+                if _any(arr):
                     size = bin(value).count("1")
                     if max_size is None or size > max_size:
                         max_size = size
@@ -482,6 +504,33 @@ class _Evaluator:
                 remaining = ()
         self.diagnostics.setdefault("bounded_sets", []).append({"var": var, "max_size": max_size})
         return self.ones(remaining)
+
+
+def _reduce(arr, k: int, existential: bool):
+    """any (existential) or all of arr along axis k.  numpy reduces a
+    short innermost axis slowly, so a large array whose last axis, the
+    one reduced, holds 32 or 64 cells has that axis packed into one
+    32- or 64-bit word per row and compared with zero or all ones."""
+    if k == arr.ndim - 1 and arr.shape[k] in (32, 64) and arr.size > SMALL_CELLS:
+        word = np.packbits(arr, axis=k).view(f"u{arr.shape[k] // 8}")[..., 0]
+        return word != 0 if existential else word == np.iinfo(word.dtype).max
+    return (np.logical_or if existential else np.logical_and).reduce(arr, axis=k)  # any/all, minus a wrapper
+
+
+def _any(arr) -> bool:
+    """Whether some cell is true.  Per call, ``bool`` costs least on a
+    scalar, ``count_nonzero`` on a small array and ``any`` on a large
+    one."""
+    if not arr.ndim:
+        return bool(arr)
+    return bool(np.count_nonzero(arr)) if arr.size <= SMALL_CELLS else bool(arr.any())
+
+
+def _all(arr) -> bool:
+    """Whether every cell is true, as ``_any`` decides it."""
+    if not arr.ndim:
+        return bool(arr)
+    return np.count_nonzero(arr) == arr.size if arr.size <= SMALL_CELLS else bool(arr.all())
 
 
 def _convert_assignment(assignment, index) -> dict:

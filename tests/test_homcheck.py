@@ -188,6 +188,21 @@ def test_constant_clash_through_equality():
     assert not d.verdict and d.reason.kind == "constant_clash"
 
 
+def test_class_constants_sort_by_value():
+    # ints and Fractions pinned on one class compare natively: no sort key
+    s = SigmaStructure(["a", "b", "c"], {
+        EQ: [("a", "b"), ("b", "c")],
+        const_rel(1): [("a",)],
+        const_rel(Fraction(1, 2)): [("b",)],
+        const_rel(-3): [("c",)],
+    })
+    (constants,) = build_quotient(s).constants
+    assert constants == [-3, Fraction(1, 2), 1] and list(map(type, constants)) == [int, Fraction, int]
+    d = decide_hom(s, "Q")
+    assert d.reason.kind == "constant_clash" and d.reason.details["constants"] == [-3, Fraction(1, 2)]
+    assert json.loads(d.to_json())["reason"]["constants"] == [-3, "1/2"]
+
+
 def test_modulo_contradiction():
     s = _s("a", mod0_2=[("a",)], mod1_2=[("a",)])
     d = decide_hom(s, "Z")

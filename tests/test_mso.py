@@ -512,6 +512,32 @@ def test_descending_leaves_match_slow_evaluator(monkeypatch):
             assert eval_finite(f, s, diagnostics={}) == want, (limit, to_sexpr(f))
 
 
+def test_small_and_large_kernels_agree(monkeypatch):
+    # SMALL_CELLS splits the kernels: bool ufuncs and count_nonzero at or
+    # below it, uint8 views, any/all and packed reductions above.  At 0
+    # every array takes the large path, above every array the small one.
+    heavy = emit_hom_sentence(list(SIGMA0), "Z")
+    rng = random.Random(47)
+    cases = _descending_cases()
+    cases += [(heavy, random_sigma0_structure(rng, n, 0.05, 0.05)) for n in range(1, 7) for _ in range(3)]
+    for limit in (msoeval.CELL_LIMIT, 1):  # 1: every quantifier loops over its values
+        monkeypatch.setattr(msoeval, "CELL_LIMIT", limit)
+        for f, s in cases:
+            n = len(s.elements)
+            if limit == 1 and f is heavy and n > 4:
+                continue  # seconds per structure on either path
+            runs = []
+            for small in (0, 1 << 62):
+                monkeypatch.setattr(msoeval, "SMALL_CELLS", small)
+                diagnostics = {}
+                runs.append((eval_finite(f, s), eval_finite(f, s, diagnostics=diagnostics), diagnostics))
+            assert runs[0] == runs[1], (limit, to_sexpr(f), s.elements)
+            # the slow evaluator takes seconds on the sigma0 Z sentence from
+            # three elements up; there the sentence must agree with decide_hom
+            want = eval_finite_slow(f, s) if f is not heavy or n <= 2 else decide_hom(s, "Z").verdict
+            assert runs[0][0] == runs[0][1] == want, (limit, to_sexpr(f), s.elements)
+
+
 def test_every_value_has_its_axes_in_the_fixed_order(monkeypatch):
     # first-order axes before set axes, names ascending: then combine only
     # inserts length-one axes and never transposes an operand
