@@ -360,15 +360,17 @@ def _values_z(quotient: Quotient, order: list, parts: tuple, window: tuple, scal
     values, stuck = _solve_bounded(quotient, bounded, residues, m, M, scale)
     if stuck is not None:
         return _no("bounded_infeasible", element=quotient.classes[stuck][0])
+    # one upward pass over G | S | R serves G too (it dominates a pass over
+    # G alone), and S's downward potentials (at most -1) lie below its
+    # upward ones (at least 0), so they alone place S
     g_r = _potentials(quotient, order, greater | smaller | rest, upward=True)
-    g_g = _potentials(quotient, order, greater, upward=True)
     g_s = _potentials(quotient, order, smaller, upward=False)
     for ci in rest:
         values[ci] = delta * g_r[ci] + residues[ci][0]
     for ci in greater:
-        values[ci] = delta * max(g_r[ci], g_g[ci]) + residues[ci][0] + delta * (M + 1)
+        values[ci] = delta * g_r[ci] + residues[ci][0] + delta * (M + 1)
     for ci in smaller:
-        values[ci] = delta * min(g_r[ci], g_s[ci]) + residues[ci][0] + delta * (m - 1)
+        values[ci] = delta * g_s[ci] + residues[ci][0] + delta * (m - 1)
     return values
 
 
@@ -524,12 +526,13 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
     ascending) with values in [-bound, bound], or None.
 
     Backtracking over equality classes in declaration order, each trying
-    its candidate values in ascending order, after unary filters and
-    difference-bound tightening, with forward checking (Haralick and
-    Elliott): every value narrows the ranges of the classes the order
-    edges tie it to, and a value that empties a range is skipped.  All
-    this pruning removes only values that extend to no complete map, so
-    the first map found is the one plain enumeration finds first.
+    its candidate values in ascending order after the unary filters.
+    Forward checking (Haralick and Elliott) is the only order
+    propagation: it narrows every range once along the order edges, then
+    each value narrows the ranges of the classes the edges tie it to, and
+    a value that empties a range is skipped.  This pruning removes only
+    values that extend to no complete map, so the first map found is the
+    one plain enumeration finds first.
     """
     _signature_check(structure, target)
     elements = structure.elements
@@ -579,10 +582,7 @@ def brute_force_hom(structure: SigmaStructure, bound: int, target: str = "Z"):
         elif rel.kind == MODULO:
             for (a,) in tuples:
                 mods[cls[a]].add(rel.params)
-    if target == "Q":
-        candidates = _rational_candidates(n, bound, k, consts)
-    else:
-        candidates = _integer_candidates(target, bound, k, succs, order, consts, mods)
+    candidates = _candidates(target, bound, n, consts, mods)
     if candidates is None:
         return None
     solution = _first_assignment(candidates, succs, order)
@@ -609,78 +609,32 @@ def _kahn_order(k: int, edges: set):
     return succs, order
 
 
-def _integer_candidates(target: str, bound: int, k: int, succs: list, order: list, consts: list, mods: list):
-    """Per class, the ascending values (a range) in the target's part of
-    [-bound, bound] left by the unary filters and difference-bound
-    tightening; None when some class has none.  ``succs`` and ``order``
-    are the class edges as ``_kahn_order`` gives them."""
-    if target == "Z":
-        lo, hi = -bound, bound
-    elif target == "N":
-        lo, hi = 0, bound
+def _candidates(target: str, bound: int, n: int, consts: list, mods: list):
+    """Per class, its ascending values in the target's part of [-bound,
+    bound] after the unary filters, or None when some class has none; the
+    classes without unaries share one base (a range, or for Q the fractions
+    with denominators up to n + 1), and a pin stands alone, on it or off."""
+    if target == "Q":
+        base = sorted({Fraction(p, q) for q in range(1, n + 2) for p in range(-bound * q, bound * q + 1)})
     else:
-        lo, hi = -bound, -1
-    if lo > hi:
-        return None
-
-    lower = [lo] * k
-    upper = [hi] * k
-    for ci in range(k):
-        if len(consts[ci]) > 1:
-            return None
-        if consts[ci]:
-            c = next(iter(consts[ci]))
-            if not isinstance(c, int):
-                return None
-            lower[ci] = max(lower[ci], c)
-            upper[ci] = min(upper[ci], c)
-
-    # difference-bound tightening: lower bounds forward and upper bounds
-    # backward along a topological order of the class edges, which gives
-    # the fixpoint in one pass each; a class never ordered lies on a
-    # strict-order cycle
-    if len(order) < k:
-        return None
-    for a in order:
-        for b in succs[a]:
-            lower[b] = max(lower[b], lower[a] + 1)
-    for a in reversed(order):
-        for b in succs[a]:
-            upper[a] = min(upper[a], upper[b] - 1)
-    if any(lower[ci] > upper[ci] for ci in range(k)):
-        return None
-
-    # the values meeting a class's congruences repeat with the lcm of its
-    # moduli, so each class is one arithmetic range from its first value
+        base = range(0 if target == "N" else -bound, 0 if target == "negZ" else bound + 1)
     candidates = []
-    for ci in range(k):
-        step = lcm(*(b for _, b in mods[ci]))
-        window = range(lower[ci], min(upper[ci] + 1, lower[ci] + step))
-        first = next((v for v in window if all(v % b == a for a, b in mods[ci])), None)
-        if first is None:
-            return None
-        candidates.append(range(first, upper[ci] + 1, step))
-    return candidates
-
-
-def _rational_candidates(n: int, bound: int, k: int, consts: list):
-    """Per class, its pinned constant or the ascending grid of fractions
-    with denominators up to n + 1 in [-bound, bound]; None on a constant
-    clash or a constant out of range."""
-    grid = sorted(
-        {Fraction(p, q) for q in range(1, n + 2) for p in range(-bound * q, bound * q + 1)}
-    )
-    candidates = []
-    for ci in range(k):
-        if len(consts[ci]) > 1:
-            return None
-        if consts[ci]:
-            c = Fraction(next(iter(consts[ci])))
-            if c < -bound or c > bound:
+    for cs, ms in zip(consts, mods):
+        vals = base
+        if cs:
+            if len(cs) > 1:
                 return None
-            candidates.append([c])
-        else:
-            candidates.append(grid)
+            (c,) = cs  # after the signature check only Z (ints) and Q have pins
+            vals = [Fraction(c) if target == "Q" else c] if -bound <= c <= bound else []
+        if ms:
+            # the values meeting the congruences repeat with the lcm of
+            # the moduli: every lcm-th value from the first that meets them
+            step = lcm(*(b for _, b in ms))
+            first = next((i for i, v in enumerate(vals[:step]) if all(v % b == a for a, b in ms)), len(vals))
+            vals = vals[first::step]
+        if not vals:
+            return None
+        candidates.append(vals)
     return candidates
 
 

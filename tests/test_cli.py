@@ -9,7 +9,7 @@ import time
 import pytest
 
 import ctlz.cli
-from ctlz import ConstraintKripke, model_to_text, structure_to_text, SigmaStructure, LT, const_rel
+from ctlz import ConstraintKripke, model_to_text, structure_to_text, SigmaStructure, LT, brute_force_hom, const_rel
 from ctlz.cli import run_command
 from ctlz.golden import demo_tree
 
@@ -158,6 +158,17 @@ def test_brutehom_scans_from_the_bottom(capsys, chain_structure):
     rc, out, _ = run(capsys, "brutehom", "--structure", chain_structure, "--bound", "2")
     assert rc == 0
     assert "a = -2" in out and "b = -1" in out
+
+
+@pytest.mark.parametrize("target", ["Z", "N", "negZ", "Q"])
+def test_brutehom_negative_bound_finds_no_witness(capsys, chain_structure, target):
+    # no value lies in [-bound, bound]: a negative answer, never a crash
+    rc, out, err = run(capsys, "brutehom", "--structure", chain_structure, "--target", target,
+                       "--bound", "-1", "--json")
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["reason"] == {"kind": "no_witness_within_bound", "bound": -1}
+    s = SigmaStructure(["a", "b"], {LT: [("a", "b")]})
+    assert brute_force_hom(s, -1, target) is None
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):

@@ -206,7 +206,7 @@ def _argv(rng, tmp_path) -> list:
             structure, target = _structure(rng), rng.choice(TARGETS if command != "emit-mso" else MSO_TARGETS)
         argv = [command, "--structure", _file(tmp_path, _mutate(rng, structure, 0.3)), "--target", target, *json]
         if command == "brutehom":
-            argv += ["--bound", str(rng.randint(0, 2))]
+            argv += ["--bound", str(rng.randint(-2, 2))]
         return argv
     domain = rng.choice(DOMAINS)
     formula = _formula(rng, rng.randint(0, 3), domain)

@@ -385,67 +385,63 @@ def test_witness_bound_formula():
 # Brute-force agreement (small smoke; the acceptance suite sweeps widely)
 
 
-def _filtered_candidate_lists(target, bound, k, edges, consts, mods):
-    """Reference for the brute-force candidates: every value of each
-    tightened range, filtered by the class's congruences."""
-    lo, hi = {"Z": (-bound, bound), "N": (0, bound), "negZ": (-bound, -1)}[target]
-    if lo > hi:
-        return None
-    lower, upper = [lo] * k, [hi] * k
-    for ci in range(k):
-        if len(consts[ci]) > 1:
-            return None
-        if consts[ci]:
-            c = next(iter(consts[ci]))
-            if not isinstance(c, int):
-                return None
-            lower[ci], upper[ci] = max(lower[ci], c), min(upper[ci], c)
-    for _ in range(k + 1):
-        changed = False
-        for a, b in edges:
-            if a == b:
-                return None
-            if lower[a] + 1 > lower[b]:
-                lower[b], changed = lower[a] + 1, True
-            if upper[b] - 1 < upper[a]:
-                upper[a], changed = upper[b] - 1, True
-        if any(lower[ci] > upper[ci] for ci in range(k)):
-            return None
-        if not changed:
-            break
+def _unary_filtered_lists(target, bound, n, consts, mods):
+    """Reference for the brute-force candidates: per class, the target's
+    values in [-bound, bound] (for Q the fractions with denominators up
+    to n + 1), or its one pin there, that meet its congruences."""
+    if target == "Q":
+        base = sorted({Fraction(p, q) for q in range(1, n + 2) for p in range(-bound * q, bound * q + 1)})
     else:
-        return None
+        base = [v for v in range(-bound, bound + 1) if target == "Z" or (v >= 0) == (target == "N")]
     lists = []
-    for ci in range(k):
-        vals = [v for v in range(lower[ci], upper[ci] + 1) if all(v % b == a for a, b in mods[ci])]
+    for cs, ms in zip(consts, mods):
+        if len(cs) > 1:
+            return None
+        vals = [v for v in ([Fraction(c) for c in cs] if cs else base)
+                if -bound <= v <= bound and all(v % b == a for a, b in ms)]
         if not vals:
             return None
         lists.append(vals)
     return lists
 
 
-def test_integer_candidates_are_the_filtered_ranges():
+def test_candidates_are_the_unary_filtered_values():
     rng = random.Random(34)
     residues = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (1, 4), (3, 4), (0, 5), (4, 6)]
-    seen_some = seen_none = 0
+    pins = {"Z": [-3, -1, 0, 2, 4], "Q": [-3, 0, 2, Fraction(1, 2), Fraction(-2, 5), Fraction(1, 7)]}
+    seen_some = seen_none = off_grid = 0
     for _ in range(3000):
+        target = rng.choice(["Z", "N", "negZ", "Q"])
         k = rng.randint(1, 5)
-        edges = {(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, k))}
-        if rng.random() < 0.7:
-            edges = {(a, b) for a, b in edges if a < b}
-        consts = [set(rng.sample([-3, -1, 0, 2, 4, Fraction(1, 2)], rng.choice([0, 0, 0, 1, 1, 2])))
-                  for _ in range(k)]
-        mods = [set(rng.sample(residues, rng.choice([0, 0, 1, 1, 2]))) for _ in range(k)]
-        args = (rng.choice(["Z", "N", "negZ"]), rng.randint(0, 12), k, edges, consts, mods)
-        got = ctlz.homcheck._integer_candidates(*args[:3], *ctlz.homcheck._kahn_order(*args[2:4]), *args[4:])
-        want = _filtered_candidate_lists(*args)
+        n = rng.randint(k, 7)
+        pool = pins.get(target, [])  # after the signature check only Z and Q have pins
+        consts = [set(rng.sample(pool, min(len(pool), rng.choice([0, 0, 0, 1, 1, 2])))) for _ in range(k)]
+        mods = [set() if target == "Q" else set(rng.sample(residues, rng.choice([0, 0, 1, 1, 2])))
+                for _ in range(k)]
+        bound = rng.randint(-2, 4 if target == "Q" else 12)
+        got = ctlz.homcheck._candidates(target, bound, n, consts, mods)
+        want = _unary_filtered_lists(target, bound, n, consts, mods)
+        args = (target, bound, n, consts, mods)
         assert (got is None) == (want is None), args
-        if got is not None:
-            assert [list(r) for r in got] == want, args
-            seen_some += 1
-        else:
+        if got is None:
             seen_none += 1
-    assert seen_some > 300 and seen_none > 300
+            continue
+        seen_some += 1
+        assert [list(vals) for vals in got] == want, args
+        if target == "Q":
+            assert all(type(v) is Fraction for vals in got for v in vals), args
+            off_grid += any(len(cs) == 1 and next(iter(cs)).denominator > n + 1 for cs in consts)
+        # the classes without unaries share one base object
+        free = [vals for vals, cs, ms in zip(got, consts, mods) if not cs and not ms]
+        assert all(vals is free[0] for vals in free), args
+    assert seen_some > 300 and seen_none > 300 and off_grid > 10
+
+
+def test_brute_force_keeps_an_off_grid_rational_pin():
+    # 1/7 is off the grid of denominators up to n + 1 = 3; b's least value
+    # on the grid above it is 1/3
+    s = SigmaStructure(["a", "b"], {LT: [("a", "b")], const_rel(Fraction(1, 7)): [("a",)]})
+    assert brute_force_hom(s, 1, "Q") == {"a": Fraction(1, 7), "b": Fraction(1, 3)}
 
 
 def test_decide_matches_brute_force_on_random_structures():
@@ -504,7 +500,7 @@ def test_decide_matches_brute_force_rationals():
 
 
 def test_brute_force_matches_decide_on_long_chain_and_cycle():
-    # the oracle's bound tightening is one pass each way along a
+    # the oracle's first narrowing is one pass each way along a
     # topological order, so a 1,500-class chain needs no repeated sweeps
     for cycle in (False, True):
         s = _lt_chain(1_500, cycle)
