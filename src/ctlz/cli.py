@@ -37,7 +37,7 @@ from .formulas import (
     to_nnf,
     to_snnf,
 )
-from .homcheck import HomDecision, HomReason, brute_force_hom, decide_hom, verify_hom, witness_bound
+from .homcheck import TARGET_DOMAINS, HomDecision, HomReason, brute_force_hom, decide_hom, verify_hom, witness_bound
 from .modelcheck import ModelCheckError, check_ctlstar
 from .mso import MsoError, emit_hom_sentence, formula_class, parse_sexpr, to_sexpr
 from .satsearch import SatSearchError, find_model
@@ -100,33 +100,27 @@ def _print_decision(decision: HomDecision, elements, as_json: bool) -> int:
 # Subcommand handlers
 
 
-def _cmd_parse(args) -> int:
-    f = parse_path_formula(_read_arg(args.formula))
-    kind = "state" if is_state_formula(f) else "path"
+def _print_formula(args, f, **extra) -> int:
+    """Print f in canonical text, or as {"formula": ..., **extra} under --json."""
     if args.json:
-        _print_json({"formula": format_formula(f), "kind": kind})
+        _print_json({"formula": format_formula(f), **extra})
     else:
         print(format_formula(f))
     return 0
+
+
+def _cmd_parse(args) -> int:
+    f = parse_path_formula(_read_arg(args.formula))
+    return _print_formula(args, f, kind="state" if is_state_formula(f) else "path")
 
 
 def _cmd_nnf(args) -> int:
-    f = to_nnf(parse_path_formula(_read_arg(args.formula)))
-    if args.json:
-        _print_json({"formula": format_formula(f)})
-    else:
-        print(format_formula(f))
-    return 0
+    return _print_formula(args, to_nnf(parse_path_formula(_read_arg(args.formula))))
 
 
 def _cmd_snnf(args) -> int:
     dom = domain_by_name(args.domain)
-    f = to_snnf(parse_path_formula(_read_arg(args.formula)), dom)
-    if args.json:
-        _print_json({"formula": format_formula(f)})
-    else:
-        print(format_formula(f))
-    return 0
+    return _print_formula(args, to_snnf(parse_path_formula(_read_arg(args.formula)), dom))
 
 
 def _cmd_abstract(args) -> int:
@@ -267,13 +261,7 @@ def _cmd_sat(args) -> int:
 
 def _cmd_interp(args) -> int:
     interp = interpretation_by_name(args.interp)
-    f = parse_formula(_read_arg(args.formula))
-    reduced = apply_interpretation(interp, f)
-    if args.json:
-        _print_json({"formula": format_formula(reduced)})
-    else:
-        print(format_formula(reduced))
-    return 0
+    return _print_formula(args, apply_interpretation(interp, parse_formula(_read_arg(args.formula))))
 
 
 def _selftest_checks():
@@ -406,11 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("homcheck", _cmd_homcheck, "decide homomorphism into Z/N/negZ/Q")
     p.add_argument("--structure", required=True)
-    p.add_argument("--target", default="Z", choices=["Z", "N", "negZ", "Q"])
+    p.add_argument("--target", default="Z", choices=TARGET_DOMAINS)
 
     p = add("brutehom", _cmd_brutehom, "exhaustive homomorphism search within a bound")
     p.add_argument("--structure", required=True)
-    p.add_argument("--target", default="Z", choices=["Z", "N", "negZ", "Q"])
+    p.add_argument("--target", default="Z", choices=TARGET_DOMAINS)
     p.add_argument("--bound", type=int, help="sweep radius; defaults to the witness bound")
 
     p = add("emit-mso", _cmd_emit_mso, "emit the homomorphism sentence for a structure's signature")

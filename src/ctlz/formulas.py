@@ -26,9 +26,10 @@ normal form the step whose context is the polarity, and ``mso`` adds
 substitution, relativization and the tree encoding.  A step that ends by
 rebuilding its node from the rewritten children hands that rebuild to
 the engine, which does it in the step's place, so a nesting level keeps
-at most one frame alive.  The parser is an operator-precedence loop.  No
-pass recurses, so formula nesting depth is not bounded by Python's
-recursion limit.
+at most one frame alive.  The parser is an operator-precedence loop over
+the token strings of one regex pass; a line and column are worked out
+only for an error.  No pass recurses, so formula nesting depth is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -96,11 +97,14 @@ class RelationSymbol:
 
 LT = RelationSymbol("lt", 2, LESS)
 EQ = RelationSymbol("eq", 2, EQUAL)
+_BUILTIN = {"lt": LT, "eq": EQ}
 
 
 def const_rel(c) -> RelationSymbol:
-    """The unary relation =_c, written eqc[c]."""
-    return RelationSymbol(f"eqc[{c}]", 1, CONSTANT, (c,))
+    """The unary relation =_c, written eqc[c]; a rational c is written
+    with its denominator, so eqc[2/1] is not the integer eqc[2]."""
+    text = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
+    return RelationSymbol(f"eqc[{text}]", 1, CONSTANT, (c,))
 
 
 def mod_rel(a: int, b: int) -> RelationSymbol:
@@ -114,10 +118,8 @@ def interp_rel(name: str, arity: int) -> RelationSymbol:
 
 def relation_from_name(name: str, arity: int | None = None) -> RelationSymbol:
     """Parse a relation name as it appears in files and CLI arguments."""
-    if name == "lt":
-        return LT
-    if name == "eq":
-        return EQ
+    if name in _BUILTIN:
+        return _BUILTIN[name]
     m = re.fullmatch(r"eqc\[(-?\d+(?:/0*[1-9]\d*)?)\]", name)  # no zero denominator
     if m:
         text = m.group(1)
@@ -375,10 +377,7 @@ class Constraint(Formula):
         for off, var in args:
             if not isinstance(off, int) or off < 0:
                 raise FormulaError(f"constraint offset must be a nonnegative integer, got {off!r}")
-        # eqc[1] and eqc[1/1] compare equal but are not interchangeable
-        # (the integer domains reject a Fraction), so the key keeps types
-        param_types = tuple(type(p) for p in relation.params)
-        return _intern(cls, (relation, args), (cls, relation, param_types, args))
+        return _intern(cls, (relation, args), (cls, relation, args))
 
     @property
     def depth(self) -> int:
@@ -439,106 +438,81 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"""(?P<WS>[ \t\r]+)
-      | (?P<NL>\n)
-      | (?P<RAT>-?\d+/\d+)
-      | (?P<INT>-?\d+)
-      | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<SYM>[~&|()\[\],^])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col_base = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaError(f"unexpected character {text[pos]!r}", line, pos - col_base + 1)
-        kind = m.lastgroup
-        if kind == "NL":
-            line += 1
-            col_base = m.end()
-        elif kind != "WS":
-            tokens.append(_Token(kind, m.group(), line, m.start() - col_base + 1))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, len(text) - col_base + 1))
-    return tokens
-
+# a token is its text: a rational, an integer, a name, a symbol, or any
+# other non-blank character, which starts no token and is refused
+_TOKEN_RE = re.compile(r"-?\d+/\d+|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[~&|()\[\],^]|[^ \t\r\n]")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("~&|()[],^")
 
 # prefix operators bind tightest; among the binary ones U and R bind
 # tighter than &, which binds tighter than |
 _PREFIX_OPS = {"~": Not, "E": Exists, "A": All, "X": Next,
                "F": lambda sub: Until(TRUE, sub), "G": lambda sub: Release(FALSE, sub)}
 _BINARY_OPS = {"|": Or, "&": And, "U": Until, "R": Release}
+_BOOL_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Operator-precedence parser over the token strings of one regex
+    pass, "" ending them.  A token's kind is read off its text, and a
+    line and column are worked out only when parsing fails."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.pos = 0
+        for i, tok in enumerate(self.tokens):
+            # \d, which starts a number, matches what isdecimal accepts
+            if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS and not tok.isdecimal():
+                self.fail(f"unexpected character {tok!r}", i)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, at: int | None = None):
+        """Raise at token ``at``, the current one by default."""
+        text = self.text
+        offset = [*(m.start() for m in _TOKEN_RE.finditer(text)), len(text)][self.pos if at is None else at]
+        line = text.count("\n", 0, offset) + 1
+        raise FormulaError(message, line, offset - text.rfind("\n", 0, offset)) from None
 
-    def next(self) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok or 'end of input'!r}")
         self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise FormulaError(message, tok.line, tok.column)
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise FormulaError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
 
     def parse(self) -> Formula:
         """Operator-precedence loop: operands and pending operators ("("
         marks, prefix and binary operator texts) sit on explicit stacks."""
         operands: list[Formula] = []
         operators: list[str] = []
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.text in _PREFIX_OPS or tok.text == "(":
-                operators.append(self.next().text)
+            tok = tokens[self.pos]
+            if tok in _PREFIX_OPS or tok == "(":
+                operators.append(tok)
+                self.pos += 1
                 continue
             operands.append(self.parse_atom())
             while True:
                 while operators and operators[-1] in _PREFIX_OPS:
                     operands.append(_PREFIX_OPS[operators.pop()](operands.pop()))
-                tok = self.peek()
-                if tok.text in _BINARY_OPS:
+                tok = tokens[self.pos]
+                if tok in _BINARY_OPS:
                     break
                 # the operand ends a group: close it at ")" or at the end
                 self._reduce(operands, operators, _PREC_OR)
                 if not operators:
-                    if tok.kind != "EOF":
-                        self.fail(f"trailing input starting at {tok.text!r}")
+                    if tok:
+                        self.fail(f"trailing input starting at {tok!r}")
                     return operands.pop()
                 self.expect(")")
                 operators.pop()
-            op = self.next().text
-            prec = _PREC[_BINARY_OPS[op]]
+            self.pos += 1
+            prec = _PREC[_BINARY_OPS[tok]]
             # left operands of & and | take equal precedence, those of the
             # right-associative U and R only tighter
             self._reduce(operands, operators, prec + 1 if prec == _PREC_UR else prec)
-            operators.append(op)
+            operators.append(tok)
 
     @staticmethod
     def _reduce(operands: list, operators: list, minimum: int) -> None:
@@ -551,110 +525,102 @@ class _Parser:
             operands.append(cls(operands.pop(), right))
 
     def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind != "ID":
-            self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
-        if tok.text == "true":
-            self.next()
-            return TRUE
-        if tok.text == "false":
-            self.next()
-            return FALSE
-        if tok.text in _KEYWORDS:
-            self.fail(f"keyword {tok.text!r} cannot start an atom here")
-        name_tok = self.next()
-        follower = self.peek().text
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _NAME_START:
+            self.fail(f"expected a formula, found {tok or 'end of input'!r}")
+        if tok in _KEYWORDS:
+            if tok not in _BOOL_CONSTANTS:
+                self.fail(f"keyword {tok!r} cannot start an atom here")
+            self.pos += 1
+            return _BOOL_CONSTANTS[tok]
+        name = self.pos
+        self.pos += 1
+        follower = self.tokens[self.pos]
         if follower == "[":
-            rel = self.parse_bracket_relation(name_tok)
-            return self.parse_constraint_args(rel, name_tok)
+            return self.parse_constraint_args(self.parse_bracket_relation(name), name)
         if follower == "(":
-            if name_tok.text.startswith(RESERVED_PREFIX):
-                raise FormulaError(
-                    f"relation name {name_tok.text!r} uses the reserved prefix", name_tok.line, name_tok.column
-                )
-            if name_tok.text == "lt":
-                rel = LT
-            elif name_tok.text == "eq":
-                rel = EQ
-            else:
-                rel = None  # interpreted; arity fixed by the argument list
-            return self.parse_constraint_args(rel, name_tok)
-        if name_tok.text.startswith(RESERVED_PREFIX):
-            raise FormulaError(
-                f"proposition {name_tok.text!r} uses the reserved prefix", name_tok.line, name_tok.column
-            )
-        return Prop(name_tok.text)
+            if tok.startswith(RESERVED_PREFIX):
+                self.fail(f"relation name {tok!r} uses the reserved prefix", name)
+            # an interpreted name's arity is fixed by the argument list
+            return self.parse_constraint_args(_BUILTIN.get(tok), name)
+        if tok.startswith(RESERVED_PREFIX):
+            self.fail(f"proposition {tok!r} uses the reserved prefix", name)
+        return Prop(tok)
 
-    def parse_bracket_relation(self, name_tok: _Token) -> RelationSymbol:
-        self.expect("[")
-        params = [self.parse_number()]
-        while self.peek().text == ",":
-            self.next()
-            params.append(self.parse_number())
-        self.expect("]")
-        if name_tok.text == "eqc":
+    def parse_list(self, opener: str, parse_item, closer: str) -> list:
+        """The comma-separated items between opener and closer."""
+        self.expect(opener)
+        items = [parse_item()]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            items.append(parse_item())
+        self.expect(closer)
+        return items
+
+    def parse_bracket_relation(self, name: int) -> RelationSymbol:
+        params = self.parse_list("[", self.parse_number, "]")
+        tok = self.tokens[name]
+        if tok == "eqc":
             if len(params) != 1:
-                raise FormulaError("eqc takes one parameter", name_tok.line, name_tok.column)
+                self.fail("eqc takes one parameter", name)
             return const_rel(params[0])
-        if name_tok.text == "mod":
+        if tok == "mod":
             if len(params) != 2:
-                raise FormulaError("mod takes two parameters", name_tok.line, name_tok.column)
+                self.fail("mod takes two parameters", name)
             try:
                 return mod_rel(params[0], params[1])
             except FormulaError as exc:
-                raise FormulaError(str(exc), name_tok.line, name_tok.column) from None
-        raise FormulaError(f"unknown bracketed relation {name_tok.text!r}", name_tok.line, name_tok.column)
+                self.fail(str(exc), name)
+        self.fail(f"unknown bracketed relation {tok!r}", name)
 
     def parse_int(self) -> int:
-        tok = self.next()
-        if tok.kind != "INT":
-            raise FormulaError(f"expected an integer, found {tok.text!r}", tok.line, tok.column)
-        return int(tok.text)
+        tok = self.tokens[self.pos]
+        if "/" in tok or not tok.lstrip("-")[:1].isdecimal():
+            self.fail(f"expected an integer, found {tok!r}")
+        self.pos += 1
+        return int(tok)
 
     def parse_number(self):
-        if self.peek().kind == "RAT":
-            tok = self.next()
-            try:
-                return Fraction(tok.text)
-            except ZeroDivisionError:
-                raise FormulaError(f"zero denominator in {tok.text!r}", tok.line, tok.column) from None
-        return self.parse_int()
+        tok = self.tokens[self.pos]
+        if "/" not in tok:
+            return self.parse_int()
+        try:
+            value = Fraction(tok)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {tok!r}")
+        self.pos += 1
+        return value
 
-    def parse_constraint_args(self, rel: RelationSymbol | None, name_tok: _Token) -> Constraint:
-        self.expect("(")
-        args = [self.parse_term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.parse_term())
-        self.expect(")")
+    def parse_constraint_args(self, rel: RelationSymbol | None, name: int) -> Constraint:
+        args = self.parse_list("(", self.parse_term, ")")
         if rel is None:
-            rel = interp_rel(name_tok.text, len(args))
+            rel = interp_rel(self.tokens[name], len(args))
         if len(args) != rel.arity:
-            raise FormulaError(
-                f"{rel.name} expects {rel.arity} arguments, got {len(args)}", name_tok.line, name_tok.column
-            )
+            self.fail(f"{rel.name} expects {rel.arity} arguments, got {len(args)}", name)
         return Constraint(rel, tuple(args))
 
     def parse_term(self) -> tuple[int, str]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         offset = 0
-        if tok.kind == "ID" and tok.text == "X":
-            self.next()
+        if tok == "X":
+            at = self.pos
+            self.pos += 1
             self.expect("^")
             offset = self.parse_int()
             if offset < 0:
-                raise FormulaError("offsets must be nonnegative", tok.line, tok.column)
-            tok = self.peek()
-        if tok.kind != "ID" or tok.text in _KEYWORDS:
+                self.fail("offsets must be nonnegative", at)
+            tok = self.tokens[self.pos]
+        if tok[:1] not in _NAME_START or tok in _KEYWORDS:
             self.fail("expected a variable")
-        if tok.text.startswith(RESERVED_PREFIX):
-            self.fail(f"variable {tok.text!r} uses the reserved prefix")
-        return (offset, self.next().text)
+        if tok.startswith(RESERVED_PREFIX):
+            self.fail(f"variable {tok!r} uses the reserved prefix")
+        self.pos += 1
+        return (offset, tok)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text and require the result to be a state formula."""
-    f = _Parser(_tokenize(text)).parse()
+    f = _Parser(text).parse()
     if not is_state_formula(f):
         raise FormulaError("temporal operators and constraints must sit under a path quantifier")
     return f
@@ -662,7 +628,7 @@ def parse_formula(text: str) -> Formula:
 
 def parse_path_formula(text: str) -> Formula:
     """Parse formula text allowing a bare path formula at the top."""
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,8 @@ def _values_q(quotient: Quotient, order: list, denominator: int, window: tuple):
 
 
 def _signature_check(structure: SigmaStructure, target: str) -> None:
+    if target not in TARGET_DOMAINS:
+        raise DomainError(f"unknown target {target!r}")
     for rel in structure.interpretation:
         if rel.kind == LESS or rel.kind == EQUAL:
             continue
@@ -482,8 +484,6 @@ def witness_bound(structure: SigmaStructure) -> int:
 
 def decide_hom(structure: SigmaStructure, target: str = "Z") -> HomDecision:
     """Decide mappability into the target and produce witness or reason."""
-    if target not in TARGET_DOMAINS:
-        raise DomainError(f"unknown target {target!r}")
     _signature_check(structure, target)
     quotient = build_quotient(structure)
     # after the signature check only Z and Q have constants and only Z, N

@@ -56,7 +56,7 @@ from .formulas import (
     postorder,
     variables_of,
 )
-from .homcheck import decide_hom, verify_hom
+from .homcheck import TARGET_DOMAINS, decide_hom, verify_hom
 from .modelcheck import WINDOW_LIMIT, _compile, _label_states, check_ctlstar, window_skeleton
 from .structures import (
     GRAPH_SHAPE,
@@ -454,7 +454,7 @@ def reduction_consistency(model: ConstraintKripke, formula: Formula, dom: Concre
     if not is_snnf(formula):
         raise SatSearchError("reduction check expects strong negation normal form")
     _check_shape(formula)
-    if dom.name not in ("Z", "N", "negZ", "Q"):
+    if dom.name not in TARGET_DOMAINS:
         raise SatSearchError(f"no homomorphism target for domain {dom.name!r}")
 
     issues = []

@@ -157,7 +157,7 @@ def _mutate(rng, text: str, rate: float) -> str:
         lines.insert(i, lines[i])
     else:
         i = rng.randrange(len(text))
-        pick = rng.choice(" ()-/,0123x#\n")
+        pick = rng.choice(" ()-/,0123x#\n[]^~&|\t\fé\u0663")
         text = text[:i] + rng.choice(("", pick, text[i] * 2)) + text[i + 1:]
         return text
     return "\n".join(lines) + "\n"
@@ -167,7 +167,7 @@ def _file(tmp_path, text: str) -> str:
     """A fresh file holding the text; rewriting one file in place can
     cost far more than a new one on some file systems."""
     fd, path = tempfile.mkstemp(dir=tmp_path)
-    with os.fdopen(fd, "w") as fh:
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
 
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
                 crashes += 1
                 print(f"exit {code}: {argv}\n{err.getvalue()}", end="")
                 for path in (a for a in argv if a.startswith(tmp)):
-                    with open(path) as fh:
+                    with open(path, encoding="utf-8") as fh:
                         print(f"--- {path}\n{fh.read()}", end="")
     for command in sorted(runs):
         print(f"{command}: {runs[command]} runs")

@@ -126,9 +126,11 @@ def test_relation_name_forms():
 
 
 def test_fraction_constants_round_trip_in_formula_text():
-    f = parse_path_formula("eqc[1/2](x)")
-    assert f.relation.params == (Fraction(1, 2),)
-    assert parse_path_formula(format_formula(f)) == f
+    for text, value in [("eqc[1/2](x)", Fraction(1, 2)), ("eqc[2/1](x)", 2), ("eqc[4/2](x)", 2)]:
+        f = parse_path_formula(text)
+        assert f.relation.params == (value,)
+        assert type(f.relation.params[0]) is Fraction
+        assert parse_path_formula(format_formula(f)) is f
     with pytest.raises(FormulaError, match="denominator"):
         parse_path_formula("eqc[1/0](x)")
     with pytest.raises(FormulaError, match="modulo"):
@@ -142,11 +144,41 @@ def test_reserved_prefix_rejected():
         parse_path_formula("__p & a")
 
 
+# every parser error: the text, the message, and the line and column of the
+# token it blames
+_PARSE_ERRORS = [
+    ("E (a U )", "expected a formula, found ')'", 1, 8),
+    ("E (a U\x0cb)", "unexpected character '\\x0c'", 1, 7),
+    ("E (a U é)", "unexpected character 'é'", 1, 8),
+    ("E (a U b)\n  $", "unexpected character '$'", 2, 3),
+    ("E (a &\n  )", "expected a formula, found ')'", 2, 3),
+    ("a U", "expected a formula, found 'end of input'", 1, 4),
+    ("E (a U b))", "trailing input starting at ')'", 1, 10),
+    ("E (a U b", "expected ')', found 'end of input'", 1, 9),
+    ("E (a U R)", "keyword 'R' cannot start an atom here", 1, 8),
+    ("E lt(x)", "lt expects 2 arguments, got 1", 1, 3),
+    ("E eqc[1,2](x)", "eqc takes one parameter", 1, 3),
+    ("E mod[1](x)", "mod takes two parameters", 1, 3),
+    ("E mod[1/2,3](x)", "malformed modulo parameters (Fraction(1, 2), 3): need 0 <= a < b, b >= 2", 1, 3),
+    ("E foo[1](x)", "unknown bracketed relation 'foo'", 1, 3),
+    ("E eqc[1 2](x)", "expected ']', found '2'", 1, 9),
+    ("E lt(x, X^y x)", "expected an integer, found 'y'", 1, 11),
+    ("E lt(x, X^1/2 x)", "expected an integer, found '1/2'", 1, 11),
+    ("E eqc[1/0](x)", "zero denominator in '1/0'", 1, 7),
+    ("E lt(x, X^-1 y)", "offsets must be nonnegative", 1, 9),
+    ("E lt(x, U)", "expected a variable", 1, 9),
+    ("E lt(x,\n\tX^1 __y)", "variable '__y' uses the reserved prefix", 2, 6),
+    ("E __r(x)", "relation name '__r' uses the reserved prefix", 1, 3),
+    ("E F __p", "proposition '__p' uses the reserved prefix", 1, 5),
+]
+
+
 def test_parse_error_carries_position():
-    with pytest.raises(FormulaError) as info:
-        parse_formula("E (a U )")
-    assert info.value.line == 1
-    assert info.value.column == 8
+    for text, message, line, column in _PARSE_ERRORS:
+        with pytest.raises(FormulaError) as info:
+            parse_path_formula(text)
+        assert str(info.value) == f"{message} (line {line}, column {column})", text
+        assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_state_formula_required_at_top_level():
@@ -169,7 +201,8 @@ def test_equal_formulas_are_one_node():
     assert parse_formula(text) is parse_formula(text)
     assert And(Prop("a"), Prop("b")) is And(left=Prop("a"), right=Prop("b"))
     assert Constraint(LT, [(0, "x"), (1, "y")]) is parse_path_formula("lt(x, X^1 y)")
-    # eqc[2] and eqc[2/1] print alike but only the first is an integer constant
+    # eqc[2] is an integer constant and eqc[2/1] the rational 2; a rational
+    # prints with its denominator, so the two differ by name
     assert parse_path_formula("eqc[2](x)") is not parse_path_formula("eqc[2/1](x)")
     with pytest.raises(AttributeError):
         Prop("a").name = "b"

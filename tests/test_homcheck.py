@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -273,8 +274,9 @@ def test_restricted_target_signatures():
         decide_hom(_s("a", eqc0=[("a",)]), "N")
     with pytest.raises(DomainError, match="does not accept"):
         decide_hom(_s("a", mod1_2=[("a",)]), "Q")
-    with pytest.raises(DomainError, match="unknown target"):
-        decide_hom(_s("a"), "R")
+    for oracle in (decide_hom, partial(brute_force_hom, bound=3)):
+        with pytest.raises(DomainError, match="unknown target 'X'"):
+            oracle(_s("ab", lt=[("a", "b")]), target="X")
 
 
 def test_free_targets_follow_order_direction():
