@@ -52,7 +52,7 @@ from .structures import (
     structure_to_text,
 )
 
-_INPUT_ERRORS = (FormulaError, StructureError, DomainError, MsoError, ModelCheckError, SatSearchError)
+_INPUT_ERRORS = (FormulaError, StructureError, DomainError, MsoError, ModelCheckError, SatSearchError, OSError)
 
 
 def _read_arg(value: str) -> str:
@@ -436,9 +436,6 @@ def run_command(argv) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a defect, not a verdict

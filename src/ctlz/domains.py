@@ -1,13 +1,16 @@
 """Concrete constraint domains and existential interpretations.
 
-The integer domain carries <, =, =_c for every integer c, and x = a
-(mod b); N and negZ are its restrictions to the nonnegative and the
-negative integers; Q drops modulo and allows rational constants.  On top
-of these, structures whose elements are tuples (lexicographic n-tuples,
-Allen intervals) are reduced to the integer domain by existential
-interpretations.
+One numeric class serves Z, N, negZ and Q.  Three facts tell them
+apart: the value range, whether rationals (``Fraction``) count as
+numbers, and whether congruences x = a (mod b) exist, which they do
+unless rationals count.  Each carries <, = and =_c for every constant c
+of its kind.  Structures whose elements are tuples (lexicographic
+n-tuples, Allen intervals) are reduced to the integer domain by
+existential interpretations.
 
-Each domain ships a negation table: for every relation it supports, a
+Every domain decides a relation in one place, the closure its ``_test``
+returns; a value tuple of the wrong length raises ``DomainError``.  Each
+domain also ships a negation table: for every relation it supports, a
 positive existential formula equivalent to the complement.  The tables
 are what makes strong negation normal form possible.
 """
@@ -15,10 +18,11 @@ are what makes strong negation normal form possible.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 
 from .formulas import (
     CONSTANT,
@@ -110,6 +114,17 @@ class PositiveExistential:
 # Domains
 
 
+def _wrong_arity(rel: RelationSymbol, values: tuple):
+    raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")
+
+
+def _order_test(rel: RelationSymbol, less: bool):
+    """v0 < v1, or v0 = v1 unless ``less``, on the values themselves."""
+    if less:
+        return lambda v: v[0] < v[1] if len(v) == 2 else _wrong_arity(rel, v)
+    return lambda v: v[0] == v[1] if len(v) == 2 else _wrong_arity(rel, v)
+
+
 class ConcreteDomain:
     """A named structure: element universe plus relation evaluators."""
 
@@ -123,21 +138,20 @@ class ConcreteDomain:
         raise NotImplementedError
 
     def eval_relation(self, rel: RelationSymbol, values: tuple) -> bool:
-        self._require(rel)
-        return self._holds(rel, values)
+        return self.relation_test(rel)(values)
 
     def relation_test(self, rel: RelationSymbol):
         """The truth of ``rel`` as a function of its value tuple, for a
         caller that evaluates many tuples: whether the domain interprets
         ``rel`` is checked once, here."""
         self._require(rel)
-        return partial(self._holds, rel)
+        return self._test(rel)
 
     def _require(self, rel: RelationSymbol) -> None:
         if not self.supports(rel):
             raise DomainError(f"{self.name} does not interpret {rel.name}")
 
-    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
+    def _test(self, rel: RelationSymbol):
         raise NotImplementedError
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
@@ -156,57 +170,47 @@ _EVERYTHING = PositiveExistential(0, parse_path_formula("eq(y0, y0)"))
 _AROUND_WITNESS = parse_path_formula("lt(y0, z0) | lt(z0, y0)")
 
 
-class _NumericDomain(ConcreteDomain):
-    """Shared evaluator for the integer-like and rational domains."""
+class NumericDomain(ConcreteDomain):
+    """The numbers in [low, high] (a bound of None is open) under <, =,
+    =_c and, for integers only, x = a (mod b).  The numbers are the
+    integers, or with ``rational`` the rationals (``int`` and
+    ``Fraction``); ``bool`` is never a number.  The defaults are Z."""
 
-    allow_modulo = True
+    def __init__(self, name: str = "Z", low=None, high=None, rational: bool = False):
+        self.name = name
+        self.rational = rational
+        self._range = (-math.inf if low is None else low, math.inf if high is None else high)
+        self._kinds = (int, Fraction) if rational else int
+
+    def _is_number(self, value) -> bool:
+        return isinstance(value, self._kinds) and not isinstance(value, bool)
+
+    def check_value(self, value) -> bool:
+        return self._is_number(value) and self._range[0] <= value <= self._range[1]
 
     def supports(self, rel: RelationSymbol) -> bool:
         if rel.kind in (LESS, EQUAL):
             return True
         if rel.kind == CONSTANT:
-            return self._constant_ok(rel.params[0])
-        if rel.kind == MODULO:
-            return self.allow_modulo
-        return False
+            return self._is_number(rel.params[0])
+        return rel.kind == MODULO and not self.rational
 
-    def _constant_ok(self, c) -> bool:
-        return isinstance(c, int)
-
-    def relation_test(self, rel: RelationSymbol):
-        """One closure per relation kind, so that a tuple costs its arity
-        check and one comparison; a tuple of the wrong arity goes to
-        ``_holds``, which raises."""
-        self._require(rel)
-        n = rel.arity
-        if rel.kind == LESS:
-            return lambda v: v[0] < v[1] if len(v) == n else self._holds(rel, v)
-        if rel.kind == EQUAL:
-            return lambda v: v[0] == v[1] if len(v) == n else self._holds(rel, v)
+    def _test(self, rel: RelationSymbol):
+        # one closure per kind: a tuple costs its length check and one test
+        if rel.kind in (LESS, EQUAL):
+            return _order_test(rel, rel.kind == LESS)
         if rel.kind == CONSTANT:
             c = rel.params[0]
-            return lambda v: v[0] == c if len(v) == n else self._holds(rel, v)
+            return lambda v: v[0] == c if len(v) == 1 else _wrong_arity(rel, v)
         a, b = rel.params
-        return lambda v: v[0] % b == a if len(v) == n else self._holds(rel, v)
-
-    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
-        if len(values) != rel.arity:
-            raise DomainError(f"{rel.name} is {rel.arity}-ary, got {len(values)} values")
-        if rel.kind == LESS:
-            return values[0] < values[1]
-        if rel.kind == EQUAL:
-            return values[0] == values[1]
-        if rel.kind == CONSTANT:
-            return values[0] == rel.params[0]
-        a, b = rel.params
-        return values[0] % b == a
+        return lambda v: v[0] % b == a if len(v) == 1 else _wrong_arity(rel, v)
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
         if rel.kind in _ORDER_NEGATIONS:
             return _ORDER_NEGATIONS[rel.kind]
         if rel.kind == CONSTANT:
-            if not self._negatable_constant(rel.params[0]):
+            if not self.check_value(rel.params[0]):
                 # c falls outside the universe, so x = c never holds and
                 # the complement is everything
                 return _EVERYTHING
@@ -215,48 +219,6 @@ class _NumericDomain(ConcreteDomain):
         a, b = rel.params
         # not x = a (mod b)  iff  x = c (mod b) for some c != a
         return PositiveExistential(0, reduce(Or, (Constraint(mod_rel(c, b), [(0, "y0")]) for c in range(b) if c != a)))
-
-    def _negatable_constant(self, c) -> bool:
-        return True
-
-
-class ZDomain(_NumericDomain):
-    name = "Z"
-
-    def check_value(self, value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
-
-class NDomain(_NumericDomain):
-    name = "N"
-
-    def check_value(self, value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    def _negatable_constant(self, c) -> bool:
-        # the witness-based entry needs the constant inside the universe
-        return isinstance(c, int) and c >= 0
-
-
-class NegZDomain(_NumericDomain):
-    name = "negZ"
-
-    def check_value(self, value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value < 0
-
-    def _negatable_constant(self, c) -> bool:
-        return isinstance(c, int) and c < 0
-
-
-class QDomain(_NumericDomain):
-    name = "Q"
-    allow_modulo = False
-
-    def check_value(self, value) -> bool:
-        return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-    def _constant_ok(self, c) -> bool:
-        return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
 # Allen's thirteen interval relations, each on pairs (s, e) with s < e.
@@ -326,9 +288,9 @@ class AllenDomain(ConcreteDomain):
             and value[0] < value[1]
         )
 
-    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
+    def _test(self, rel: RelationSymbol):
         name = "eq" if rel.kind == EQUAL else rel.name
-        return _allen_truth(name, values[0], values[1])
+        return lambda v: _allen_truth(name, v[0], v[1]) if len(v) == 2 else _wrong_arity(rel, v)
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
@@ -360,38 +322,35 @@ class LexDomain(ConcreteDomain):
             and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
         )
 
-    def _holds(self, rel: RelationSymbol, values: tuple) -> bool:
-        if rel.name == "ltlex":
-            return values[0] < values[1]
-        return values[0] == values[1]
+    def _test(self, rel: RelationSymbol):
+        # Python's tuple order is the lexicographic order
+        return _order_test(rel, rel.name == "ltlex")
 
     def negation_formula(self, rel: RelationSymbol) -> PositiveExistential:
         self._require(rel)
         return _LEX_NEGATIONS[rel.name]
 
 
-Z_DOMAIN = ZDomain()
-N_DOMAIN = NDomain()
-NEGZ_DOMAIN = NegZDomain()
-Q_DOMAIN = QDomain()
+Z_DOMAIN = NumericDomain("Z")
+N_DOMAIN = NumericDomain("N", low=0)
+NEGZ_DOMAIN = NumericDomain("negZ", high=-1)
+Q_DOMAIN = NumericDomain("Q", rational=True)
 ALLEN_DOMAIN = AllenDomain()
+_FIXED_DOMAINS = {dom.name: dom for dom in (Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN, ALLEN_DOMAIN)}
+
+
+def _lex_width(name: str, error: str) -> int:
+    """n when name is lexZ[n], else DomainError(error)."""
+    m = re.fullmatch(r"lexZ\[(\d+)\]", name)
+    if m is None:
+        raise DomainError(error)
+    return int(m.group(1))
 
 
 def domain_by_name(name: str) -> ConcreteDomain:
-    if name == "Z":
-        return Z_DOMAIN
-    if name == "N":
-        return N_DOMAIN
-    if name == "negZ":
-        return NEGZ_DOMAIN
-    if name == "Q":
-        return Q_DOMAIN
-    if name == "allenZ":
-        return ALLEN_DOMAIN
-    m = re.fullmatch(r"lexZ\[(\d+)\]", name)
-    if m:
-        return LexDomain(int(m.group(1)))
-    raise DomainError(f"unknown domain {name!r}")
+    if name in _FIXED_DOMAINS:
+        return _FIXED_DOMAINS[name]
+    return LexDomain(_lex_width(name, f"unknown domain {name!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +416,10 @@ def apply_interpretation(interp: ExistentialInterpretation, f: Formula) -> Formu
     return And(rewritten, All(Release(FALSE, conjunct)))
 
 
-def identity_interpretation(rels: tuple[RelationSymbol, ...] = (LT, EQ)) -> ExistentialInterpretation:
-    """Width-1 interpretation mapping each relation to itself."""
+def identity_interpretation() -> ExistentialInterpretation:
+    """Width-1 interpretation mapping lt and eq to themselves."""
     relations = tuple(
-        (r.name, r.arity, Constraint(r, [(0, f"a{i}_0") for i in range(r.arity)])) for r in rels
+        (r.name, r.arity, Constraint(r, [(0, f"a{i}_0") for i in range(r.arity)])) for r in (LT, EQ)
     )
     return ExistentialInterpretation("identity", 1, relations, None, False)
 
@@ -503,17 +462,9 @@ _ALLEN_INTERPRETATION = ExistentialInterpretation(
 )
 
 
-def allen_interpretation() -> ExistentialInterpretation:
-    """allenZ: intervals as (start, end) pairs with start < end."""
-    return _ALLEN_INTERPRETATION
-
-
 def interpretation_by_name(name: str) -> ExistentialInterpretation:
     if name == "allenZ":
-        return allen_interpretation()
+        return _ALLEN_INTERPRETATION
     if name == "identity":
         return identity_interpretation()
-    m = re.fullmatch(r"lexZ\[(\d+)\]", name)
-    if m:
-        return lex_interpretation(int(m.group(1)))
-    raise DomainError(f"no interpretation named {name!r}")
+    return lex_interpretation(_lex_width(name, f"no interpretation named {name!r}"))

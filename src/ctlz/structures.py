@@ -184,10 +184,17 @@ def validate_structure(structure: SigmaStructure) -> None:
 # File formats (line oriented; see docs/formats.md)
 
 
+def _format_scalar(value) -> str:
+    # a Fraction keeps its denominator, even 1, so it reads back as one
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
+
+
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        return "(" + ",".join(str(v) for v in value) + ")"
-    return str(value)
+        return "(" + ",".join(map(_format_scalar, value)) + ")"
+    return _format_scalar(value)
 
 
 def _parse_value(text: str):

@@ -281,10 +281,15 @@ def test_allen_domain_body_is_check_value():
 
 
 def test_relation_test_agrees_with_eval_relation():
-    # the per-kind closures keep the per-tuple arity check and its text
+    # the per-kind closures keep the per-tuple arity check and its text,
+    # in the tuple-valued domains too
     rels = [LT, EQ, const_rel(0), const_rel(-3), const_rel(Fraction(1, 2)), mod_rel(1, 3), mod_rel(0, 2)]
     values = [-4, -1, 0, 1, 2, 7, Fraction(1, 2), Fraction(-5, 3)]
-    for dom in (Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN):
+    cases = [(dom, rels, values) for dom in (Z_DOMAIN, N_DOMAIN, NEGZ_DOMAIN, Q_DOMAIN)]
+    pairs = [(0, 1), (0, 2), (1, 2), (-1, 3)]
+    cases.append((ALLEN_DOMAIN, [relation_from_name(n) for n in ALLEN_RELATIONS], pairs))
+    cases.append((LexDomain(2), [relation_from_name("ltlex"), relation_from_name("eqlex")], pairs))
+    for dom, rels, values in cases:
         for rel in (r for r in rels if dom.supports(r)):
             holds = dom.relation_test(rel)
             for k in (1, 2, 3):

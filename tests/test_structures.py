@@ -150,6 +150,22 @@ def test_model_text_round_trip_random():
         assert model_from_text(model_to_text(t)) == t
 
 
+def test_model_text_round_trip_keeps_register_types():
+    # Fraction(2) == 2, so equal models may still differ in a register's
+    # type: a whole Fraction must be written as 2/1, not as the integer 2
+    registers = {("s0", "x"): Fraction(2), ("s0", "y"): Fraction(1, 2),
+                 ("s1", "x"): -3, ("s1", "y"): (Fraction(-4), 5)}
+    m = ConstraintKripke(["s0", "s1"], {("s0", "s1"), ("s1", "s0")}, {}, registers, ["x", "y"])
+    text = model_to_text(m)
+    assert "s0 x 2/1" in text and "s1 y (-4/1,5)" in text
+    back = model_from_text(text).registers
+
+    def typed(v):
+        return tuple(map(typed, v)) if isinstance(v, tuple) else (type(v), v)
+
+    assert {k: typed(v) for k, v in back.items()} == {k: typed(v) for k, v in registers.items()}
+
+
 def test_model_file_comments_and_blank_lines():
     text = """# a tiny model
 SHAPE graph
